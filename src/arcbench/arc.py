@@ -61,39 +61,39 @@ class ArcConfig:
 
 
 def tss(z: np.ndarray, t: int, s: int, temperature: float) -> np.ndarray:
-    """Per-task softmax scores S_1..S_t.
+    """Per-task softmax scores S_1..S_t for logits (s*t,) or a batch (..., s*t).
 
     The score for task i is the max softmax probability over task i's class
     block, with the softmax taken over only the first s*i logits after
     dividing them by temperature**(t - i). Later tasks' logits never enter
-    earlier tasks' scores.
+    earlier tasks' scores. The result has shape (..., t).
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (s * t,):
-        raise ValueError(f"expected {s * t} logits, got shape {z.shape}")
+    if z.ndim < 1 or z.shape[-1] != s * t:
+        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
     if not temperature >= 1.0:
         raise ValueError(f"temperature must be >= 1, got {temperature}")
-    scores = np.empty(t)
+    scores = np.empty(z.shape[:-1] + (t,))
     for i in range(1, t + 1):
-        p = softmax(z[: s * i] / temperature ** (t - i))
-        scores[i - 1] = np.max(p[s * (i - 1) : s * i])
+        p = softmax(z[..., : s * i] / temperature ** (t - i))
+        scores[..., i - 1] = np.max(p[..., s * (i - 1) :], axis=-1)
     return scores
 
 
-def adaptive_correction(
-    z: np.ndarray, t: int, s: int, temperature: float
-) -> tuple[int, int, np.ndarray]:
-    """Reassign a suspected misclassification to its most plausible task.
+def adaptive_correction(z: np.ndarray, t: int, s: int, temperature: float) -> tuple:
+    """Reassign suspected misclassifications to their most plausible task.
 
-    Returns (chosen task, corrected class, scores). The chosen task is the
-    argmax of the per-task scores (lowest index on ties) and the corrected
-    class is the raw-logit argmax inside that task's class range.
+    Takes logits (s*t,) or a batch (..., s*t) and returns (chosen task,
+    corrected class, scores), with the leading shape of ``z``. The chosen
+    task is the argmax of the per-task scores (lowest index on ties) and the
+    corrected class is the raw-logit argmax inside that task's class range.
     """
     scores = tss(z, t, s, temperature)
-    task = int(np.argmax(scores)) + 1
-    lo = s * (task - 1)
-    cls = lo + int(np.argmax(z[lo : lo + s]))
-    return task, cls, scores
+    task = np.argmax(scores, axis=-1)
+    blocks = np.asarray(z, dtype=np.float64).reshape(scores.shape[:-1] + (t, s))
+    chosen = np.take_along_axis(blocks, task[..., None, None], axis=-2)
+    cls = s * task + np.argmax(chosen[..., 0, :], axis=-1)
+    return task + 1, cls, scores
 
 
 def adaptive_retention(
@@ -173,11 +173,12 @@ def arc_evaluate(
 ) -> ArcEvalResult:
     """Run the full test-time loop over an ordered stream of feature batches.
 
-    For each batch: classify every sample against the head as of the batch's
-    arrival; if retention is enabled, the PAST_CORRECT subset feeds exactly
-    one gradient update and those samples are re-predicted with the updated
-    head; if correction is enabled, PAST_MISCLASSIFIED samples are relabeled
-    from their arrival logits. Updates only ever affect later batches.
+    For each batch: classify all its samples in one call against the head as
+    of the batch's arrival; if retention is enabled, the PAST_CORRECT subset
+    feeds exactly one gradient update and those samples are re-predicted with
+    the updated head; if correction is enabled, the PAST_MISCLASSIFIED subset
+    is relabeled in one call from its arrival logits. Updates only ever
+    affect later batches.
     """
     if head.visible_tasks != t:
         raise ValueError(f"head sees {head.visible_tasks} tasks, expected {t}")
@@ -193,7 +194,7 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        decided = [classify_sample(zi, t, s, cfg.thresholds, raw_w) for zi in z]
+        decided = classify_sample(z, t, s, cfg.thresholds, raw_w)
         initial = np.array([rep.predicted_class for _, rep in decided], dtype=np.int64)
         final = initial.copy()
         scores: list[tuple[float, ...] | None] = [None] * len(decided)
@@ -210,12 +211,12 @@ def arc_evaluate(
             else:
                 warnings.append(f"batch {batch_index}: non-finite retention loss, step skipped")
 
-        if cfg.correction_enabled:
-            for i, (d, _) in enumerate(decided):
-                if d is OtdDecision.PAST_MISCLASSIFIED:
-                    _, cls, sc = adaptive_correction(z[i], t, s, cfg.temperature)
-                    final[i] = cls
-                    scores[i] = tuple(sc.tolist())
+        suspects = [i for i, (d, _) in enumerate(decided) if d is OtdDecision.PAST_MISCLASSIFIED]
+        if cfg.correction_enabled and suspects:
+            _, cls, sc = adaptive_correction(z[suspects], t, s, cfg.temperature)
+            final[suspects] = cls
+            for i, row in zip(suspects, sc.tolist()):
+                scores[i] = tuple(row)
 
         for i, (d, rep) in enumerate(decided):
             records.append(

@@ -226,6 +226,14 @@ class RunConfig:
 
 
 def _fmt(value) -> str:
+    # exact builtin types first: they are nearly every cell of a bundle
+    kind = type(value)
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):

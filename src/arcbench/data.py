@@ -9,7 +9,8 @@ EMB1 file format (little-endian, no padding):
             step u32, example count u64
     record: task u16 (1-based), label u32 (0-based global),
             split u8 (0 = train, 1 = test), dim x float32 features
-Trailing bytes after the last record are an error. Features are widened to
+Trailing bytes after the last record, non-finite features, and a task with
+no train or no test records are errors. Features are widened to
 float64 in memory; the generator rounds through float32 so that a write/load
 round trip is bit-exact.
 """
@@ -26,6 +27,7 @@ from .seeding import substream
 
 _MEANS_CODE = 2
 _SPLIT_CODES = {"train": 0, "test": 1}
+_SPLIT_NAMES = tuple(_SPLIT_CODES)
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sHIIIQ")
@@ -215,11 +217,24 @@ def load_embeddings(path: str) -> TaskStream:
         buckets[(task, split)][1].append(label)
     if offset != len(blob):
         raise EmbeddingFormatError("trailing bytes after last record")
+    # one pass over every record's features, read in place as float32
+    features = np.ndarray((count, dim), dtype="<f4", buffer=blob, strides=(record_size, 4),
+                          offset=_HEADER.size + _RECORD_FIXED.size)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        record = int(bad[0])
+        task, _, split = _RECORD_FIXED.unpack_from(blob, _HEADER.size + record * record_size)
+        raise EmbeddingFormatError(
+            f"record {record} (task {task}, {_SPLIT_NAMES[split]} split) has non-finite features"
+        )
+    for task in range(1, num_tasks + 1):
+        for split, name in enumerate(_SPLIT_NAMES):
+            if (task, split) not in buckets:
+                raise EmbeddingFormatError(f"task {task} has an empty {name} split")
 
     def build(task: int, split: int) -> TaskData:
-        rows, labels = buckets.get((task, split), ([], []))
-        feats = np.vstack(rows) if rows else np.empty((0, dim))
-        return TaskData(task, feats, np.array(labels, dtype=np.int64))
+        rows, labels = buckets[(task, split)]
+        return TaskData(task, np.vstack(rows), np.array(labels, dtype=np.int64))
 
     stream = TaskStream(
         layout,

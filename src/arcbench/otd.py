@@ -57,24 +57,33 @@ class ConfidenceReport:
     ratio: float | None
 
 
-def confidence(z: np.ndarray) -> tuple[int, float]:
-    """Predicted class (argmax, lowest index on ties) and its softmax probability."""
+def confidence(z: np.ndarray) -> tuple:
+    """Predicted class (argmax, lowest index on ties) and its softmax probability.
+
+    Takes logits (K,) or a batch (n, K); a batch gives (n,) arrays.
+    """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("confidence expects a single logits vector")
-    p = softmax(z)  # rejects empty / non-finite input
-    k = int(np.argmax(z))
-    return k, float(p[k])
+    if z.ndim not in (1, 2):
+        raise ValueError(f"confidence expects logits (K,) or (n, K), got shape {z.shape}")
+    rows = z.reshape(-1, z.shape[-1])
+    p = softmax(rows)  # rejects empty / non-finite input
+    k = rows.argmax(axis=-1)
+    c = p[np.arange(len(k)), k]
+    return (int(k[0]), float(c[0])) if z.ndim == 1 else (k, c)
 
 
-def masked_confidence(z: np.ndarray, t: int, s: int) -> float:
-    """Max softmax probability over the first s*(t-1) logits only."""
+def masked_confidence(z: np.ndarray, t: int, s: int):
+    """Max softmax probability over the first s*(t-1) logits only.
+
+    Takes logits (s*t,) or a batch (n, s*t); a batch gives an (n,) array.
+    """
     z = np.asarray(z, dtype=np.float64)
     if t < 2:
         raise ValueError("masked confidence is undefined at the first task")
-    if z.shape != (s * t,):
-        raise ValueError(f"expected {s * t} logits, got shape {z.shape}")
-    return float(np.max(softmax(z[: s * (t - 1)])))
+    if z.ndim not in (1, 2) or z.shape[-1] != s * t:
+        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
+    c_hat = np.max(softmax(z[..., : s * (t - 1)]), axis=-1)
+    return float(c_hat) if z.ndim == 1 else c_hat
 
 
 def classify_sample(
@@ -83,30 +92,37 @@ def classify_sample(
     s: int,
     thresholds: Thresholds,
     raw_confidence_w: bool = False,
-) -> tuple[OtdDecision, ConfidenceReport]:
-    """Sort one test sample into a detection branch.
+) -> tuple[OtdDecision, ConfidenceReport] | list[tuple[OtdDecision, ConfidenceReport]]:
+    """Sort test samples into detection branches.
 
-    A past-predicted sample with confidence >= beta is PAST_CORRECT; a
-    current-predicted one (t >= 2) whose ratio w = c / c_hat is <= gamma is
-    PAST_MISCLASSIFIED; anything else is PASSTHROUGH. At t = 1 every class is
-    current so the sample always passes through. ``raw_confidence_w`` is an
-    ablation switch replacing the ratio test with c <= gamma.
+    Takes one sample's logits (s*t,) and returns its (decision, report), or
+    a batch (n, s*t) and returns the list of per-row pairs. A past-predicted
+    sample with confidence >= beta is PAST_CORRECT; a current-predicted one
+    (t >= 2) whose ratio w = c / c_hat is <= gamma is PAST_MISCLASSIFIED;
+    anything else is PASSTHROUGH. At t = 1 every class is current so every
+    sample passes through. ``raw_confidence_w`` is an ablation switch
+    replacing the ratio test with c <= gamma.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (s * t,):
-        raise ValueError(f"expected {s * t} logits, got shape {z.shape}")
-    predicted, c = confidence(z)
+    if z.ndim not in (1, 2) or z.shape[-1] != s * t:
+        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
+    rows = z.reshape(-1, s * t)
+    if len(rows) == 0:
+        return []
+    predicted, c = confidence(rows)
+    decisions = np.full(len(rows), OtdDecision.PASSTHROUGH, dtype=object)
     if t == 1:
-        return OtdDecision.PASSTHROUGH, ConfidenceReport(predicted, c, None, None)
-
-    c_hat = masked_confidence(z, t, s)
-    w = c / c_hat
-    report = ConfidenceReport(predicted, c, c_hat, w)
-    if predicted < s * (t - 1):
-        if c >= thresholds.beta:
-            return OtdDecision.PAST_CORRECT, report
+        c_hat = w = [None] * len(rows)
     else:
+        c_hat = masked_confidence(rows, t, s)
+        w = c / c_hat
         stat = c if raw_confidence_w else w
-        if stat <= thresholds.gamma:
-            return OtdDecision.PAST_MISCLASSIFIED, report
-    return OtdDecision.PASSTHROUGH, report
+        past = predicted < s * (t - 1)
+        decisions[past & (c >= thresholds.beta)] = OtdDecision.PAST_CORRECT
+        decisions[~past & (stat <= thresholds.gamma)] = OtdDecision.PAST_MISCLASSIFIED
+        c_hat, w = c_hat.tolist(), w.tolist()
+    pairs = [
+        (d, ConfidenceReport(k, ck, hk, wk))
+        for d, k, ck, hk, wk in zip(decisions.tolist(), predicted.tolist(), c.tolist(), c_hat, w)
+    ]
+    return pairs if z.ndim == 2 else pairs[0]

@@ -136,6 +136,18 @@ class TestCmdRun:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
+    def test_embeddings_with_empty_test_split_named(self, tmp_path, capsys):
+        stream = generate_synthetic(SyntheticSpec(num_tasks=2, step=2, dim=8, train_per_class=10,
+                                                  test_per_class=8, seed=4))
+        stream.test[1].features = stream.test[1].features[:0]
+        stream.test[1].labels = stream.test[1].labels[:0]
+        path = tmp_path / "no-test.emb1"
+        write_embeddings(stream, str(path))
+        code = run_cli(["run", "--data.source", "embeddings", "--data.path", str(path),
+                        "--run.output_dir", str(tmp_path / "bundle")])
+        assert code == 1
+        assert "task 2 has an empty test split" in capsys.readouterr().err
+
 
 class TestCmdProbe:
     def test_single_task_header_only(self, tmp_path):

@@ -142,6 +142,32 @@ class TestEmbeddingValidation:
         with pytest.raises(EmbeddingFormatError, match="no examples"):
             load_embeddings(str(path))
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split(self, tmp_path, split):
+        stream = generate_synthetic(SMALL)
+        data = getattr(stream, split)[1]
+        data.features, data.labels = data.features[:0], data.labels[:0]
+        path = tmp_path / "empty-split.emb1"
+        write_embeddings(stream, str(path))
+        with pytest.raises(EmbeddingFormatError, match=f"task 2 has an empty {split} split"):
+            load_embeddings(str(path))
+
+    @pytest.mark.parametrize("bad, first, where", [
+        ({44: np.nan, 50: np.inf}, 44, "task 2, test split"),
+        ({3: -np.inf}, 3, "task 1, train split"),
+    ])
+    def test_non_finite_features(self, tmp_path, bad, first, where):
+        # canonical order: task 1 train (15 records), task 1 test (12), then task 2
+        path = self.write_valid(tmp_path)
+        blob = bytearray(path.read_bytes())
+        for record, value in bad.items():
+            at = 26 + record * (7 + 4 * SMALL.dim) + 7 + 4 * (record % SMALL.dim)
+            blob[at : at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(EmbeddingFormatError,
+                           match=rf"record {first} \({where}\) has non-finite features"):
+            load_embeddings(str(path))
+
     def test_stream_validation_catches_range_violations(self):
         stream = generate_synthetic(SMALL)
         stream.train[0].labels = stream.train[0].labels.copy()

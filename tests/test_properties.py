@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcbench.arc import ArcConfig, adaptive_correction, adaptive_retention, arc_evaluate, tss
 from arcbench.core import (
+    FORWARD_TEMP_BYTES,
     LinearHead,
     TaskLayout,
     TrainConfig,
@@ -104,6 +105,26 @@ def test_expansion_preserves_old_logits(seed):
                                      d=int(rng.integers(2, 10)))
 
 
+@pytest.mark.parametrize("d, k", [(768, 20), (3, 7)])
+@given(data=st.data())
+@settings(deadline=None, max_examples=25)
+def test_forward_batch_size_invariance(d, k, data):
+    # at D=768 forward's temporary holds 8 rows, so n spans several chunks;
+    # at D=3 one chunk holds every batch drawn
+    per_chunk = max(1, FORWARD_TEMP_BYTES // (8 * k * d))
+    n = data.draw(st.integers(1, min(4 * per_chunk + 3, 60)), label="n")
+    cuts = data.draw(st.lists(st.integers(0, n), max_size=5).map(sorted), label="cuts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
+    x = rng.standard_normal((n, d))
+    full = forward(head, x)
+    split = np.vstack([forward(head, part) for part in np.split(x, cuts)])
+    assert np.array_equal(split, full)
+    assert np.array_equal(forward(head, np.asfortranarray(x)), full)
+    for row, logits in zip(x, full):
+        assert np.array_equal(forward(head, row), logits)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sgd_step_reversible(seed):
     rng = np.random.default_rng(3000 + seed)
@@ -111,6 +132,38 @@ def test_sgd_step_reversible(seed):
 
 
 # ---------------------------------------------------------------- otd
+
+@st.composite
+def logit_batches(draw):
+    """(t, s, z) with z of shape (n, s*t): random rows with ties from small
+    integer values, all-equal rows, and rows shifted by +-1e3."""
+    t, s, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    value = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(min_value=-30, max_value=30, allow_nan=False))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            row = [draw(value)] * (s * t)
+        else:
+            row = draw(st.lists(value, min_size=s * t, max_size=s * t))
+        rows.append(np.array(row) + draw(st.sampled_from([0.0, 1e3, -1e3])))
+    return t, s, np.array(rows)
+
+
+@given(logit_batches(),
+       st.sampled_from([Thresholds(0.8, 0.8), Thresholds(0.5, 0.9), Thresholds(0.0, np.inf)]),
+       st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_batch_detection_equals_row_by_row(batch, thresholds, raw_w):
+    t, s, z = batch
+    pairs = classify_sample(z, t, s, thresholds, raw_w)
+    assert len(pairs) == len(z)
+    for row, (decision, report) in zip(z, pairs):
+        row_decision, row_report = classify_sample(row, t, s, thresholds, raw_w)
+        assert decision is row_decision
+        # every float field is positive and finite, so == is bit equality
+        assert report == row_report
+
 
 def check_first_stage_passthrough(z):
     decision, _ = classify_sample(z, t=1, s=len(z), thresholds=Thresholds(0.0, np.inf))
@@ -231,6 +284,20 @@ def check_one_update_per_batch(rng):
         for i in range(0, 48, 12)
     )
     assert result.retention_updates == expected
+
+
+@given(logit_batches(), st.sampled_from([1.0, 2.0, 3.5]))
+@settings(deadline=None, max_examples=150)
+def test_batch_tss_and_correction_equal_row_by_row(batch, temperature):
+    t, s, z = batch
+    scores = tss(z, t, s, temperature)
+    tasks, classes, correction_scores = adaptive_correction(z, t, s, temperature)
+    assert scores.shape == (len(z), t)
+    assert np.array_equal(correction_scores, scores)
+    for i, row in enumerate(z):
+        assert np.array_equal(tss(row, t, s, temperature), scores[i])
+        task, cls, _ = adaptive_correction(row, t, s, temperature)
+        assert (task, cls) == (tasks[i], classes[i])
 
 
 @pytest.mark.parametrize("seed", range(10))
