@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EPS_LOG, LinearHead, forward, sgd_step, softmax
+from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
 from .otd import ConfidenceReport, OtdDecision, Thresholds, classify_sample
 
 W_MODES = ("ratio", "raw")
@@ -99,47 +99,33 @@ def adaptive_correction(z: np.ndarray, t: int, s: int, temperature: float) -> tu
 def adaptive_retention(
     head: LinearHead,
     features: np.ndarray,
-    pseudo_labels: np.ndarray,
+    logits: np.ndarray,
     cfg: ArcConfig,
 ) -> tuple[LinearHead, np.ndarray, bool]:
     """One mean-gradient SGD update of the head on a batch of flagged samples.
 
-    The pseudo-label of each sample is its own predicted class; only the
-    classifier moves, never the features. Returns the (possibly) updated
-    head, fresh argmax predictions for the batch, and whether the step was
-    applied (a non-finite loss or gradient skips the step).
+    ``logits`` are the head's logits for ``features``, one row each. The
+    pseudo-label of each sample is its own predicted class, the logits'
+    argmax; only the classifier moves, never the features. Returns the
+    (possibly) updated head, argmax predictions for the batch under the
+    returned head, and whether the step was applied (a non-finite loss or
+    gradient skips the step and keeps the head).
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(pseudo_labels, dtype=np.int64)
+    z = np.asarray(logits, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != head.dim:
         raise ValueError(f"features shape {x.shape} incompatible with head dim {head.dim}")
-    n = x.shape[0]
-    if n == 0:
-        return head, np.empty(0, dtype=np.int64), False
+    if z.shape != (x.shape[0], head.num_classes):
+        raise ValueError(f"logits shape {z.shape} incompatible with features {x.shape}")
+    pseudo_labels = z.argmax(axis=1)
+    if x.shape[0] == 0:
+        return head, pseudo_labels, False
 
     include_ce = cfg.retention_loss in ("both", "ce")
     include_em = cfg.retention_loss in ("both", "em")
-    # batched form of the per-sample gradient; for a single sample this
-    # reduces bit-for-bit to retention_gradient followed by sgd_step
-    p = softmax(forward(head, x))
-    logp = np.log(np.clip(p, EPS_LOG, None))
-    dz = np.zeros_like(p)
-    loss = 0.0
-    if include_ce:
-        loss += -logp[np.arange(n), y].sum()
-        dz += p
-        dz[np.arange(n), y] -= 1.0
-    if include_em:
-        ent = -(p * logp).sum(axis=1)
-        loss += ent.sum()
-        dz += -p * (logp + ent[:, None])
-    dw = dz.T @ x
-    dw /= n
-    db = dz.sum(axis=0)
-    db /= n
-    loss /= n
+    dw, db, loss = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
     if not (np.isfinite(loss) and np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-        return head, forward(head, x).argmax(axis=1), False
+        return head, pseudo_labels, False
     updated = sgd_step(head, dw, db, cfg.lr)
     return updated, forward(updated, x).argmax(axis=1), True
 
@@ -152,7 +138,6 @@ class PredictionRecord:
     final_class: int
     decision: OtdDecision
     report: ConfidenceReport
-    tss: tuple[float, ...] | None = None
     retention_applied: bool = False
 
 
@@ -197,26 +182,24 @@ def arc_evaluate(
         decided = classify_sample(z, t, s, cfg.thresholds, raw_w)
         initial = np.array([rep.predicted_class for _, rep in decided], dtype=np.int64)
         final = initial.copy()
-        scores: list[tuple[float, ...] | None] = [None] * len(decided)
         applied = np.zeros(len(decided), dtype=bool)
 
         flagged = [i for i, (d, _) in enumerate(decided) if d is OtdDecision.PAST_CORRECT]
         if cfg.retention_enabled and flagged:
-            head2, repreds, ok = adaptive_retention(head, x[flagged], initial[flagged], cfg)
+            head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], cfg)
             if ok:
                 head = head2
                 updates += 1
                 final[flagged] = repreds
                 applied[flagged] = True
             else:
-                warnings.append(f"batch {batch_index}: non-finite retention loss, step skipped")
+                warnings.append(f"batch {batch_index}: non-finite retention loss or gradient, "
+                                "step skipped")
 
         suspects = [i for i, (d, _) in enumerate(decided) if d is OtdDecision.PAST_MISCLASSIFIED]
         if cfg.correction_enabled and suspects:
-            _, cls, sc = adaptive_correction(z[suspects], t, s, cfg.temperature)
+            _, cls, _ = adaptive_correction(z[suspects], t, s, cfg.temperature)
             final[suspects] = cls
-            for i, row in zip(suspects, sc.tolist()):
-                scores[i] = tuple(row)
 
         for i, (d, rep) in enumerate(decided):
             records.append(
@@ -225,7 +208,6 @@ def arc_evaluate(
                     final_class=int(final[i]),
                     decision=d,
                     report=rep,
-                    tss=scores[i],
                     retention_applied=bool(applied[i]),
                 )
             )

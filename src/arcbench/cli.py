@@ -28,12 +28,14 @@ from .core import TrainConfig
 from .data import SyntheticSpec, TaskStream, generate_synthetic, load_embeddings
 from .harness import (
     MetricsReport,
-    RunResult,
+    StageTrace,
     Variant,
     ablation_grid,
+    evaluate_stages,
     linear_probe_experiment,
     otd_validation,
     run_stream,
+    train_sequence,
 )
 from .otd import Thresholds
 
@@ -304,9 +306,9 @@ def _metrics_rows(reports: list[MetricsReport]) -> list[list]:
     return rows
 
 
-def _record_rows(seed: int, result: RunResult, beta: float | None = None) -> list[list]:
+def _record_rows(seed: int, traces: list[StageTrace], beta: float | None = None) -> list[list]:
     rows = []
-    for trace in result.arc_traces:
+    for trace in traces:
         for position, (rec, label, task) in enumerate(
             zip(trace.records, trace.true_labels, trace.true_tasks)
         ):
@@ -323,6 +325,18 @@ def _record_rows(seed: int, result: RunResult, beta: float | None = None) -> lis
 RECORD_HEADER = ["seed", "stage", "position", "true_task", "true_label",
                  "initial_class", "final_class", "decision", "retention_applied",
                  "confidence", "masked_confidence", "ratio"]
+
+
+def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
+    v = otd_validation(traces)
+    return [seed, beta, v.assumption1_precision, v.assumption1_rate,
+            v.assumption2_precision, v.assumption2_rate,
+            v.flagged1, v.flagged1_true, v.flagged2, v.flagged2_true, v.samples]
+
+
+OTD_HEADER = ["seed", "beta", "assumption1_precision", "assumption1_rate",
+              "assumption2_precision", "assumption2_rate", "flagged1", "flagged1_true",
+              "flagged2", "flagged2_true", "samples"]
 
 
 def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
@@ -346,13 +360,8 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
                 zip(result.task1_labels, result.task1_predictions)
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
-        validation = otd_validation(result.arc_traces)
-        otd_rows.append([seed, arc_cfg.thresholds.beta,
-                         validation.assumption1_precision, validation.assumption1_rate,
-                         validation.assumption2_precision, validation.assumption2_rate,
-                         validation.flagged1, validation.flagged1_true,
-                         validation.flagged2, validation.flagged2_true, validation.samples])
-        record_rows.extend(_record_rows(seed, result))
+        otd_rows.append(_otd_row(seed, arc_cfg.thresholds.beta, result.arc_traces))
+        record_rows.extend(_record_rows(seed, result.arc_traces))
 
     files = {
         "metadata.txt": _metadata("run", cfg),
@@ -362,10 +371,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
         "bias_histogram.csv": render_csv(["seed", "task", "count"], bias_rows),
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
                                                   pred_rows),
-        "otd_validation.csv": render_csv(
-            ["seed", "beta", "assumption1_precision", "assumption1_rate",
-             "assumption2_precision", "assumption2_rate", "flagged1", "flagged1_true",
-             "flagged2", "flagged2_true", "samples"], otd_rows),
+        "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
         "arc_records.csv": render_csv(RECORD_HEADER, record_rows),
     }
     arc_reports = [m for m in reports if m.pipeline == "arc"]
@@ -436,26 +442,16 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     otd_rows, record_rows = [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed, cache)
+        # training never sees beta: train once, then run the pipeline per beta
+        heads = train_sequence(stream, train_cfg, seed)
         for beta in cfg.values["otd.betas"]:
-            arc_cfg = cfg.arc_config(beta=beta)
-            result = run_stream(stream, train_cfg, arc_cfg, seed)
-            validation = otd_validation(result.arc_traces)
-            otd_rows.append([seed, beta,
-                             validation.assumption1_precision, validation.assumption1_rate,
-                             validation.assumption2_precision, validation.assumption2_rate,
-                             validation.flagged1, validation.flagged1_true,
-                             validation.flagged2, validation.flagged2_true,
-                             validation.samples])
-            record_rows.extend(_record_rows(seed, result, beta=beta))
-    header = RECORD_HEADER.copy()
-    header.insert(1, "beta")
+            traces = list(evaluate_stages(stream, heads, cfg.arc_config(beta=beta), seed))
+            otd_rows.append(_otd_row(seed, beta, traces))
+            record_rows.extend(_record_rows(seed, traces, beta=beta))
     files = {
         "metadata.txt": _metadata("validate-otd", cfg),
-        "otd_validation.csv": render_csv(
-            ["seed", "beta", "assumption1_precision", "assumption1_rate",
-             "assumption2_precision", "assumption2_rate", "flagged1", "flagged1_true",
-             "flagged2", "flagged2_true", "samples"], otd_rows),
-        "arc_records.csv": render_csv(header, record_rows),
+        "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
+        "arc_records.csv": render_csv(["seed", "beta", *RECORD_HEADER[1:]], record_rows),
     }
     return files, f"rows: {len(otd_rows)}"
 

@@ -131,6 +131,38 @@ def entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(np.clip(p, EPS_LOG, None))))
 
 
+def loss_gradient(
+    z: np.ndarray, x: np.ndarray, labels: np.ndarray, include_ce: bool, include_em: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Analytic gradient of the test-time objective, averaged over a batch.
+
+    Takes logits z (n, K) = x W^T + b for features x (n, D) and one label
+    per row. Each row's objective is cross-entropy against its label plus
+    the entropy of its predicted distribution; either term can be switched
+    off for ablations. With p = softmax(z) for a row:
+
+        d(CE)/dz = p - onehot(label)
+        d(EM)/dz_i = -p_i * (log p_i - sum_j p_j log p_j)
+
+    Returns (dW, db, loss) averaged over the n rows: with dz the (n, K)
+    stack of each row's dL/dz, dW = dz^T x / n and db = sum(dz) / n.
+    """
+    n = z.shape[0]
+    p = softmax(z)
+    logp = np.log(np.clip(p, EPS_LOG, None))
+    dz = np.zeros_like(p)
+    loss = 0.0
+    if include_ce:
+        loss += -logp[np.arange(n), labels].sum()
+        dz += p
+        dz[np.arange(n), labels] -= 1.0
+    if include_em:
+        ent = -(p * logp).sum(axis=1)
+        loss += ent.sum()
+        dz += -p * (logp + ent[:, None])
+    return (dz.T @ x) / n, dz.sum(axis=0) / n, float(loss / n)
+
+
 def retention_gradient(
     head: LinearHead,
     x: np.ndarray,
@@ -138,16 +170,9 @@ def retention_gradient(
     include_ce: bool = True,
     include_em: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Analytic gradient of the test-time objective at the current head.
+    """``loss_gradient`` at the current head for one feature vector (D,).
 
-    The objective is cross-entropy against ``pseudo_label`` plus the entropy
-    of the predicted distribution; either term can be switched off for
-    ablations. With p = softmax(W x + b):
-
-        d(CE)/dz = p - onehot(pseudo_label)
-        d(EM)/dz_i = -p_i * (log p_i - sum_j p_j log p_j)
-
-    Returns (dW, db, loss) where dW = (dL/dz) x^T and db = dL/dz.
+    Returns (dW, db, loss) for the single row x with label ``pseudo_label``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (head.dim,):
@@ -156,20 +181,9 @@ def retention_gradient(
         raise ValueError(f"pseudo_label {pseudo_label} outside 0..{head.num_classes - 1}")
     if not (include_ce or include_em):
         raise ValueError("at least one loss term must be enabled")
-
-    p = softmax(forward(head, x))
-    logp = np.log(np.clip(p, EPS_LOG, None))
-    dz = np.zeros_like(p)
-    loss = 0.0
-    if include_ce:
-        loss += cross_entropy(p, pseudo_label)
-        dz += p
-        dz[pseudo_label] -= 1.0
-    if include_em:
-        ent = entropy(p)
-        loss += ent
-        dz += -p * (logp + ent)
-    return np.outer(dz, x), dz, loss
+    rows = x[None, :]
+    labels = np.array([pseudo_label])
+    return loss_gradient(forward(head, rows), rows, labels, include_ce, include_em)
 
 
 def sgd_step(head: LinearHead, dw: np.ndarray, db: np.ndarray, lr: float) -> LinearHead:

@@ -10,10 +10,11 @@ substreams are keyed (seed, stage, tag[, extra]) with the tags below.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arc import ArcConfig, ArcEvalResult, PredictionRecord, arc_evaluate
+from .arc import ArcConfig, PredictionRecord, arc_evaluate
 from .core import LinearHead, TaskLayout, TrainConfig, expand_head, fit_task, forward, new_head
 from .data import TaskStream
 from .otd import OtdDecision, Thresholds
@@ -163,6 +164,7 @@ class RunResult:
 
 def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> list[LinearHead]:
     """Sequential training; returns the head as of the end of each stage."""
+    stream.validate()
     layout = stream.layout
     head = new_head(stream.dim, layout.step)
     heads: list[LinearHead] = []
@@ -189,18 +191,9 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
     return heads
 
 
-def _plain_stage_accuracies(stream: TaskStream, head: LinearHead, t: int) -> np.ndarray:
-    accs = np.empty(t)
-    for i in range(1, t + 1):
-        data = stream.test[i - 1]
-        preds = forward(head, data.features).argmax(axis=1)
-        accs[i - 1] = np.mean(preds == data.labels)
-    return accs
-
-
-def _arc_stage_eval(
+def _stage_trace(
     stream: TaskStream, head: LinearHead, t: int, cfg: ArcConfig, seed: int
-) -> tuple[np.ndarray, StageTrace]:
+) -> StageTrace:
     """Evaluate tasks 1..t as one shuffled online stream through the pipeline."""
     x = np.vstack([stream.test[i - 1].features for i in range(1, t + 1)])
     y = np.concatenate([stream.test[i - 1].labels for i in range(1, t + 1)])
@@ -210,14 +203,39 @@ def _arc_stage_eval(
     perm = substream(seed, t, EVAL_TAG).permutation(len(y))
     x, y, tasks = x[perm], y[perm], tasks[perm]
     batches = [x[i : i + cfg.batch_size] for i in range(0, len(y), cfg.batch_size)]
-    result: ArcEvalResult = arc_evaluate(head, batches, t, stream.layout.step, cfg)
-    final = np.fromiter((r.final_class for r in result.records), dtype=np.int64, count=len(y))
-    accs = np.empty(t)
-    for i in range(1, t + 1):
-        mask = tasks == i
-        accs[i - 1] = np.mean(final[mask] == y[mask])
-    trace = StageTrace(t, result.records, y, tasks, result.retention_updates, result.warnings)
-    return accs, trace
+    result = arc_evaluate(head, batches, t, stream.layout.step, cfg)
+    return StageTrace(t, result.records, y, tasks, result.retention_updates, result.warnings)
+
+
+def evaluate_stages(
+    stream: TaskStream, heads: list[LinearHead], cfg: ArcConfig, seed: int
+) -> Iterator[StageTrace]:
+    """Run every stage of a trained sequence through the pipeline.
+
+    ``heads`` holds each stage's trained head, as from train_sequence. Each
+    stage's online evaluation starts from that stage's head and its updates
+    are discarded afterwards, so they never leak across stages. A stage's
+    trace is yielded when the stage ends, so a caller that keeps only
+    accuracies holds one stage's records at a time.
+    """
+    n = stream.layout.num_tasks
+    if len(heads) != n:
+        raise ValueError(f"expected one head per stage ({n}), got {len(heads)}")
+    for t, head in enumerate(heads, start=1):
+        # a stage's arrays die with _stage_trace's frame, before the next stage
+        yield _stage_trace(stream, head, t, cfg.for_stage(is_final_stage=(t == n)), seed)
+
+
+def _accuracy_matrix(traces: Iterable[StageTrace], num_tasks: int) -> RMatrix:
+    """Pipeline accuracies: each trace's final classes against its ground truth, per task."""
+    r = RMatrix.empty(num_tasks)
+    for trace in traces:
+        final = np.fromiter((rec.final_class for rec in trace.records), dtype=np.int64,
+                            count=len(trace.records))
+        for i in range(1, trace.stage + 1):
+            mask = trace.true_tasks == i
+            r.set_entry(trace.stage, i, float(np.mean(final[mask] == trace.true_labels[mask])))
+    return r
 
 
 def _metrics(
@@ -246,26 +264,20 @@ def run_stream(
 ) -> RunResult:
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
-    Pipeline-side head updates never leak across stages: each stage's online
-    evaluation starts from that stage's trained head and its updates are
-    discarded afterwards.
+    Pipeline-side head updates never leak across stages (see evaluate_stages).
     """
-    stream.validate()
     layout = stream.layout
     n = layout.num_tasks
     heads = train_sequence(stream, train_cfg, seed)
 
-    r_arc = RMatrix.empty(n)
     r_plain = RMatrix.empty(n)
-    traces: list[StageTrace] = []
     for t, head in enumerate(heads, start=1):
-        for i, acc in enumerate(_plain_stage_accuracies(stream, head, t), start=1):
-            r_plain.set_entry(t, i, float(acc))
-        stage_cfg = arc_cfg.for_stage(is_final_stage=(t == n))
-        accs, trace = _arc_stage_eval(stream, head, t, stage_cfg, seed)
-        for i, acc in enumerate(accs, start=1):
-            r_arc.set_entry(t, i, float(acc))
-        traces.append(trace)
+        for i in range(1, t + 1):
+            data = stream.test[i - 1]
+            preds = forward(head, data.features).argmax(axis=1)
+            r_plain.set_entry(t, i, float(np.mean(preds == data.labels)))
+    traces = list(evaluate_stages(stream, heads, arc_cfg, seed))
+    r_arc = _accuracy_matrix(traces, n)
 
     bias = task1_preds = task1_labels = None
     if n >= 2:
@@ -329,7 +341,6 @@ def linear_probe_experiment(
     i < t alone (same epoch budget as the shared head) and both are scored on
     task i's test set. The widening gap is the shared classifier's bias.
     """
-    stream.validate()
     layout = stream.layout
     heads = train_sequence(stream, train_cfg, seed)
     rows: list[ProbeRow] = []
@@ -367,12 +378,9 @@ class Variant:
     gamma: float = 0.8
 
     def __post_init__(self):
-        if self.loss not in ("ce", "em", "both"):
-            raise ValueError(f"unknown loss variant {self.loss!r}")
         if self.temperature not in ("on", "off"):
             raise ValueError(f"unknown temperature variant {self.temperature!r}")
-        if self.w_mode not in ("ratio", "raw"):
-            raise ValueError(f"unknown w_mode variant {self.w_mode!r}")
+        self.apply(ArcConfig())  # ArcConfig rejects unknown loss and w_mode names
 
     def key(self) -> str:
         return (
@@ -400,19 +408,12 @@ def ablation_grid(
     """One pipeline MetricsReport per variant; training is shared across them."""
     if not variants:
         return []
-    stream.validate()
-    layout = stream.layout
-    n = layout.num_tasks
+    n = stream.layout.num_tasks
     heads = train_sequence(stream, train_cfg, seed)
     out: list[tuple[Variant, MetricsReport]] = []
     for variant in variants:
         cfg = variant.apply(base_arc)
-        r = RMatrix.empty(n)
-        for t, head in enumerate(heads, start=1):
-            stage_cfg = cfg.for_stage(is_final_stage=(t == n))
-            accs, _ = _arc_stage_eval(stream, head, t, stage_cfg, seed)
-            for i, acc in enumerate(accs, start=1):
-                r.set_entry(t, i, float(acc))
+        r = _accuracy_matrix(evaluate_stages(stream, heads, cfg, seed), n)
         echo = _config_echo(train_cfg, cfg)
         echo["variant"] = variant.key()
         out.append((variant, _metrics(seed, "arc", r, echo)))

@@ -100,8 +100,9 @@ class TestAdaptiveRetention:
     def test_converged_batch_barely_moves(self):
         head = LinearHead(np.zeros((3, 2)), np.array([50.0, 0.0, 0.0]), 1)
         x = np.random.default_rng(0).standard_normal((4, 2)) * 0.1
-        preds = forward(head, x).argmax(axis=1)
-        updated, repreds, ok = adaptive_retention(head, x, preds, ArcConfig())
+        z = forward(head, x)
+        preds = z.argmax(axis=1)
+        updated, repreds, ok = adaptive_retention(head, x, z, ArcConfig())
         assert ok
         assert np.max(np.abs(updated.weights - head.weights)) < 1e-8
         assert np.max(np.abs(updated.bias - head.bias)) < 1e-8
@@ -113,7 +114,8 @@ class TestAdaptiveRetention:
         x = rng.standard_normal(3)
         label = int(forward(head, x).argmax())
         cfg = ArcConfig(lr=0.05)
-        updated, repreds, ok = adaptive_retention(head, x[None, :], np.array([label]), cfg)
+        rows = x[None, :]
+        updated, repreds, ok = adaptive_retention(head, rows, forward(head, rows), cfg)
         dw, db, _ = retention_gradient(head, x, label)
         manual = sgd_step(head, dw, db, cfg.lr)
         assert ok
@@ -141,14 +143,14 @@ class TestAdaptiveRetention:
             return total / len(x)
 
         before = mean_loss(head)
-        updated, _, ok = adaptive_retention(head, x, y, ArcConfig(lr=0.01))
+        updated, _, ok = adaptive_retention(head, x, forward(head, x), ArcConfig(lr=0.01))
         assert ok
         assert mean_loss(updated) < before
 
     def test_empty_batch_is_identity(self):
         head = LinearHead(np.ones((2, 2)), np.zeros(2), 1)
         updated, repreds, ok = adaptive_retention(
-            head, np.zeros((0, 2)), np.zeros(0, dtype=int), ArcConfig()
+            head, np.zeros((0, 2)), np.zeros((0, 2)), ArcConfig()
         )
         assert updated is head
         assert len(repreds) == 0
@@ -223,6 +225,24 @@ class TestArcEvaluate:
         for r in result.records:
             if r.decision is OtdDecision.PASSTHROUGH:
                 assert r.final_class == r.initial_class
+
+    def test_non_finite_retention_step_is_skipped(self):
+        # weights near 1e-308 keep the logits O(1) for features of 1e308, but
+        # the gradient sums 32 rows of |dz| * 1e308 and overflows
+        head = LinearHead(np.array([[1e-308, 1e-308], [0.0, 0.0]]), np.zeros(2), 2)
+        x = np.full((32, 2), 1e308)
+        cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))
+        with np.errstate(over="ignore"):
+            result = arc_evaluate(head, [x], t=2, s=1, cfg=cfg)
+        assert result.retention_updates == 0
+        assert result.head is head
+        assert all(r.decision is OtdDecision.PAST_CORRECT for r in result.records)
+        for r in result.records:
+            assert r.final_class == r.initial_class
+            assert not r.retention_applied
+        assert result.warnings == [
+            "batch 0: non-finite retention loss or gradient, step skipped"
+        ]
 
     def test_bad_batch_shape_rejected(self):
         head = LinearHead(np.zeros((4, 3)), np.zeros(4), 2)

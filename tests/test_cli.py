@@ -2,6 +2,7 @@ import csv
 import os
 
 import numpy as np
+import pytest
 
 from arcbench.cli import main
 from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
@@ -92,9 +93,10 @@ class TestCmdRun:
             assert float(otd[2]) == len(true) / len(flagged)
         assert int(otd[6]) == len(flagged)
 
-    def test_deterministic_bundle_bytes(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "ablate", "validate-otd"])
+    def test_deterministic_bundle_bytes(self, tmp_path, command):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["run", *TINY, "--run.seeds", "2"]
+        args = [command, *TINY, "--run.seeds", "2"]
         assert run_cli([*args, "--run.output_dir", str(out1)]) == 0
         assert run_cli([*args, "--run.output_dir", str(out2)]) == 0
         names = [n for n in os.listdir(out1) if n.endswith(".csv")]
@@ -236,3 +238,22 @@ class TestCmdValidateOtd:
                 assert float(row[2]) == len(true) / len(flagged)
             else:
                 assert row[2] == ""
+
+    def test_each_beta_matches_run(self, tmp_path):
+        votd = tmp_path / "votd"
+        assert run_cli(["validate-otd", *TINY, "--otd.betas", "0.0,0.8",
+                        "--run.output_dir", str(votd)]) == 0
+        otd_rows = read_rows(votd / "otd_validation.csv")
+        records = read_rows(votd / "arc_records.csv")
+        for beta in ("0.0", "0.8"):
+            out = tmp_path / f"run-{beta}"
+            assert run_cli(["run", *TINY, "--arc.beta", beta,
+                            "--run.output_dir", str(out)]) == 0
+            run_otd = read_rows(out / "otd_validation.csv")
+            assert otd_rows[0] == run_otd[0]
+            assert [r for r in otd_rows[1:] if float(r[1]) == float(beta)] == run_otd[1:]
+            without_beta = [r[:1] + r[2:] for r in records[1:] if float(r[1]) == float(beta)]
+            run_records = read_rows(out / "arc_records.csv")
+            assert records[0][:1] + records[0][2:] == run_records[0]
+            assert without_beta == run_records[1:]
+            assert any(r[8] == "1" for r in without_beta)  # retention moved the head

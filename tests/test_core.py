@@ -12,6 +12,7 @@ from arcbench.core import (
     expand_head,
     fit_task,
     forward,
+    loss_gradient,
     new_head,
     retention_gradient,
     sgd_step,
@@ -146,6 +147,32 @@ class TestRetentionGradient:
             fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
             assert relative_error(dw, fd_dw) <= 1e-5
             assert relative_error(db, fd_db) <= 1e-5
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("terms", ["both", "ce", "em"])
+    def test_batch_mean_matches_finite_differences(self, n, terms):
+        rng = np.random.default_rng(29 + n)
+        head = random_head(rng, k=4, d=3)
+        x = rng.standard_normal((n, 3))
+        labels = rng.integers(0, 4, n)
+        include_ce, include_em = terms in ("both", "ce"), terms in ("both", "em")
+
+        def loss(w, b):
+            probe = LinearHead(w, b, 1)
+            total = 0.0
+            for xi, yi in zip(x, labels):
+                p = softmax(forward(probe, xi))
+                if include_ce:
+                    total += cross_entropy(p, int(yi))
+                if include_em:
+                    total += entropy(p)
+            return total / n
+
+        dw, db, value = loss_gradient(forward(head, x), x, labels, include_ce, include_em)
+        fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
+        assert relative_error(dw, fd_dw) <= 1e-5
+        assert relative_error(db, fd_db) <= 1e-5
+        assert abs(value - loss(head.weights, head.bias)) <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         head = new_head(dim=3, step=2)

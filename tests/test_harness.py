@@ -11,6 +11,7 @@ from arcbench.harness import (
     ablation_grid,
     average_accuracy,
     bias_histogram,
+    evaluate_stages,
     forgetting,
     linear_probe_experiment,
     otd_validation,
@@ -175,6 +176,13 @@ class TestRunStream:
         res = run_stream(small_stream, cfg, ArcConfig(batch_size=8), seed=5)
         plain = run_stream(small_stream, FAST_TRAIN, ArcConfig(batch_size=8), seed=5)
         assert not np.array_equal(res.stage_heads[-1].weights, plain.stage_heads[-1].weights)
+
+
+class TestEvaluateStages:
+    def test_one_head_per_stage_required(self, small_stream):
+        heads = train_sequence(small_stream, FAST_TRAIN, seed=5)
+        with pytest.raises(ValueError, match="one head per stage"):
+            list(evaluate_stages(small_stream, heads[:-1], ArcConfig(batch_size=8), seed=5))
 
 
 class TestOtdValidation:
