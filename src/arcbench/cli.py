@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import itertools
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -228,14 +230,6 @@ class RunConfig:
 
 
 def _fmt(value) -> str:
-    # exact builtin types first: they are nearly every cell of a bundle
-    kind = type(value)
-    if kind is float:
-        return f"{value:.17g}"
-    if kind is int:
-        return str(value)
-    if kind is str:
-        return value
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -256,8 +250,22 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _metadata(command: str, cfg: RunConfig) -> str:
-    lines = [f"arcbench version = {__version__}", f"command = {command}"]
+    """Provenance and the effective config; called once the command's work is done."""
+    lines = [f"arcbench version = {__version__}", f"command = {command}",
+             f"numpy version = {np.__version__}",
+             f"python version = {platform.python_version()}",
+             f"platform = {platform.platform()}"]
+    if cfg.values["data.source"] == "embeddings":
+        lines.append(f"data.path sha256 = {_file_sha256(cfg.values['data.path'])}")
     for key in sorted(SCHEMA):
         value = cfg.values[key]
         if isinstance(value, list):
@@ -306,20 +314,24 @@ def _metrics_rows(reports: list[MetricsReport]) -> list[list]:
     return rows
 
 
-def _record_rows(seed: int, traces: list[StageTrace], beta: float | None = None) -> list[list]:
-    rows = []
+def _record_text(seed: int, traces: list[StageTrace], beta: float | None = None) -> str:
+    """arc_records.csv rows as render_csv would give them, one f-string per row:
+    no cell is ever quoted (numbers, empty for None, decision names)."""
+    lead = f"{seed}," if beta is None else f"{seed},{beta:.17g},"
+    lines = []
     for trace in traces:
         for position, (rec, label, task) in enumerate(
-            zip(trace.records, trace.true_labels, trace.true_tasks)
+            zip(trace.records, trace.true_labels.tolist(), trace.true_tasks.tolist())
         ):
-            row = [seed, trace.stage, position, int(task), int(label),
-                   rec.initial_class, rec.final_class, rec.decision.value,
-                   rec.retention_applied, rec.report.confidence,
-                   rec.report.masked_confidence, rec.report.ratio]
-            if beta is not None:
-                row.insert(1, beta)
-            rows.append(row)
-    return rows
+            rep = rec.report
+            masked = "" if rep.masked_confidence is None else f"{rep.masked_confidence:.17g}"
+            ratio = "" if rep.ratio is None else f"{rep.ratio:.17g}"
+            lines.append(
+                f"{lead}{trace.stage},{position},{task},{label},{rec.initial_class},"
+                f"{rec.final_class},{rec.decision.value},{1 if rec.retention_applied else 0},"
+                f"{rep.confidence:.17g},{masked},{ratio}\n"
+            )
+    return "".join(lines)
 
 
 RECORD_HEADER = ["seed", "stage", "position", "true_task", "true_label",
@@ -344,7 +356,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
     arc_cfg = cfg.arc_config()
     cache: dict = {}
     reports: list[MetricsReport] = []
-    r_rows, bias_rows, otd_rows, pred_rows, record_rows = [], [], [], [], []
+    r_rows, bias_rows, otd_rows, pred_rows, record_text = [], [], [], [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed, cache)
         result = run_stream(stream, train_cfg, arc_cfg, seed)
@@ -361,7 +373,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
         otd_rows.append(_otd_row(seed, arc_cfg.thresholds.beta, result.arc_traces))
-        record_rows.extend(_record_rows(seed, result.arc_traces))
+        record_text.append(_record_text(seed, result.arc_traces))
 
     files = {
         "metadata.txt": _metadata("run", cfg),
@@ -372,7 +384,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
                                                   pred_rows),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(RECORD_HEADER, record_rows),
+        "arc_records.csv": render_csv(RECORD_HEADER, []) + "".join(record_text),
     }
     arc_reports = [m for m in reports if m.pipeline == "arc"]
     base_reports = [m for m in reports if m.pipeline == "baseline"]
@@ -439,7 +451,7 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
 def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     train_cfg = cfg.train_config()
     cache: dict = {}
-    otd_rows, record_rows = [], []
+    otd_rows, record_text = [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed, cache)
         # training never sees beta: train once, then run the pipeline per beta
@@ -447,11 +459,12 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
         for beta in cfg.values["otd.betas"]:
             traces = list(evaluate_stages(stream, heads, cfg.arc_config(beta=beta), seed))
             otd_rows.append(_otd_row(seed, beta, traces))
-            record_rows.extend(_record_rows(seed, traces, beta=beta))
+            record_text.append(_record_text(seed, traces, beta=beta))
     files = {
         "metadata.txt": _metadata("validate-otd", cfg),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(["seed", "beta", *RECORD_HEADER[1:]], record_rows),
+        "arc_records.csv": render_csv(["seed", "beta", *RECORD_HEADER[1:]], [])
+        + "".join(record_text),
     }
     return files, f"rows: {len(otd_rows)}"
 

@@ -15,8 +15,6 @@ from .seeding import substream
 
 # Floor under log() so losses stay finite; far below every test tolerance.
 EPS_LOG = 1e-12
-# Byte budget of forward's (rows, K, D) product: small enough to stay in cache.
-FORWARD_TEMP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,27 +81,19 @@ def new_head(dim: int, step: int) -> LinearHead:
 def forward(head: LinearHead, x: np.ndarray) -> np.ndarray:
     """Logits W @ x + b for a feature vector (D,) or a batch (n, D).
 
-    Each logit is reduced over the feature axis with an order that depends
-    only on D (never on the number of classes, the batch size or the memory
-    order of ``x``), so expanding the head preserves old classes' logits bit
-    for bit and any split of a batch gives the same logits. Rows go through
-    a C-ordered (rows, K, D) product of at most FORWARD_TEMP_BYTES (one row
-    at least) a chunk at a time.
+    One einsum over C-contiguous rows of x and W reduces each logit over the
+    feature axis in an order that depends only on D (never on the number of
+    classes, the batch size or the memory order of ``x``), so expanding the
+    head preserves old classes' logits bit for bit and any split of a batch
+    gives the same logits. ``x @ W.T`` and einsum on non-contiguous input
+    both break these invariances.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != head.dim:
         raise ValueError(f"feature shape {x.shape} incompatible with head dim {head.dim}")
-    rows = x.reshape(-1, head.dim)
-    k, n = head.num_classes, rows.shape[0]
-    out = np.empty((n, k))
-    chunk = max(1, min(n, FORWARD_TEMP_BYTES // (8 * k * head.dim)))
-    temp = np.empty((chunk, k, head.dim))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        product = np.multiply(rows[start:stop, None, :], head.weights, out=temp[: stop - start])
-        np.sum(product, axis=-1, out=out[start:stop])
-    out += head.bias
-    return out.reshape(x.shape[:-1] + (k,))
+    rows = np.ascontiguousarray(x.reshape(-1, head.dim))
+    out = np.einsum("nd,kd->nk", rows, np.ascontiguousarray(head.weights)) + head.bias
+    return out.reshape(x.shape[:-1] + (head.num_classes,))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

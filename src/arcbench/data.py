@@ -180,7 +180,8 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
 
 
 def load_embeddings(path: str) -> TaskStream:
-    """Parse an EMB1 file back into a TaskStream, validating as it goes."""
+    """Parse an EMB1 file back into a TaskStream, all records in one vectorized
+    pass that raises the error a record-by-record reader would raise first."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -197,49 +198,45 @@ def load_embeddings(path: str) -> TaskStream:
     layout = TaskLayout(num_tasks, step)
 
     record_size = _RECORD_FIXED.size + 4 * dim
-    offset = _HEADER.size
-    buckets: dict[tuple[int, int], tuple[list[np.ndarray], list[int]]] = {}
-    for _ in range(count):
-        if offset + record_size > len(blob):
-            raise EmbeddingFormatError("truncated record")
-        task, label, split = _RECORD_FIXED.unpack_from(blob, offset)
-        offset += _RECORD_FIXED.size
-        if not 1 <= task <= num_tasks:
-            raise EmbeddingFormatError(f"task {task} outside 1..{num_tasks}")
-        if split not in (0, 1):
-            raise EmbeddingFormatError(f"bad split code {split}")
-        ok = layout.class_range(task)
-        if not ok.start <= label < ok.stop:
-            raise EmbeddingFormatError(f"label {label} outside task {task}'s class range")
-        feats = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset).astype(np.float64)
-        offset += 4 * dim
-        buckets.setdefault((task, split), ([], []))[0].append(feats)
-        buckets[(task, split)][1].append(label)
-    if offset != len(blob):
-        raise EmbeddingFormatError("trailing bytes after last record")
-    # one pass over every record's features, read in place as float32
-    features = np.ndarray((count, dim), dtype="<f4", buffer=blob, strides=(record_size, 4),
-                          offset=_HEADER.size + _RECORD_FIXED.size)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    fit = min(count, (len(blob) - _HEADER.size) // record_size)
+    if fit == 0:  # also keeps a header's absurd dim away from np.dtype
+        raise EmbeddingFormatError("truncated record")
+    record = np.dtype([("task", "<u2"), ("label", "<u4"), ("split", "u1"),
+                       ("features", "<f4", (dim,))])
+    records = np.frombuffer(blob, dtype=record, count=fit, offset=_HEADER.size)
+    task, split = records["task"].astype(np.int64), records["split"].astype(np.int64)
+    label = records["label"]
+    # the first bad record in file order wins; within it, task, split, label
+    bad_task = (task < 1) | (task > num_tasks)
+    bad_split = split > 1
+    bad_label = (label < step * (task - 1)) | (label >= step * task)
+    bad = np.flatnonzero(bad_task | bad_split | bad_label)
     if len(bad):
-        record = int(bad[0])
-        task, _, split = _RECORD_FIXED.unpack_from(blob, _HEADER.size + record * record_size)
-        raise EmbeddingFormatError(
-            f"record {record} (task {task}, {_SPLIT_NAMES[split]} split) has non-finite features"
-        )
-    for task in range(1, num_tasks + 1):
-        for split, name in enumerate(_SPLIT_NAMES):
-            if (task, split) not in buckets:
-                raise EmbeddingFormatError(f"task {task} has an empty {name} split")
-
-    def build(task: int, split: int) -> TaskData:
-        rows, labels = buckets[(task, split)]
-        return TaskData(task, np.vstack(rows), np.array(labels, dtype=np.int64))
-
-    stream = TaskStream(
-        layout,
-        [build(task, 0) for task in range(1, num_tasks + 1)],
-        [build(task, 1) for task in range(1, num_tasks + 1)],
-    )
+        r = int(bad[0])
+        if bad_task[r]:
+            raise EmbeddingFormatError(f"task {task[r]} outside 1..{num_tasks}")
+        if bad_split[r]:
+            raise EmbeddingFormatError(f"bad split code {split[r]}")
+        raise EmbeddingFormatError(f"label {label[r]} outside task {task[r]}'s class range")
+    if fit < count:
+        raise EmbeddingFormatError("truncated record")
+    if _HEADER.size + count * record_size != len(blob):
+        raise EmbeddingFormatError("trailing bytes after last record")
+    bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
+    if len(bad):
+        r = int(bad[0])
+        raise EmbeddingFormatError(f"record {r} (task {task[r]}, {_SPLIT_NAMES[split[r]]} split) "
+                                   "has non-finite features")
+    # bucket 2*(task-1) + split; each keeps its records in file order
+    bucket = 2 * (task - 1) + split
+    sizes = np.bincount(bucket)  # no minlength: a header may declare 2^32 tasks
+    empty = np.flatnonzero(sizes == 0)
+    b = int(empty[0]) if len(empty) else len(sizes)
+    if b < 2 * num_tasks:
+        raise EmbeddingFormatError(f"task {b // 2 + 1} has an empty {_SPLIT_NAMES[b % 2]} split")
+    buckets = np.split(np.argsort(bucket, kind="stable"), np.cumsum(sizes)[:-1])
+    data = [TaskData(b // 2 + 1, records["features"][rows].astype(np.float64),
+                     label[rows].astype(np.int64)) for b, rows in enumerate(buckets)]
+    stream = TaskStream(layout, data[0::2], data[1::2])
     stream.validate()
     return stream

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -137,6 +139,17 @@ class TestCmdRun:
                         "--arc.batch_size", "8", "--run.output_dir", str(out)])
         assert code == 0
         assert (out / "metrics.csv").exists()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"data.path sha256 = {digest}\n" in (out / "metadata.txt").read_text()
+
+    def test_metadata_provenance(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 0
+        lines = (out / "metadata.txt").read_text().splitlines()
+        assert f"numpy version = {np.__version__}" in lines
+        assert f"python version = {platform.python_version()}" in lines
+        assert f"platform = {platform.platform()}" in lines
+        assert not any("sha256" in line for line in lines)  # synthetic data has no input file
 
     def test_embeddings_with_empty_test_split_named(self, tmp_path, capsys):
         stream = generate_synthetic(SyntheticSpec(num_tasks=2, step=2, dim=8, train_per_class=10,

@@ -168,6 +168,44 @@ class TestEmbeddingValidation:
                            match=rf"record {first} \({where}\) has non-finite features"):
             load_embeddings(str(path))
 
+    @staticmethod
+    def record(task, label, split, *features):
+        return struct.pack("<HIB", task, label, split) + struct.pack("<2f", *(features or (0.0, 0.0)))
+
+    @pytest.mark.parametrize("records, count, tail, message", [
+        # a bad label in record 0 wins over a bad task in record 1
+        ([(1, 5, 0), (9, 0, 0)], 2, b"", "label 5 outside task 1's class range"),
+        # within one record: task, then split, then label
+        ([(3, 99, 7)], 1, b"", r"task 3 outside 1\.\.2"),
+        ([(1, 99, 7)], 1, b"", "bad split code 7"),
+        # a bad record that fits wins over the truncated one after it
+        ([(1, 0, 0), (2, 3, 4)], 3, b"\x01", "bad split code 4"),
+        # truncation wins over non-finite features
+        ([(1, 0, 0, float("nan"), 0.0)], 2, b"\x01", "truncated record"),
+        # trailing bytes win over non-finite features and empty splits
+        ([(1, 0, 0, float("inf"), 0.0)], 1, b"\x00" * 16, "trailing bytes"),
+        # non-finite features win over empty splits
+        ([(2, 3, 1), (1, 0, 0, 0.0, float("nan"))], 2, b"", r"record 1 \(task 1, train split\)"),
+    ])
+    def test_error_precedence(self, tmp_path, records, count, tail, message):
+        header = struct.pack("<4sHIIIQ", b"EMB1", 1, 2, 2, 3, count)
+        path = tmp_path / "faults.emb1"
+        path.write_bytes(header + b"".join(self.record(*fields) for fields in records) + tail)
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_embeddings(str(path))
+
+    @pytest.mark.parametrize("dim, num_tasks, message", [
+        (2**32 - 1, 1, "truncated record"),
+        (2, 2**32 - 1, "task 1 has an empty test split"),
+    ])
+    def test_absurd_header_sizes(self, tmp_path, dim, num_tasks, message):
+        # neither size may reach an allocation: the file holds one 2-dim record
+        header = struct.pack("<4sHIIIQ", b"EMB1", 1, dim, num_tasks, 1, 1)
+        path = tmp_path / "absurd.emb1"
+        path.write_bytes(header + self.record(1, 0, 0))
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_embeddings(str(path))
+
     def test_stream_validation_catches_range_violations(self):
         stream = generate_synthetic(SMALL)
         stream.train[0].labels = stream.train[0].labels.copy()

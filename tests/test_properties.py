@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from arcbench.arc import ArcConfig, adaptive_correction, adaptive_retention, arc_evaluate, tss
 from arcbench.core import (
-    FORWARD_TEMP_BYTES,
     LinearHead,
     TaskLayout,
     TrainConfig,
@@ -61,13 +60,14 @@ def check_gradient_against_finite_differences(rng, k, d):
     assert relative_error(db, fd_db) <= 1e-5
 
 
-def check_expansion_preserves_logits(rng, layout, d):
+def check_expansion_preserves_logits(rng, layout, d, n=1):
     head = LinearHead(rng.standard_normal((layout.step, d)), rng.standard_normal(layout.step), 1)
-    x = rng.standard_normal(d)
+    x = rng.standard_normal((n, d))
     before = forward(head, x)
     grown = expand_head(head, layout)
-    after = forward(grown, x)
-    assert np.array_equal(after[: layout.step], before)
+    assert np.array_equal(forward(grown, x)[:, : layout.step], before)
+    for row, logits in zip(x, before):
+        assert np.array_equal(forward(grown, row)[: layout.step], logits)
 
 
 def check_sgd_step_reversible(rng, k, d):
@@ -102,17 +102,24 @@ def test_gradient_matches_finite_differences(seed):
 def test_expansion_preserves_old_logits(seed):
     rng = np.random.default_rng(2000 + seed)
     check_expansion_preserves_logits(rng, TaskLayout(num_tasks=3, step=int(rng.integers(1, 6))),
-                                     d=int(rng.integers(2, 10)))
+                                     d=int(rng.integers(2, 10)), n=int(rng.integers(1, 40)))
+
+
+@pytest.mark.parametrize("d", [64, 768])
+@pytest.mark.parametrize("seed", range(3))
+def test_expansion_preserves_old_logits_default_step(seed, d):
+    # the default head shape (step 10) and a ViT-sized feature; a matmul
+    # forward breaks the batch case at D=64
+    rng = np.random.default_rng(2100 + seed)
+    check_expansion_preserves_logits(rng, TaskLayout(num_tasks=3, step=10), d,
+                                     n=int(rng.integers(2, 100)))
 
 
 @pytest.mark.parametrize("d, k", [(768, 20), (3, 7)])
 @given(data=st.data())
 @settings(deadline=None, max_examples=25)
 def test_forward_batch_size_invariance(d, k, data):
-    # at D=768 forward's temporary holds 8 rows, so n spans several chunks;
-    # at D=3 one chunk holds every batch drawn
-    per_chunk = max(1, FORWARD_TEMP_BYTES // (8 * k * d))
-    n = data.draw(st.integers(1, min(4 * per_chunk + 3, 60)), label="n")
+    n = data.draw(st.integers(1, 60), label="n")
     cuts = data.draw(st.lists(st.integers(0, n), max_size=5).map(sorted), label="cuts")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
