@@ -41,11 +41,9 @@ for i in (0, 40, 240, 700, 950):
 print("\nbeta sweep: how many samples get the retention flag, and how pure they are")
 print("beta   flagged  truly past & correct  precision")
 for beta in (0.0, 0.5, 0.7, 0.8, 0.9):
-    decided = classify_sample(z, t, s, Thresholds(beta, 0.8))  # the whole batch at once
-    flagged = correct = 0
-    for (decision, rep), task, label in zip(decided, tasks, labels):
-        if decision is OtdDecision.PAST_CORRECT:
-            flagged += 1
-            correct += int(task < t and rep.predicted_class == label)
+    decisions, rep = classify_sample(z, t, s, Thresholds(beta, 0.8))  # the whole batch at once
+    is_flagged = decisions == OtdDecision.PAST_CORRECT
+    flagged = int(is_flagged.sum())
+    correct = int(np.sum(is_flagged & (tasks < t) & (rep.predicted_class == labels)))
     precision = correct / flagged if flagged else float("nan")
     print(f"{beta:4.1f} {flagged:9d} {correct:21d}  {precision:.3f}")

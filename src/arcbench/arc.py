@@ -14,10 +14,22 @@ from typing import Iterable
 import numpy as np
 
 from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
-from .otd import ConfidenceReport, OtdDecision, Thresholds, classify_sample
+from .otd import OtdDecision, Thresholds, classify_sample
 
 W_MODES = ("ratio", "raw")
 RETENTION_LOSSES = ("both", "ce", "em")
+
+# one row per test sample; the two float columns are NaN at stage 1, where
+# they are undefined
+RECORD_DTYPE = np.dtype([
+    ("initial_class", np.int64),
+    ("final_class", np.int64),
+    ("decision", object),
+    ("retention_applied", bool),
+    ("confidence", np.float64),
+    ("masked_confidence", np.float64),
+    ("ratio", np.float64),
+])
 
 
 @dataclass(frozen=True)
@@ -131,19 +143,8 @@ def adaptive_retention(
 
 
 @dataclass
-class PredictionRecord:
-    """Trace of one test sample through the pipeline."""
-
-    initial_class: int
-    final_class: int
-    decision: OtdDecision
-    report: ConfidenceReport
-    retention_applied: bool = False
-
-
-@dataclass
 class ArcEvalResult:
-    records: list[PredictionRecord]
+    records: np.recarray  # RECORD_DTYPE, one row per sample in stream order
     head: LinearHead
     retention_updates: int
     warnings: list[str]
@@ -171,7 +172,7 @@ def arc_evaluate(
         raise ValueError("head width inconsistent with s * t")
 
     raw_w = cfg.w_mode == "raw"
-    records: list[PredictionRecord] = []
+    tables: list[np.ndarray] = []
     warnings: list[str] = []
     updates = 0
     for batch_index, x in enumerate(batches):
@@ -179,36 +180,33 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        decided = classify_sample(z, t, s, cfg.thresholds, raw_w)
-        initial = np.array([rep.predicted_class for _, rep in decided], dtype=np.int64)
-        final = initial.copy()
-        applied = np.zeros(len(decided), dtype=bool)
+        decisions, report = classify_sample(z, t, s, cfg.thresholds, raw_w)
+        table = np.zeros(len(x), RECORD_DTYPE)
+        table["initial_class"] = table["final_class"] = report.predicted_class
+        table["decision"] = decisions
+        table["confidence"] = report.confidence
+        if t >= 2:
+            table["masked_confidence"] = report.masked_confidence
+            table["ratio"] = report.ratio
+        else:
+            table["masked_confidence"] = table["ratio"] = np.nan
 
-        flagged = [i for i, (d, _) in enumerate(decided) if d is OtdDecision.PAST_CORRECT]
-        if cfg.retention_enabled and flagged:
+        flagged = decisions == OtdDecision.PAST_CORRECT
+        if cfg.retention_enabled and flagged.any():
             head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], cfg)
             if ok:
                 head = head2
                 updates += 1
-                final[flagged] = repreds
-                applied[flagged] = True
+                table["final_class"][flagged] = repreds
+                table["retention_applied"][flagged] = True
             else:
                 warnings.append(f"batch {batch_index}: non-finite retention loss or gradient, "
                                 "step skipped")
 
-        suspects = [i for i, (d, _) in enumerate(decided) if d is OtdDecision.PAST_MISCLASSIFIED]
-        if cfg.correction_enabled and suspects:
+        suspects = decisions == OtdDecision.PAST_MISCLASSIFIED
+        if cfg.correction_enabled and suspects.any():
             _, cls, _ = adaptive_correction(z[suspects], t, s, cfg.temperature)
-            final[suspects] = cls
-
-        for i, (d, rep) in enumerate(decided):
-            records.append(
-                PredictionRecord(
-                    initial_class=int(initial[i]),
-                    final_class=int(final[i]),
-                    decision=d,
-                    report=rep,
-                    retention_applied=bool(applied[i]),
-                )
-            )
-    return ArcEvalResult(records, head, updates, warnings)
+            table["final_class"][suspects] = cls
+        tables.append(table)
+    records = np.concatenate(tables) if tables else np.zeros(0, RECORD_DTYPE)
+    return ArcEvalResult(records.view(np.recarray), head, updates, warnings)

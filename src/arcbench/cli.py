@@ -21,6 +21,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -221,11 +222,14 @@ class RunConfig:
             seed=seed,
         )
 
-    def stream_for_seed(self, seed: int, cache: dict) -> TaskStream:
+    @cached_property
+    def _embeddings(self) -> TaskStream:
+        """The EMB1 stream, read once per command and shared by every seed."""
+        return load_embeddings(self.values["data.path"])
+
+    def stream_for_seed(self, seed: int) -> TaskStream:
         if self.values["data.source"] == "embeddings":
-            if "stream" not in cache:
-                cache["stream"] = load_embeddings(self.values["data.path"])
-            return cache["stream"]
+            return self._embeddings
         return generate_synthetic(self.synthetic_spec(seed))
 
 
@@ -316,20 +320,21 @@ def _metrics_rows(reports: list[MetricsReport]) -> list[list]:
 
 def _record_text(seed: int, traces: list[StageTrace], beta: float | None = None) -> str:
     """arc_records.csv rows as render_csv would give them, one f-string per row:
-    no cell is ever quoted (numbers, empty for None, decision names)."""
+    no cell is ever quoted (numbers, empty for an undefined NaN, decision names)."""
     lead = f"{seed}," if beta is None else f"{seed},{beta:.17g},"
     lines = []
     for trace in traces:
-        for position, (rec, label, task) in enumerate(
-            zip(trace.records, trace.true_labels.tolist(), trace.true_tasks.tolist())
-        ):
-            rep = rec.report
-            masked = "" if rep.masked_confidence is None else f"{rep.masked_confidence:.17g}"
-            ratio = "" if rep.ratio is None else f"{rep.ratio:.17g}"
+        rec = trace.records
+        columns = (trace.true_tasks, trace.true_labels, rec.initial_class, rec.final_class,
+                   rec.decision, rec.retention_applied, rec.confidence,
+                   rec.masked_confidence, rec.ratio)
+        for position, row in enumerate(zip(*(column.tolist() for column in columns))):
+            task, label, initial, final, decision, applied, c, masked, ratio = row
+            masked = "" if masked != masked else f"{masked:.17g}"
+            ratio = "" if ratio != ratio else f"{ratio:.17g}"
             lines.append(
-                f"{lead}{trace.stage},{position},{task},{label},{rec.initial_class},"
-                f"{rec.final_class},{rec.decision.value},{1 if rec.retention_applied else 0},"
-                f"{rep.confidence:.17g},{masked},{ratio}\n"
+                f"{lead}{trace.stage},{position},{task},{label},{initial},{final},"
+                f"{decision.value},{1 if applied else 0},{c:.17g},{masked},{ratio}\n"
             )
     return "".join(lines)
 
@@ -354,11 +359,10 @@ OTD_HEADER = ["seed", "beta", "assumption1_precision", "assumption1_rate",
 def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
     train_cfg = cfg.train_config()
     arc_cfg = cfg.arc_config()
-    cache: dict = {}
     reports: list[MetricsReport] = []
     r_rows, bias_rows, otd_rows, pred_rows, record_text = [], [], [], [], []
     for seed in cfg.seeds:
-        stream = cfg.stream_for_seed(seed, cache)
+        stream = cfg.stream_for_seed(seed)
         result = run_stream(stream, train_cfg, arc_cfg, seed)
         reports.extend([result.metrics_with_arc, result.metrics_without_arc])
         for pipeline, r in (("arc", result.r_with_arc), ("baseline", result.r_without_arc)):
@@ -398,10 +402,9 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
 
 def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
     train_cfg = cfg.train_config()
-    cache: dict = {}
     rows = []
     for seed in cfg.seeds:
-        stream = cfg.stream_for_seed(seed, cache)
+        stream = cfg.stream_for_seed(seed)
         for row in linear_probe_experiment(stream, train_cfg, seed):
             rows.append([seed, row.stage, row.task,
                          row.independent_accuracy, row.shared_accuracy])
@@ -430,10 +433,9 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
     train_cfg = cfg.train_config()
     base_arc = cfg.arc_config()
     variants = build_variants(cfg)
-    cache: dict = {}
     rows = []
     for seed in cfg.seeds:
-        stream = cfg.stream_for_seed(seed, cache)
+        stream = cfg.stream_for_seed(seed)
         reports = ablation_grid(stream, train_cfg, base_arc, variants, seed)
         for variant, report in sorted(reports, key=lambda pair: pair[0].key()):
             rows.append([seed, variant.loss, variant.temperature, variant.w_mode,
@@ -450,10 +452,9 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
 
 def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     train_cfg = cfg.train_config()
-    cache: dict = {}
     otd_rows, record_text = [], []
     for seed in cfg.seeds:
-        stream = cfg.stream_for_seed(seed, cache)
+        stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
         heads = train_sequence(stream, train_cfg, seed)
         for beta in cfg.values["otd.betas"]:

@@ -9,12 +9,12 @@ substreams are keyed (seed, stage, tag[, extra]) with the tags below.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arc import ArcConfig, PredictionRecord, arc_evaluate
+from .arc import ArcConfig, arc_evaluate
 from .core import LinearHead, TaskLayout, TrainConfig, expand_head, fit_task, forward, new_head
 from .data import TaskStream
 from .otd import OtdDecision, Thresholds
@@ -105,16 +105,18 @@ class MetricsReport:
     pipeline: str  # "arc" or "baseline"
     average_accuracy: float
     forgetting: float | None  # None for single-task streams
-    stage_accuracy: list[float]  # mean over seen tasks after each stage
-    config: dict
 
 
 @dataclass
 class StageTrace:
-    """Pipeline records for one stage's shuffled test stream, with ground truth."""
+    """Pipeline records for one stage's shuffled test stream, with ground truth.
+
+    ``records`` is arc_evaluate's table (arc.RECORD_DTYPE), one row per sample,
+    aligned with ``true_labels`` and ``true_tasks``.
+    """
 
     stage: int
-    records: list[PredictionRecord]
+    records: np.recarray
     true_labels: np.ndarray
     true_tasks: np.ndarray
     retention_updates: int
@@ -230,30 +232,20 @@ def _accuracy_matrix(traces: Iterable[StageTrace], num_tasks: int) -> RMatrix:
     """Pipeline accuracies: each trace's final classes against its ground truth, per task."""
     r = RMatrix.empty(num_tasks)
     for trace in traces:
-        final = np.fromiter((rec.final_class for rec in trace.records), dtype=np.int64,
-                            count=len(trace.records))
+        final = trace.records.final_class
         for i in range(1, trace.stage + 1):
             mask = trace.true_tasks == i
             r.set_entry(trace.stage, i, float(np.mean(final[mask] == trace.true_labels[mask])))
     return r
 
 
-def _metrics(
-    seed: int, pipeline: str, r: RMatrix, config: dict
-) -> MetricsReport:
-    n = r.num_tasks
+def _metrics(seed: int, pipeline: str, r: RMatrix) -> MetricsReport:
     return MetricsReport(
         seed=seed,
         pipeline=pipeline,
         average_accuracy=average_accuracy(r),
-        forgetting=forgetting(r) if n >= 2 else None,
-        stage_accuracy=[float(np.mean(r.row(t))) for t in range(1, n + 1)],
-        config=config,
+        forgetting=forgetting(r) if r.num_tasks >= 2 else None,
     )
-
-
-def _config_echo(train_cfg: TrainConfig, arc_cfg: ArcConfig) -> dict:
-    return {"train": asdict(train_cfg), "arc": asdict(arc_cfg)}
 
 
 def run_stream(
@@ -286,13 +278,12 @@ def run_stream(
         task1_labels = data.labels
         bias = bias_histogram(task1_preds, task1_labels, layout, n)
 
-    echo = _config_echo(train_cfg, arc_cfg)
     return RunResult(
         seed=seed,
         r_with_arc=r_arc,
         r_without_arc=r_plain,
-        metrics_with_arc=_metrics(seed, "arc", r_arc, echo),
-        metrics_without_arc=_metrics(seed, "baseline", r_plain, echo),
+        metrics_with_arc=_metrics(seed, "arc", r_arc),
+        metrics_without_arc=_metrics(seed, "baseline", r_plain),
         stage_heads=heads,
         arc_traces=traces,
         bias_histogram=bias,
@@ -310,15 +301,15 @@ def otd_validation(traces: list[StageTrace]) -> OtdValidationReport:
     """
     flagged1 = flagged1_true = flagged2 = flagged2_true = samples = 0
     for trace in traces:
-        samples += len(trace.records)
-        for rec, label, task in zip(trace.records, trace.true_labels, trace.true_tasks):
-            is_past = task < trace.stage
-            if rec.decision is OtdDecision.PAST_CORRECT:
-                flagged1 += 1
-                flagged1_true += int(is_past and rec.initial_class == label)
-            elif rec.decision is OtdDecision.PAST_MISCLASSIFIED:
-                flagged2 += 1
-                flagged2_true += int(is_past)
+        rec = trace.records
+        samples += len(rec)
+        past = trace.true_tasks < trace.stage
+        flag1 = rec.decision == OtdDecision.PAST_CORRECT
+        flag2 = rec.decision == OtdDecision.PAST_MISCLASSIFIED
+        flagged1 += int(flag1.sum())
+        flagged1_true += int((flag1 & past & (rec.initial_class == trace.true_labels)).sum())
+        flagged2 += int(flag2.sum())
+        flagged2_true += int((flag2 & past).sum())
     return OtdValidationReport(
         assumption1_precision=flagged1_true / flagged1 if flagged1 else None,
         assumption2_precision=flagged2_true / flagged2 if flagged2 else None,
@@ -414,7 +405,5 @@ def ablation_grid(
     for variant in variants:
         cfg = variant.apply(base_arc)
         r = _accuracy_matrix(evaluate_stages(stream, heads, cfg, seed), n)
-        echo = _config_echo(train_cfg, cfg)
-        echo["variant"] = variant.key()
-        out.append((variant, _metrics(seed, "arc", r, echo)))
+        out.append((variant, _metrics(seed, "arc", r)))
     return out

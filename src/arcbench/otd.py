@@ -44,17 +44,18 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ConfidenceReport:
-    """Per-sample confidence quantities feeding the detection branches.
+    """Confidence quantities feeding the detection branches.
 
     ``confidence`` is the max softmax probability over all visible classes;
-    ``masked_confidence`` is the same over past-task logits only (undefined at
-    stage 1), and ``ratio`` is their quotient.
+    ``masked_confidence`` is the same over past-task logits only and ``ratio``
+    is their quotient; both are None at stage 1, where they are undefined.
+    For a batch every other field is an (n,) array, one entry per sample.
     """
 
-    predicted_class: int
-    confidence: float
-    masked_confidence: float | None
-    ratio: float | None
+    predicted_class: int | np.ndarray
+    confidence: float | np.ndarray
+    masked_confidence: float | np.ndarray | None
+    ratio: float | np.ndarray | None
 
 
 def confidence(z: np.ndarray) -> tuple:
@@ -92,37 +93,34 @@ def classify_sample(
     s: int,
     thresholds: Thresholds,
     raw_confidence_w: bool = False,
-) -> tuple[OtdDecision, ConfidenceReport] | list[tuple[OtdDecision, ConfidenceReport]]:
+) -> tuple:
     """Sort test samples into detection branches.
 
     Takes one sample's logits (s*t,) and returns its (decision, report), or
-    a batch (n, s*t) and returns the list of per-row pairs. A past-predicted
-    sample with confidence >= beta is PAST_CORRECT; a current-predicted one
-    (t >= 2) whose ratio w = c / c_hat is <= gamma is PAST_MISCLASSIFIED;
-    anything else is PASSTHROUGH. At t = 1 every class is current so every
-    sample passes through. ``raw_confidence_w`` is an ablation switch
-    replacing the ratio test with c <= gamma.
+    a batch (n, s*t) and returns (decisions, report): an (n,) object array
+    of decisions and one report of (n,) arrays. A past-predicted sample with
+    confidence >= beta is PAST_CORRECT; a current-predicted one (t >= 2)
+    whose ratio w = c / c_hat is <= gamma is PAST_MISCLASSIFIED; anything
+    else is PASSTHROUGH. At t = 1 every class is current so every sample
+    passes through. ``raw_confidence_w`` is an ablation switch replacing the
+    ratio test with c <= gamma.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2) or z.shape[-1] != s * t:
         raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
     rows = z.reshape(-1, s * t)
-    if len(rows) == 0:
-        return []
-    predicted, c = confidence(rows)
-    decisions = np.full(len(rows), OtdDecision.PASSTHROUGH, dtype=object)
-    if t == 1:
-        c_hat = w = [None] * len(rows)
-    else:
-        c_hat = masked_confidence(rows, t, s)
+    n = len(rows)
+    decisions = np.full(n, OtdDecision.PASSTHROUGH, dtype=object)
+    predicted, c = confidence(rows) if n else (np.empty(0, dtype=np.int64), np.empty(0))
+    c_hat = w = None
+    if t >= 2:
+        c_hat = masked_confidence(rows, t, s) if n else np.empty(0)
         w = c / c_hat
         stat = c if raw_confidence_w else w
         past = predicted < s * (t - 1)
         decisions[past & (c >= thresholds.beta)] = OtdDecision.PAST_CORRECT
         decisions[~past & (stat <= thresholds.gamma)] = OtdDecision.PAST_MISCLASSIFIED
-        c_hat, w = c_hat.tolist(), w.tolist()
-    pairs = [
-        (d, ConfidenceReport(k, ck, hk, wk))
-        for d, k, ck, hk, wk in zip(decisions.tolist(), predicted.tolist(), c.tolist(), c_hat, w)
-    ]
-    return pairs if z.ndim == 2 else pairs[0]
+    if z.ndim == 2:
+        return decisions, ConfidenceReport(predicted, c, c_hat, w)
+    row = (None if a is None else a[0].item() for a in (predicted, c, c_hat, w))
+    return decisions[0], ConfidenceReport(*row)

@@ -209,6 +209,28 @@ class TestArcEvaluate:
         assert result.retention_updates == sum(per_batch)
         assert result.retention_updates > 0
 
+    def test_record_table_columns(self):
+        rng = np.random.default_rng(57)
+        head, batches, _, _ = toy_eval_setup(rng)
+        cfg = ArcConfig(thresholds=Thresholds(0.0, np.inf))
+        none = arc_evaluate(head, [], 2, 2, cfg)
+        assert len(none.records) == 0 and none.retention_updates == 0
+        with_empty = [batches[0], np.empty((0, head.dim)), *batches[1:]]
+        result = arc_evaluate(head, with_empty, 2, 2, cfg)
+        plain = arc_evaluate(head, batches, 2, 2, cfg)
+        # the empty batch is classified, flags nothing and takes no update
+        assert result.retention_updates == plain.retention_updates == len(batches)
+        assert np.array_equal(result.head.weights, plain.head.weights)
+        names = ("initial_class", "final_class", "decision", "retention_applied",
+                 "confidence", "masked_confidence", "ratio")
+        for records in (none.records, result.records):
+            assert isinstance(records, np.recarray)
+            assert records.dtype.names == names
+            assert records.decision.dtype == object
+        assert len(result.records) == sum(len(b) for b in batches)
+        for name in names:
+            assert np.array_equal(result.records[name], plain.records[name]), name
+
     def test_input_head_never_mutated(self):
         rng = np.random.default_rng(59)
         head, batches, _, _ = toy_eval_setup(rng)

@@ -95,6 +95,19 @@ class TestCmdRun:
             assert float(otd[2]) == len(true) / len(flagged)
         assert int(otd[6]) == len(flagged)
 
+    def test_undefined_stage1_cells_are_empty(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 0
+        header, *records = read_rows(out / "arc_records.csv")
+        masked, ratio = header.index("masked_confidence"), header.index("ratio")
+        stages = {r[1] for r in records}
+        assert stages == {"1", "2", "3"}
+        for r in records:
+            if r[1] == "1":
+                assert r[masked] == "" and r[ratio] == ""
+            else:
+                assert float(r[masked]) > 0 and float(r[ratio]) > 0
+
     @pytest.mark.parametrize("command", ["run", "ablate", "validate-otd"])
     def test_deterministic_bundle_bytes(self, tmp_path, command):
         out1, out2 = tmp_path / "a", tmp_path / "b"

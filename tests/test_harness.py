@@ -194,19 +194,19 @@ class TestOtdValidation:
         assert report.assumption2_rate == 0.0
 
     def test_all_flags_correct_gives_precision_one(self):
-        from arcbench.arc import PredictionRecord
+        from arcbench.arc import RECORD_DTYPE
         from arcbench.harness import StageTrace
-        from arcbench.otd import ConfidenceReport, OtdDecision
+        from arcbench.otd import OtdDecision
 
-        def record(decision, initial):
-            return PredictionRecord(initial, initial, decision,
-                                    ConfidenceReport(initial, 0.9, 0.9, 1.0))
-
+        records = np.zeros(3, RECORD_DTYPE).view(np.recarray)
+        records.initial_class = records.final_class = [0, 3, 2]
+        records.decision = np.array([OtdDecision.PAST_CORRECT, OtdDecision.PAST_MISCLASSIFIED,
+                                     OtdDecision.PASSTHROUGH], dtype=object)
+        records.confidence = records.masked_confidence = 0.9
+        records.ratio = 1.0
         trace = StageTrace(
             stage=2,
-            records=[record(OtdDecision.PAST_CORRECT, 0),
-                     record(OtdDecision.PAST_MISCLASSIFIED, 3),
-                     record(OtdDecision.PASSTHROUGH, 2)],
+            records=records,
             true_labels=np.array([0, 1, 2]),
             true_tasks=np.array([1, 1, 2]),
             retention_updates=1,
