@@ -9,7 +9,7 @@ batch exactly once and never revisits a sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +64,16 @@ class ArcConfig:
             raise ValueError(
                 f"retention_loss must be one of {RETENTION_LOSSES}, got {self.retention_loss!r}"
             )
+
+    def trajectory(self) -> dict:
+        """The fields, by name, that decide how the head moves over a stream.
+
+        Retention alone moves the head, on the rows with c >= beta; gamma,
+        w_mode, temperature and correction never feed back into it.
+        """
+        return {"thresholds.beta": self.thresholds.beta, "retention_loss": self.retention_loss,
+                "lr": self.lr, "batch_size": self.batch_size,
+                "retention_enabled": self.retention_enabled}
 
     def for_stage(self, is_final_stage: bool) -> "ArcConfig":
         """Stage-effective config: with arc_last, only the final stage adapts."""
@@ -142,9 +152,20 @@ def adaptive_retention(
     return updated, forward(updated, x).argmax(axis=1), True
 
 
+def _suspects(table: np.ndarray, t: int, s: int, raw: float = -np.inf,
+              ratio: float = -np.inf) -> np.ndarray:
+    """Current-predicted rows of a record table (t >= 2) with c <= ``raw`` or w <= ``ratio``.
+
+    A config's PAST_MISCLASSIFIED rows are this mask with its gamma under its w_mode.
+    """
+    current = table["initial_class"] >= s * (t - 1)
+    return current & ((table["confidence"] <= raw) | (table["ratio"] <= ratio))
+
+
 @dataclass
 class ArcEvalResult:
-    records: np.recarray  # RECORD_DTYPE, one row per sample in stream order
+    records: np.recarray  # RECORD_DTYPE for the group's first config, in stream order
+    final_classes: np.ndarray  # (configs, samples): each config's final class per sample
     head: LinearHead
     retention_updates: int
     warnings: list[str]
@@ -155,24 +176,40 @@ def arc_evaluate(
     batches: Iterable[np.ndarray],
     t: int,
     s: int,
-    cfg: ArcConfig,
+    cfgs: Sequence[ArcConfig],
 ) -> ArcEvalResult:
-    """Run the full test-time loop over an ordered stream of feature batches.
+    """Run the full test-time loop for a group of configs over one ordered stream.
 
-    For each batch: classify all its samples in one call against the head as
-    of the batch's arrival; if retention is enabled, the PAST_CORRECT subset
-    feeds exactly one gradient update and those samples are re-predicted with
-    the updated head; if correction is enabled, the PAST_MISCLASSIFIED subset
-    is relabeled in one call from its arrival logits. Updates only ever
-    affect later batches.
+    The configs must agree on every field of ``ArcConfig.trajectory``, so one
+    head trajectory serves them all. For each batch: classify all its samples
+    in one call against the head as of the batch's arrival; if retention is
+    enabled, the PAST_CORRECT subset feeds exactly one gradient update and
+    those samples are re-predicted with the updated head. Updates only ever
+    affect later batches. Correction never moves the head, so it runs once the
+    stream ends: each correcting config's PAST_MISCLASSIFIED rows (under its own
+    gamma and w_mode) are relabeled from their arrival logits, with one
+    adaptive_correction call per distinct temperature over the group's suspects.
+    ``records`` is the first config's table.
     """
+    if not cfgs:
+        raise ValueError("arc_evaluate needs at least one config")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for (name, a), b in zip(first.trajectory().items(), cfg.trajectory().values()):
+            if a != b:
+                raise ValueError(f"configs of one group must agree on {name}: {a!r} vs {b!r}")
     if head.visible_tasks != t:
         raise ValueError(f"head sees {head.visible_tasks} tasks, expected {t}")
     if head.num_classes != s * t:
         raise ValueError("head width inconsistent with s * t")
 
-    raw_w = cfg.w_mode == "raw"
+    # nothing is suspect at t = 1; later, a current-predicted row is some config's
+    # suspect iff its statistic is at most the largest gamma of that w_mode
+    correcting = [cfg for cfg in cfgs if cfg.correction_enabled] if t >= 2 else []
+    max_gamma = {mode: max((cfg.thresholds.gamma for cfg in correcting if cfg.w_mode == mode),
+                           default=-np.inf) for mode in W_MODES}
     tables: list[np.ndarray] = []
+    suspect_logits: list[np.ndarray] = []
     warnings: list[str] = []
     updates = 0
     for batch_index, x in enumerate(batches):
@@ -180,7 +217,7 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        decisions, report = classify_sample(z, t, s, cfg.thresholds, raw_w)
+        decisions, report = classify_sample(z, t, s, first.thresholds, first.w_mode == "raw")
         table = np.zeros(len(x), RECORD_DTYPE)
         table["initial_class"] = table["final_class"] = report.predicted_class
         table["decision"] = decisions
@@ -192,8 +229,8 @@ def arc_evaluate(
             table["masked_confidence"] = table["ratio"] = np.nan
 
         flagged = decisions == OtdDecision.PAST_CORRECT
-        if cfg.retention_enabled and flagged.any():
-            head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], cfg)
+        if first.retention_enabled and flagged.any():
+            head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], first)
             if ok:
                 head = head2
                 updates += 1
@@ -202,11 +239,20 @@ def arc_evaluate(
             else:
                 warnings.append(f"batch {batch_index}: non-finite retention loss or gradient, "
                                 "step skipped")
-
-        suspects = decisions == OtdDecision.PAST_MISCLASSIFIED
-        if cfg.correction_enabled and suspects.any():
-            _, cls, _ = adaptive_correction(z[suspects], t, s, cfg.temperature)
-            table["final_class"][suspects] = cls
+        suspect_logits.append(z[_suspects(table, t, s, **max_gamma)])
         tables.append(table)
-    records = np.concatenate(tables) if tables else np.zeros(0, RECORD_DTYPE)
-    return ArcEvalResult(records.view(np.recarray), head, updates, warnings)
+
+    records = (np.concatenate(tables) if tables else np.zeros(0, RECORD_DTYPE)).view(np.recarray)
+    final = np.repeat(records.final_class[None, :], len(cfgs), axis=0)
+    union = _suspects(records, t, s, **max_gamma)
+    if union.any():
+        z = np.concatenate(suspect_logits)
+        suspect_logits.clear()  # the rows live on in z alone; this lowers the stage's peak
+        corrected = {temperature: adaptive_correction(z, t, s, temperature)[1]
+                     for temperature in dict.fromkeys(cfg.temperature for cfg in correcting)}
+        for v, cfg in enumerate(cfgs):
+            if cfg.correction_enabled:
+                mine = _suspects(records, t, s, **{cfg.w_mode: cfg.thresholds.gamma})
+                final[v, mine] = corrected[cfg.temperature][mine[union]]
+    records.final_class = final[0]
+    return ArcEvalResult(records, final, head, updates, warnings)

@@ -58,16 +58,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _distinct(values: list) -> list:
+    """A list value names each item once: a repeat would duplicate output rows."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"repeated value {value!r}")
+        seen.add(value)
+    return values
+
+
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    return _distinct([int(part) for part in text.split(",") if part.strip() != ""])
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return _distinct([float(part) for part in text.split(",") if part.strip() != ""])
 
 
 def _parse_str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip() != ""]
+    return _distinct([part.strip() for part in text.split(",") if part.strip() != ""])
 
 
 # key -> (parser, default, help)
@@ -171,6 +181,11 @@ class RunConfig:
             self.arc_config()
         except ValueError as exc:
             raise ConfigError(f"arc.*: {exc}") from exc
+        for beta in v["otd.betas"]:
+            try:
+                self.arc_config(beta=beta)
+            except ValueError as exc:
+                raise ConfigError(f"otd.betas: {exc}") from exc
         if v["data.source"] == "synthetic":
             try:
                 self.synthetic_spec(seed=0)
@@ -458,7 +473,7 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
         # training never sees beta: train once, then run the pipeline per beta
         heads = train_sequence(stream, train_cfg, seed)
         for beta in cfg.values["otd.betas"]:
-            traces = list(evaluate_stages(stream, heads, cfg.arc_config(beta=beta), seed))
+            traces = list(evaluate_stages(stream, heads, [cfg.arc_config(beta=beta)], seed))
             otd_rows.append(_otd_row(seed, beta, traces))
             record_text.append(_record_text(seed, traces, beta=beta))
     files = {

@@ -10,7 +10,7 @@ substreams are keyed (seed, stage, tag[, extra]) with the tags below.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,12 +111,14 @@ class MetricsReport:
 class StageTrace:
     """Pipeline records for one stage's shuffled test stream, with ground truth.
 
-    ``records`` is arc_evaluate's table (arc.RECORD_DTYPE), one row per sample,
-    aligned with ``true_labels`` and ``true_tasks``.
+    ``records`` is arc_evaluate's table (arc.RECORD_DTYPE) for the group's
+    first config and ``final_classes`` holds every config's final classes, one
+    row per config; both are aligned with ``true_labels`` and ``true_tasks``.
     """
 
     stage: int
     records: np.recarray
+    final_classes: np.ndarray
     true_labels: np.ndarray
     true_tasks: np.ndarray
     retention_updates: int
@@ -194,7 +196,7 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
 
 
 def _stage_trace(
-    stream: TaskStream, head: LinearHead, t: int, cfg: ArcConfig, seed: int
+    stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig], seed: int
 ) -> StageTrace:
     """Evaluate tasks 1..t as one shuffled online stream through the pipeline."""
     x = np.vstack([stream.test[i - 1].features for i in range(1, t + 1)])
@@ -204,39 +206,47 @@ def _stage_trace(
     )
     perm = substream(seed, t, EVAL_TAG).permutation(len(y))
     x, y, tasks = x[perm], y[perm], tasks[perm]
-    batches = [x[i : i + cfg.batch_size] for i in range(0, len(y), cfg.batch_size)]
-    result = arc_evaluate(head, batches, t, stream.layout.step, cfg)
-    return StageTrace(t, result.records, y, tasks, result.retention_updates, result.warnings)
+    size = cfgs[0].batch_size
+    batches = [x[i : i + size] for i in range(0, len(y), size)]
+    result = arc_evaluate(head, batches, t, stream.layout.step, cfgs)
+    return StageTrace(t, result.records, result.final_classes, y, tasks,
+                      result.retention_updates, result.warnings)
 
 
 def evaluate_stages(
-    stream: TaskStream, heads: list[LinearHead], cfg: ArcConfig, seed: int
+    stream: TaskStream, heads: list[LinearHead], cfgs: Sequence[ArcConfig], seed: int
 ) -> Iterator[StageTrace]:
     """Run every stage of a trained sequence through the pipeline.
 
-    ``heads`` holds each stage's trained head, as from train_sequence. Each
-    stage's online evaluation starts from that stage's head and its updates
-    are discarded afterwards, so they never leak across stages. A stage's
-    trace is yielded when the stage ends, so a caller that keeps only
-    accuracies holds one stage's records at a time.
+    ``heads`` holds each stage's trained head, as from train_sequence, and
+    ``cfgs`` is a group of configs sharing one head trajectory (see
+    arc_evaluate). Each stage's online evaluation starts from that stage's
+    head and its updates are discarded afterwards, so they never leak across
+    stages. A stage's trace is yielded when the stage ends, so a caller that
+    keeps only accuracies holds one stage's records at a time.
     """
     n = stream.layout.num_tasks
     if len(heads) != n:
         raise ValueError(f"expected one head per stage ({n}), got {len(heads)}")
     for t, head in enumerate(heads, start=1):
+        stage_cfgs = [cfg.for_stage(is_final_stage=(t == n)) for cfg in cfgs]
         # a stage's arrays die with _stage_trace's frame, before the next stage
-        yield _stage_trace(stream, head, t, cfg.for_stage(is_final_stage=(t == n)), seed)
+        yield _stage_trace(stream, head, t, stage_cfgs, seed)
 
 
-def _accuracy_matrix(traces: Iterable[StageTrace], num_tasks: int) -> RMatrix:
-    """Pipeline accuracies: each trace's final classes against its ground truth, per task."""
-    r = RMatrix.empty(num_tasks)
+def _accuracy_matrices(
+    traces: Iterable[StageTrace], num_tasks: int, num_configs: int
+) -> list[RMatrix]:
+    """Pipeline accuracies, one matrix per config of the group: each trace's
+    final classes against its ground truth, per task."""
+    matrices = [RMatrix.empty(num_tasks) for _ in range(num_configs)]
     for trace in traces:
-        final = trace.records.final_class
+        correct = trace.final_classes == trace.true_labels
         for i in range(1, trace.stage + 1):
-            mask = trace.true_tasks == i
-            r.set_entry(trace.stage, i, float(np.mean(final[mask] == trace.true_labels[mask])))
-    return r
+            accuracies = correct[:, trace.true_tasks == i].mean(axis=1)
+            for r, accuracy in zip(matrices, accuracies):
+                r.set_entry(trace.stage, i, float(accuracy))
+    return matrices
 
 
 def _metrics(seed: int, pipeline: str, r: RMatrix) -> MetricsReport:
@@ -268,8 +278,8 @@ def run_stream(
             data = stream.test[i - 1]
             preds = forward(head, data.features).argmax(axis=1)
             r_plain.set_entry(t, i, float(np.mean(preds == data.labels)))
-    traces = list(evaluate_stages(stream, heads, arc_cfg, seed))
-    r_arc = _accuracy_matrix(traces, n)
+    traces = list(evaluate_stages(stream, heads, [arc_cfg], seed))
+    r_arc, = _accuracy_matrices(traces, n, 1)
 
     bias = task1_preds = task1_labels = None
     if n >= 2:
@@ -396,14 +406,23 @@ def ablation_grid(
     variants: list[Variant],
     seed: int,
 ) -> list[tuple[Variant, MetricsReport]]:
-    """One pipeline MetricsReport per variant; training is shared across them."""
+    """One pipeline MetricsReport per variant, in input order.
+
+    Training is shared across all variants, and the pipeline runs once per
+    head trajectory: variants that agree on ArcConfig.trajectory (the same
+    loss and beta over one base) are evaluated as one group.
+    """
     if not variants:
         return []
     n = stream.layout.num_tasks
     heads = train_sequence(stream, train_cfg, seed)
-    out: list[tuple[Variant, MetricsReport]] = []
-    for variant in variants:
-        cfg = variant.apply(base_arc)
-        r = _accuracy_matrix(evaluate_stages(stream, heads, cfg, seed), n)
-        out.append((variant, _metrics(seed, "arc", r)))
-    return out
+    cfgs = [variant.apply(base_arc) for variant in variants]
+    groups: dict[tuple, list[int]] = {}
+    for index, cfg in enumerate(cfgs):
+        groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
+    reports: list[MetricsReport | None] = [None] * len(variants)
+    for members in groups.values():
+        traces = evaluate_stages(stream, heads, [cfgs[i] for i in members], seed)
+        for i, r in zip(members, _accuracy_matrices(traces, n, len(members))):
+            reports[i] = _metrics(seed, "arc", r)
+    return list(zip(variants, reports))

@@ -172,7 +172,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(41)
         head, batches, x, _ = toy_eval_setup(rng)
         cfg = ArcConfig(retention_enabled=False, correction_enabled=False)
-        result = arc_evaluate(head, batches, t=2, s=2, cfg=cfg)
+        result = arc_evaluate(head, batches, t=2, s=2, cfgs=[cfg])
         final = np.array([r.final_class for r in result.records])
         assert np.array_equal(final, forward(head, x).argmax(axis=1))
         assert np.array_equal(result.head.weights, head.weights)
@@ -181,7 +181,8 @@ class TestArcEvaluate:
     def test_first_stage_is_inert(self):
         rng = np.random.default_rng(43)
         head, batches, x, _ = toy_eval_setup(rng, t=1, s=4)
-        result = arc_evaluate(head, batches, t=1, s=4, cfg=ArcConfig(thresholds=Thresholds(0.0, np.inf)))
+        result = arc_evaluate(head, batches, t=1, s=4,
+                              cfgs=[ArcConfig(thresholds=Thresholds(0.0, np.inf))])
         assert all(r.decision is OtdDecision.PASSTHROUGH for r in result.records)
         assert np.array_equal(result.head.weights, head.weights)
         assert result.retention_updates == 0
@@ -190,8 +191,8 @@ class TestArcEvaluate:
         rng = np.random.default_rng(47)
         head, batches, _, _ = toy_eval_setup(rng)
         cfg = ArcConfig(thresholds=Thresholds(0.5, 0.9))
-        a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, cfg)
-        b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, cfg)
+        a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
+        b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb
@@ -201,7 +202,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(53)
         head, batches, _, _ = toy_eval_setup(rng, n=64)
         cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))  # flag all past-predicted
-        result = arc_evaluate(head, batches, 2, 2, cfg)
+        result = arc_evaluate(head, batches, 2, 2, [cfg])
         per_batch = [
             any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i : i + 16])
             for i in range(0, 64, 16)
@@ -213,11 +214,11 @@ class TestArcEvaluate:
         rng = np.random.default_rng(57)
         head, batches, _, _ = toy_eval_setup(rng)
         cfg = ArcConfig(thresholds=Thresholds(0.0, np.inf))
-        none = arc_evaluate(head, [], 2, 2, cfg)
+        none = arc_evaluate(head, [], 2, 2, [cfg])
         assert len(none.records) == 0 and none.retention_updates == 0
         with_empty = [batches[0], np.empty((0, head.dim)), *batches[1:]]
-        result = arc_evaluate(head, with_empty, 2, 2, cfg)
-        plain = arc_evaluate(head, batches, 2, 2, cfg)
+        result = arc_evaluate(head, with_empty, 2, 2, [cfg])
+        plain = arc_evaluate(head, batches, 2, 2, [cfg])
         # the empty batch is classified, flags nothing and takes no update
         assert result.retention_updates == plain.retention_updates == len(batches)
         assert np.array_equal(result.head.weights, plain.head.weights)
@@ -236,14 +237,14 @@ class TestArcEvaluate:
         head, batches, _, _ = toy_eval_setup(rng)
         snapshot_w = head.weights.copy()
         snapshot_b = head.bias.copy()
-        arc_evaluate(head, batches, 2, 2, ArcConfig(thresholds=Thresholds(0.0, 2.0)))
+        arc_evaluate(head, batches, 2, 2, [ArcConfig(thresholds=Thresholds(0.0, 2.0))])
         assert np.array_equal(head.weights, snapshot_w)
         assert np.array_equal(head.bias, snapshot_b)
 
     def test_final_differs_only_when_flagged(self):
         rng = np.random.default_rng(61)
         head, batches, _, _ = toy_eval_setup(rng, n=80)
-        result = arc_evaluate(head, batches, 2, 2, ArcConfig())
+        result = arc_evaluate(head, batches, 2, 2, [ArcConfig()])
         for r in result.records:
             if r.decision is OtdDecision.PASSTHROUGH:
                 assert r.final_class == r.initial_class
@@ -255,7 +256,7 @@ class TestArcEvaluate:
         x = np.full((32, 2), 1e308)
         cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))
         with np.errstate(over="ignore"):
-            result = arc_evaluate(head, [x], t=2, s=1, cfg=cfg)
+            result = arc_evaluate(head, [x], t=2, s=1, cfgs=[cfg])
         assert result.retention_updates == 0
         assert result.head is head
         assert all(r.decision is OtdDecision.PAST_CORRECT for r in result.records)
@@ -266,10 +267,39 @@ class TestArcEvaluate:
             "batch 0: non-finite retention loss or gradient, step skipped"
         ]
 
+    @pytest.mark.parametrize("field, change", [
+        ("thresholds.beta", {"thresholds": Thresholds(0.5, 0.8)}),
+        ("retention_loss", {"retention_loss": "em"}),
+        ("lr", {"lr": 0.2}),
+        ("batch_size", {"batch_size": 32}),
+        ("retention_enabled", {"retention_enabled": False}),
+    ])
+    def test_group_must_share_trajectory(self, field, change):
+        rng = np.random.default_rng(67)
+        head, batches, _, _ = toy_eval_setup(rng)
+        with pytest.raises(ValueError, match=f"agree on {field}:"):
+            arc_evaluate(head, batches, 2, 2, [ArcConfig(), ArcConfig(**change)])
+
+    def test_group_rows_equal_single_configs(self):
+        rng = np.random.default_rng(71)
+        head, batches, _, _ = toy_eval_setup(rng, n=80)
+        group = [ArcConfig(thresholds=Thresholds(0.5, gamma), w_mode=w, temperature=temp,
+                           correction_enabled=correct)
+                 for gamma in (0.6, 1.2, np.inf) for w in ("ratio", "raw")
+                 for temp in (1.0, 2.0) for correct in (True, False)]
+        result = arc_evaluate(head, batches, 2, 2, group)
+        assert result.final_classes.shape == (len(group), len(result.records))
+        for row, cfg in zip(result.final_classes, group):
+            alone = arc_evaluate(head, batches, 2, 2, [cfg])
+            assert np.array_equal(row, alone.records.final_class)
+            assert np.array_equal(alone.head.weights, result.head.weights)
+        assert np.array_equal(result.records.final_class, result.final_classes[0])
+        assert len({tuple(row) for row in result.final_classes}) > 1
+
     def test_bad_batch_shape_rejected(self):
         head = LinearHead(np.zeros((4, 3)), np.zeros(4), 2)
         with pytest.raises(ValueError):
-            arc_evaluate(head, [np.zeros((5, 2))], 2, 2, ArcConfig())
+            arc_evaluate(head, [np.zeros((5, 2))], 2, 2, [ArcConfig()])
 
 
 class TestArcConfig:

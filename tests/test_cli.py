@@ -283,3 +283,33 @@ class TestCmdValidateOtd:
             assert records[0][:1] + records[0][2:] == run_records[0]
             assert without_beta == run_records[1:]
             assert any(r[8] == "1" for r in without_beta)  # retention moved the head
+
+    def test_out_of_range_beta_named_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr("arcbench.cli.train_sequence", no_training)
+        out = tmp_path / "bundle"
+        code = run_cli(["validate-otd", *TINY, "--otd.betas", "0.5,1.5",
+                        "--run.output_dir", str(out)])
+        assert code == 1
+        assert "otd.betas" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestListKeys:
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "run.seeds", "0,0"),
+        ("validate-otd", "otd.betas", "0.8,0.80"),
+        ("ablate", "ablate.losses", "ce,em,ce"),
+        ("ablate", "ablate.temperatures", "on,on"),
+        ("ablate", "ablate.w_modes", "raw,raw"),
+        ("ablate", "ablate.betas", "0.5,0.5"),
+        ("ablate", "ablate.gammas", "1,1.0"),
+    ])
+    def test_repeated_value_named(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "bundle"
+        assert run_cli([command, *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "repeated value" in err
+        assert not out.exists()

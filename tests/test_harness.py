@@ -182,7 +182,7 @@ class TestEvaluateStages:
     def test_one_head_per_stage_required(self, small_stream):
         heads = train_sequence(small_stream, FAST_TRAIN, seed=5)
         with pytest.raises(ValueError, match="one head per stage"):
-            list(evaluate_stages(small_stream, heads[:-1], ArcConfig(batch_size=8), seed=5))
+            list(evaluate_stages(small_stream, heads[:-1], [ArcConfig(batch_size=8)], seed=5))
 
 
 class TestOtdValidation:
@@ -207,6 +207,7 @@ class TestOtdValidation:
         trace = StageTrace(
             stage=2,
             records=records,
+            final_classes=records.final_class[None, :],
             true_labels=np.array([0, 1, 2]),
             true_tasks=np.array([1, 1, 2]),
             retention_updates=1,
@@ -280,6 +281,25 @@ class TestAblationGrid:
         (_, report), = ablation_grid(small_stream, FAST_TRAIN, base, [identity], seed=5)
         assert report.average_accuracy == small_run.metrics_with_arc.average_accuracy
         assert report.forgetting == small_run.metrics_with_arc.forgetting
+
+    @pytest.mark.parametrize("base", [
+        ArcConfig(batch_size=8),
+        ArcConfig(batch_size=8, arc_last=True),
+        ArcConfig(batch_size=8, correction_enabled=False),
+    ], ids=["default", "arc_last", "no_correction"])
+    def test_grouped_grid_equals_one_config_at_a_time(self, small_stream, base):
+        variants = [
+            Variant(loss=loss, temperature=temp, w_mode=w, beta=beta, gamma=gamma)
+            for loss in ("ce", "em", "both") for temp in ("on", "off")
+            for w in ("ratio", "raw") for beta in (0.0, 0.9) for gamma in (0.7, 1.0)
+        ]
+        variants.insert(7, variants[20])  # a duplicate keeps its place
+        reports = ablation_grid(small_stream, FAST_TRAIN, base, variants, seed=5)
+        assert [v for v, _ in reports] == variants
+        expected = [run_stream(small_stream, FAST_TRAIN, v.apply(base), seed=5).metrics_with_arc
+                    for v in variants]
+        assert [report for _, report in reports] == expected
+        assert len({report.average_accuracy for _, report in reports}) > 1
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="loss"):

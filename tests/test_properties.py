@@ -290,7 +290,7 @@ def check_one_update_per_batch(rng):
     x = means[labels] + 0.4 * rng.standard_normal((48, 5))
     batches = [x[i: i + 12] for i in range(0, 48, 12)]
     cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))
-    result = arc_evaluate(head, batches, t, s, cfg)
+    result = arc_evaluate(head, batches, t, s, [cfg])
     expected = sum(
         any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i: i + 12])
         for i in range(0, 48, 12)
