@@ -31,6 +31,7 @@ from .core import TrainConfig
 from .data import SyntheticSpec, TaskStream, generate_synthetic, load_embeddings
 from .harness import (
     MetricsReport,
+    StageHeads,
     StageTrace,
     Variant,
     ablation_grid,
@@ -38,7 +39,6 @@ from .harness import (
     linear_probe_experiment,
     otd_validation,
     run_stream,
-    train_sequence,
 )
 from .otd import Thresholds
 
@@ -471,11 +471,11 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
-        heads = train_sequence(stream, train_cfg, seed)
-        for beta in cfg.values["otd.betas"]:
-            traces = list(evaluate_stages(stream, heads, [cfg.arc_config(beta=beta)], seed))
-            otd_rows.append(_otd_row(seed, beta, traces))
-            record_text.append(_record_text(seed, traces, beta=beta))
+        with StageHeads(stream, train_cfg, seed) as heads:
+            for beta in cfg.values["otd.betas"]:
+                traces = list(evaluate_stages(stream, heads, [cfg.arc_config(beta=beta)], seed))
+                otd_rows.append(_otd_row(seed, beta, traces))
+                record_text.append(_record_text(seed, traces, beta=beta))
     files = {
         "metadata.txt": _metadata("validate-otd", cfg),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),

@@ -103,8 +103,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
         raise ValueError("empty logits")
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # one temporary, worked in place: the same ufuncs in the same order as
+    # exp(z - max) / sum, so the same bits
+    e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(p: np.ndarray, label: int) -> float:

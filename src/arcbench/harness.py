@@ -2,13 +2,18 @@
 
 A run trains the shared head sequentially (task by task, optionally with a
 small replay reservoir) and evaluates every seen test set twice after each
-stage: plain argmax and the full test-time pipeline. Accuracies land in two
+stage: plain argmax and the full test-time pipeline. On Linux with a second
+CPU the training runs in a forked child (StageHeads), so each stage is
+evaluated here while the next one trains. Accuracies land in two
 lower-triangular matrices from which the summary metrics derive. Harness RNG
 substreams are keyed (seed, stage, tag[, extra]) with the tags below.
 """
 
 from __future__ import annotations
 
+import operator
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -166,12 +171,11 @@ class RunResult:
     task1_labels: np.ndarray | None
 
 
-def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> list[LinearHead]:
-    """Sequential training; returns the head as of the end of each stage."""
+def _train_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iterator[LinearHead]:
+    """Sequential training: yields the head as of the end of each stage."""
     stream.validate()
     layout = stream.layout
     head = new_head(stream.dim, layout.step)
-    heads: list[LinearHead] = []
     replay_x: list[np.ndarray] = []
     replay_y: list[np.ndarray] = []
     for t in range(1, layout.num_tasks + 1):
@@ -183,7 +187,7 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
             x = np.vstack([x, *replay_x])
             y = np.concatenate([y, *replay_y])
         head = fit_task(head, x, y, train_cfg, seed=(seed, t, TRAIN_TAG))
-        heads.append(head)
+        yield head
         if train_cfg.replay_per_class > 0:
             for cls in layout.class_range(t):
                 mask = np.flatnonzero(data.labels == cls)
@@ -192,7 +196,98 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
                 picks = mask[rng.choice(len(mask), size=keep, replace=False)]
                 replay_x.append(data.features[picks])
                 replay_y.append(data.labels[picks])
-    return heads
+
+
+def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> list[LinearHead]:
+    """Sequential training in this process; returns the head as of the end of
+    each stage. StageHeads gives the same heads from a child process."""
+    return list(_train_stages(stream, train_cfg, seed))
+
+
+def trains_in_child() -> bool:
+    """Whether StageHeads trains in a forked child: on Linux, when this
+    process may run on a second CPU. With one CPU the two processes could
+    only take turns, so training stays in this process."""
+    return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
+
+
+def _send_heads(stages: Iterator[LinearHead], conn) -> None:
+    """Child side of StageHeads: each head as it is trained, or the error."""
+    try:
+        for head in stages:
+            conn.send(head)
+    except Exception as exc:
+        conn.send(exc)
+
+
+class StageHeads(Sequence[LinearHead]):
+    """Each stage's trained head, trained while the caller evaluates.
+
+    Where trains_in_child(), the training generator runs in a child started
+    by fork (it inherits the stream and configs; only heads or one exception
+    come back over a one-way pipe); elsewhere it runs in this process,
+    lazily. The length is the number of stages at once; item t blocks until
+    head t has arrived. An error raised while training is re-raised here
+    with its type and message, and a child that exits without reporting
+    raises ChildProcessError. Use it as a context manager: leaving the
+    block, even early or by an exception, stops and joins the child.
+    """
+
+    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int):
+        self._num_stages = stream.layout.num_tasks
+        self._heads: list[LinearHead] = []
+        self._process = None
+        stages = _train_stages(stream, train_cfg, seed)
+        if not trains_in_child():
+            self._next = stages.__next__
+            return
+        import multiprocessing  # here, so that start-up before training does not pay for it
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe(duplex=False)
+        self._process = ctx.Process(target=_send_heads, args=(stages, child_conn), daemon=True)
+        self._process.start()
+        child_conn.close()
+        self._next = self._receive
+
+    def _receive(self) -> LinearHead:
+        try:
+            item = self._conn.recv()
+        except EOFError:
+            self._process.join()
+            raise ChildProcessError(
+                f"training child exited with code {self._process.exitcode} before "
+                f"sending head {len(self._heads) + 1} of {self._num_stages}") from None
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def __len__(self) -> int:
+        return self._num_stages
+
+    def __getitem__(self, index: int) -> LinearHead:
+        i = operator.index(index)
+        if i < 0:
+            i += self._num_stages
+        if not 0 <= i < self._num_stages:
+            raise IndexError(f"stage index {index} outside {self._num_stages} stages")
+        while len(self._heads) <= i:
+            self._heads.append(self._next())
+        return self._heads[i]
+
+    def close(self) -> None:
+        """Stop the child (if still running) and wait for it."""
+        if self._process is not None:
+            self._conn.close()
+            self._process.terminate()
+            self._process.join()
+            self._process = None
+
+    def __enter__(self) -> "StageHeads":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _stage_trace(
@@ -214,11 +309,12 @@ def _stage_trace(
 
 
 def evaluate_stages(
-    stream: TaskStream, heads: list[LinearHead], cfgs: Sequence[ArcConfig], seed: int
+    stream: TaskStream, heads: Sequence[LinearHead], cfgs: Sequence[ArcConfig], seed: int
 ) -> Iterator[StageTrace]:
     """Run every stage of a trained sequence through the pipeline.
 
-    ``heads`` holds each stage's trained head, as from train_sequence, and
+    ``heads`` holds each stage's trained head, as from train_sequence or
+    StageHeads (stage t is evaluated as soon as head t is there), and
     ``cfgs`` is a group of configs sharing one head trajectory (see
     arc_evaluate). Each stage's online evaluation starts from that stage's
     head and its updates are discarded afterwards, so they never leak across
@@ -267,18 +363,21 @@ def run_stream(
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
     Pipeline-side head updates never leak across stages (see evaluate_stages).
+    Both evaluations of stage t run as soon as its head is trained.
     """
     layout = stream.layout
     n = layout.num_tasks
-    heads = train_sequence(stream, train_cfg, seed)
-
     r_plain = RMatrix.empty(n)
-    for t, head in enumerate(heads, start=1):
-        for i in range(1, t + 1):
-            data = stream.test[i - 1]
-            preds = forward(head, data.features).argmax(axis=1)
-            r_plain.set_entry(t, i, float(np.mean(preds == data.labels)))
-    traces = list(evaluate_stages(stream, heads, [arc_cfg], seed))
+    traces: list[StageTrace] = []
+    with StageHeads(stream, train_cfg, seed) as stage_heads:
+        for trace in evaluate_stages(stream, stage_heads, [arc_cfg], seed):
+            t = trace.stage
+            for i in range(1, t + 1):
+                data = stream.test[i - 1]
+                preds = forward(stage_heads[t - 1], data.features).argmax(axis=1)
+                r_plain.set_entry(t, i, float(np.mean(preds == data.labels)))
+            traces.append(trace)
+        heads = list(stage_heads)
     r_arc, = _accuracy_matrices(traces, n, 1)
 
     bias = task1_preds = task1_labels = None
@@ -341,30 +440,31 @@ def linear_probe_experiment(
     After each stage t, a fresh step-wide head is trained on each past task
     i < t alone (same epoch budget as the shared head) and both are scored on
     task i's test set. The widening gap is the shared classifier's bias.
+    The probes train here while StageHeads trains the shared heads alongside.
     """
     layout = stream.layout
-    heads = train_sequence(stream, train_cfg, seed)
     rows: list[ProbeRow] = []
-    for t in range(2, layout.num_tasks + 1):
-        shared = heads[t - 1]
-        for i in range(1, t):
-            train = stream.train[i - 1]
-            test = stream.test[i - 1]
-            base = layout.step * (i - 1)
-            probe = fit_task(
-                new_head(stream.dim, layout.step),
-                train.features,
-                train.labels - base,
-                train_cfg,
-                seed=(seed, t, PROBE_TAG, i),
-            )
-            probe_acc = np.mean(
-                forward(probe, test.features).argmax(axis=1) == test.labels - base
-            )
-            shared_acc = np.mean(
-                forward(shared, test.features).argmax(axis=1) == test.labels
-            )
-            rows.append(ProbeRow(t, i, float(probe_acc), float(shared_acc)))
+    with StageHeads(stream, train_cfg, seed) as heads:
+        for t in range(2, layout.num_tasks + 1):
+            shared = heads[t - 1]
+            for i in range(1, t):
+                train = stream.train[i - 1]
+                test = stream.test[i - 1]
+                base = layout.step * (i - 1)
+                probe = fit_task(
+                    new_head(stream.dim, layout.step),
+                    train.features,
+                    train.labels - base,
+                    train_cfg,
+                    seed=(seed, t, PROBE_TAG, i),
+                )
+                probe_acc = np.mean(
+                    forward(probe, test.features).argmax(axis=1) == test.labels - base
+                )
+                shared_acc = np.mean(
+                    forward(shared, test.features).argmax(axis=1) == test.labels
+                )
+                rows.append(ProbeRow(t, i, float(probe_acc), float(shared_acc)))
     return rows
 
 
@@ -415,14 +515,14 @@ def ablation_grid(
     if not variants:
         return []
     n = stream.layout.num_tasks
-    heads = train_sequence(stream, train_cfg, seed)
     cfgs = [variant.apply(base_arc) for variant in variants]
     groups: dict[tuple, list[int]] = {}
     for index, cfg in enumerate(cfgs):
         groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
     reports: list[MetricsReport | None] = [None] * len(variants)
-    for members in groups.values():
-        traces = evaluate_stages(stream, heads, [cfgs[i] for i in members], seed)
-        for i, r in zip(members, _accuracy_matrices(traces, n, len(members))):
-            reports[i] = _metrics(seed, "arc", r)
+    with StageHeads(stream, train_cfg, seed) as heads:
+        for members in groups.values():
+            traces = evaluate_stages(stream, heads, [cfgs[i] for i in members], seed)
+            for i, r in zip(members, _accuracy_matrices(traces, n, len(members))):
+                reports[i] = _metrics(seed, "arc", r)
     return list(zip(variants, reports))

@@ -8,6 +8,7 @@ import pytest
 
 from arcbench.cli import main
 from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
+from arcbench.harness import trains_in_child
 
 TINY = [
     "--data.num_tasks", "3", "--data.step", "2", "--data.dim", "8",
@@ -288,12 +289,34 @@ class TestCmdValidateOtd:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
-        monkeypatch.setattr("arcbench.cli.train_sequence", no_training)
+        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
         out = tmp_path / "bundle"
         code = run_cli(["validate-otd", *TINY, "--otd.betas", "0.5,1.5",
                         "--run.output_dir", str(out)])
         assert code == 1
         assert "otd.betas" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTrainingErrors:
+    @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
+    def test_training_error_reported_without_bundle(self, tmp_path, capsys, command):
+        out = tmp_path / "bundle"
+        code = run_cli([command, *TINY, "--train.lr", "1e308", "--run.output_dir", str(out)])
+        assert code == 1
+        assert "error: non-finite logits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not trains_in_child(),
+                        reason="training runs in a child on Linux with two CPUs only")
+    def test_dead_training_child_reported_without_bundle(self, tmp_path, capsys, monkeypatch):
+        def killed(*args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr("arcbench.harness.fit_task", killed)
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--run.output_dir", str(out)]) == 1
+        assert "exited with code 3" in capsys.readouterr().err
         assert not out.exists()
 
 

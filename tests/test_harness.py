@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench.otd import Thresholds
 from arcbench.harness import (
     RMatrix,
+    StageHeads,
     Variant,
     ablation_grid,
     average_accuracy,
@@ -17,6 +21,7 @@ from arcbench.harness import (
     otd_validation,
     run_stream,
     train_sequence,
+    trains_in_child,
 )
 
 SMALL_SPEC = SyntheticSpec(num_tasks=3, step=2, dim=8, train_per_class=12,
@@ -176,6 +181,82 @@ class TestRunStream:
         res = run_stream(small_stream, cfg, ArcConfig(batch_size=8), seed=5)
         plain = run_stream(small_stream, FAST_TRAIN, ArcConfig(batch_size=8), seed=5)
         assert not np.array_equal(res.stage_heads[-1].weights, plain.stage_heads[-1].weights)
+
+
+def assert_same_heads(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
+        assert a.visible_tasks == b.visible_tasks
+
+
+needs_fork = pytest.mark.skipif(not trains_in_child(),
+                                reason="training runs in a child on Linux with two CPUs only")
+
+
+class TestStageHeads:
+    def test_bit_identical_to_train_sequence_with_replay(self, small_stream):
+        cfg = TrainConfig(epochs=4, lr=1.0, batch_size=16, weight_decay=1e-3,
+                          replay_per_class=3)
+        with StageHeads(small_stream, cfg, seed=5) as heads:
+            assert len(heads) == SMALL_SPEC.num_tasks
+            got = list(heads)
+        assert_same_heads(got, train_sequence(small_stream, cfg, seed=5))
+
+    def test_bit_identical_on_one_task_stream(self):
+        stream = generate_synthetic(SyntheticSpec(num_tasks=1, step=3, dim=8,
+                                                  train_per_class=10, test_per_class=5,
+                                                  seed=4))
+        with StageHeads(stream, FAST_TRAIN, seed=4) as heads:
+            got = list(heads)
+        assert_same_heads(got, train_sequence(stream, FAST_TRAIN, seed=4))
+
+    def test_indexing_waits_and_caches(self, small_stream):
+        expected = train_sequence(small_stream, FAST_TRAIN, seed=5)
+        with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
+            assert_same_heads([heads[-1], heads[0]], [expected[-1], expected[0]])
+            assert heads[0] is heads[-3]
+            with pytest.raises(IndexError):
+                heads[3]
+
+    def test_training_error_reaches_parent(self, small_stream):
+        with pytest.raises(ValueError, match="^non-finite logits$"):
+            with StageHeads(small_stream, TrainConfig(lr=1e308), seed=5) as heads:
+                list(heads)
+
+    @needs_fork
+    def test_killed_child_raises_child_process_error(self, small_stream, monkeypatch):
+        def killed(*args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr("arcbench.harness.fit_task", killed)
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
+                heads[0]
+
+    @needs_fork
+    def test_close_after_stage_two_leaves_no_child(self, small_stream):
+        heads = StageHeads(small_stream, FAST_TRAIN, seed=5)
+        assert len(multiprocessing.active_children()) == 1
+        heads[1]
+        heads.close()
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_trains_in_process(self, small_stream, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not trains_in_child()
+        with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
+            assert multiprocessing.active_children() == []
+            got = list(heads)
+        assert_same_heads(got, train_sequence(small_stream, FAST_TRAIN, seed=5))
+
+    def test_consumer_error_stops_the_child(self, small_stream):
+        with pytest.raises(KeyError):
+            with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
+                heads[0]
+                raise KeyError("consumer failed")
+        assert multiprocessing.active_children() == []
 
 
 class TestEvaluateStages:
