@@ -54,8 +54,8 @@ class ArcConfig:
     def __post_init__(self):
         if not self.temperature >= 1.0:
             raise ValueError(f"temperature must be >= 1, got {self.temperature}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.w_mode not in W_MODES:
@@ -130,8 +130,9 @@ def adaptive_retention(
     pseudo-label of each sample is its own predicted class, the logits'
     argmax; only the classifier moves, never the features. Returns the
     (possibly) updated head, argmax predictions for the batch under the
-    returned head, and whether the step was applied (a non-finite loss or
-    gradient skips the step and keeps the head).
+    returned head, and whether the step was applied. A non-finite gradient,
+    or a step after which the head's logits for the batch overflow or leave
+    softmax's range, is skipped and keeps the head.
     """
     x = np.asarray(features, dtype=np.float64)
     z = np.asarray(logits, dtype=np.float64)
@@ -145,11 +146,15 @@ def adaptive_retention(
 
     include_ce = cfg.retention_loss in ("both", "ce")
     include_em = cfg.retention_loss in ("both", "em")
-    dw, db, loss = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
-    if not (np.isfinite(loss) and np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+    dw, db, _ = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            updated = sgd_step(head, dw, db, cfg.lr)
+            z = forward(updated, x)
+            softmax(z)  # the next batch's detection needs logits its softmax can take
+    except (ValueError, FloatingPointError):  # non-finite gradient, overflow
         return head, pseudo_labels, False
-    updated = sgd_step(head, dw, db, cfg.lr)
-    return updated, forward(updated, x).argmax(axis=1), True
+    return updated, z.argmax(axis=1), True
 
 
 def _suspects(table: np.ndarray, t: int, s: int, raw: float = -np.inf,
@@ -237,8 +242,8 @@ def arc_evaluate(
                 table["final_class"][flagged] = repreds
                 table["retention_applied"][flagged] = True
             else:
-                warnings.append(f"batch {batch_index}: non-finite retention loss or gradient, "
-                                "step skipped")
+                warnings.append(f"batch {batch_index}: non-finite retention gradient or "
+                                "update, step skipped")
         suspect_logits.append(z[_suspects(table, t, s, **max_gamma)])
         tables.append(table)
 

@@ -11,26 +11,26 @@ failures never leave a partial bundle.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import itertools
 import os
 import platform
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .arc import ArcConfig
+from .arc import RECORD_DTYPE, ArcConfig
 from .core import TrainConfig
 from .data import SyntheticSpec, TaskStream, generate_synthetic, load_embeddings
 from .harness import (
     MetricsReport,
+    OtdValidationReport,
+    ProbeRow,
     StageHeads,
     StageTrace,
     Variant,
@@ -58,70 +58,64 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _distinct(values: list) -> list:
-    """A list value names each item once: a repeat would duplicate output rows."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ValueError(f"repeated value {value!r}")
-        seen.add(value)
-    return values
+def _list_of(item: type):
+    """Parser for a comma-separated list. A list value names each item once:
+    a repeat would duplicate output rows."""
+    def parse(text: str) -> list:
+        values = [item(part) for part in map(str.strip, text.split(",")) if part]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"repeated value {value!r}")
+        return values
+    return parse
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return _distinct([int(part) for part in text.split(",") if part.strip() != ""])
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return _distinct([float(part) for part in text.split(",") if part.strip() != ""])
-
-
-def _parse_str_list(text: str) -> list[str]:
-    return _distinct([part.strip() for part in text.split(",") if part.strip() != ""])
-
-
-# key -> (parser, default, help)
+# key -> (parser, default, help); a key backed by a config class takes its
+# default from that class
 SCHEMA: dict[str, tuple] = {
     "data.source": (str, "synthetic", "synthetic | embeddings"),
     "data.path": (str, "", "EMB1 file (required when data.source=embeddings)"),
-    "data.num_tasks": (int, 10, "tasks in the stream"),
-    "data.step": (int, 10, "classes per task"),
-    "data.dim": (int, 64, "feature dimension"),
-    "data.mean_scale": (float, 1.0, "stddev of class-mean draws"),
-    "data.noise_sigma": (float, 0.6, "within-class stddev"),
-    "data.train_per_class": (int, 100, "training examples per class"),
-    "data.test_per_class": (int, 100, "test examples per class"),
-    "train.epochs": (int, 20, "epochs per task"),
-    "train.lr": (float, 5.0, "training learning rate"),
-    "train.batch_size": (int, 64, "training mini-batch size"),
-    "train.weight_decay": (float, 1.5e-4, "per-step weight decay"),
-    "train.replay_per_class": (int, 0, "replay exemplars per past class (0 = memory-free)"),
-    "arc.beta": (float, 0.8, "retention confidence threshold"),
-    "arc.gamma": (float, 0.8, "correction ratio threshold"),
-    "arc.temperature": (float, 2.0, "task-score temperature (1 disables scaling)"),
-    "arc.lr": (float, 0.1, "retention learning rate"),
-    "arc.retention": (_parse_bool, True, "enable test-time retention"),
-    "arc.correction": (_parse_bool, True, "enable test-time correction"),
-    "arc.batch_size": (int, 64, "online evaluation batch size"),
-    "arc.arc_last": (_parse_bool, False, "adapt only after the final task"),
-    "arc.w_mode": (str, "ratio", "misclassification statistic: ratio | raw"),
-    "arc.retention_loss": (str, "both", "retention objective: both | ce | em"),
-    "run.seeds": (_parse_int_list, [0], "comma-separated seeds"),
+    "data.num_tasks": (int, SyntheticSpec.num_tasks, "tasks in the stream"),
+    "data.step": (int, SyntheticSpec.step, "classes per task"),
+    "data.dim": (int, SyntheticSpec.dim, "feature dimension"),
+    "data.mean_scale": (float, SyntheticSpec.mean_scale, "stddev of class-mean draws"),
+    "data.noise_sigma": (float, SyntheticSpec.noise_sigma, "within-class stddev"),
+    "data.train_per_class": (int, SyntheticSpec.train_per_class, "training examples per class"),
+    "data.test_per_class": (int, SyntheticSpec.test_per_class, "test examples per class"),
+    "train.epochs": (int, TrainConfig.epochs, "epochs per task"),
+    "train.lr": (float, TrainConfig.lr, "training learning rate"),
+    "train.batch_size": (int, TrainConfig.batch_size, "training mini-batch size"),
+    "train.weight_decay": (float, TrainConfig.weight_decay, "per-step weight decay"),
+    "train.replay_per_class": (int, TrainConfig.replay_per_class,
+                               "replay exemplars per past class (0 = memory-free)"),
+    "arc.beta": (float, Thresholds.beta, "retention confidence threshold"),
+    "arc.gamma": (float, Thresholds.gamma, "correction ratio threshold"),
+    "arc.temperature": (float, ArcConfig.temperature,
+                        "task-score temperature (1 disables scaling)"),
+    "arc.lr": (float, ArcConfig.lr, "retention learning rate"),
+    "arc.retention": (_parse_bool, ArcConfig.retention_enabled, "enable test-time retention"),
+    "arc.correction": (_parse_bool, ArcConfig.correction_enabled, "enable test-time correction"),
+    "arc.batch_size": (int, ArcConfig.batch_size, "online evaluation batch size"),
+    "arc.arc_last": (_parse_bool, ArcConfig.arc_last, "adapt only after the final task"),
+    "arc.w_mode": (str, ArcConfig.w_mode, "misclassification statistic: ratio | raw"),
+    "arc.retention_loss": (str, ArcConfig.retention_loss, "retention objective: both | ce | em"),
+    "run.seeds": (_list_of(int), [0], "comma-separated seeds"),
     "run.output_dir": (str, "arcbench-out", "report bundle directory"),
-    "ablate.losses": (_parse_str_list, ["ce", "em", "both"], "loss variants"),
-    "ablate.temperatures": (_parse_str_list, ["on", "off"], "temperature variants"),
-    "ablate.w_modes": (_parse_str_list, ["ratio", "raw"], "w-statistic variants"),
-    "ablate.betas": (_parse_float_list, [0.6, 0.7, 0.8, 0.9], "beta sweep"),
-    "ablate.gammas": (_parse_float_list, [0.6, 0.7, 0.8, 0.9, 1.0], "gamma sweep"),
-    "otd.betas": (_parse_float_list, [0.0, 0.8], "betas compared by validate-otd"),
+    "ablate.losses": (_list_of(str), ["ce", "em", "both"], "loss variants"),
+    "ablate.temperatures": (_list_of(str), ["on", "off"], "temperature variants"),
+    "ablate.w_modes": (_list_of(str), ["ratio", "raw"], "w-statistic variants"),
+    "ablate.betas": (_list_of(float), [0.6, 0.7, 0.8, 0.9], "beta sweep"),
+    "ablate.gammas": (_list_of(float), [0.6, 0.7, 0.8, 0.9, 1.0], "gamma sweep"),
+    "otd.betas": (_list_of(float), [0.0, 0.8], "betas compared by validate-otd"),
 }
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys are an error."""
+    """Parse ``key = value`` lines; unknown and repeated keys are an error."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -133,7 +127,10 @@ def read_config_file(path: str) -> dict[str, str]:
             key = key.strip()
             if key not in SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw[key] = value.strip()
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line "
+                                  f"{line_of[key]}")
+            raw[key], line_of[key] = value.strip(), lineno
     return raw
 
 
@@ -172,15 +169,16 @@ class RunConfig:
             raise ConfigError("run.seeds must list at least one seed")
         if any(seed < 0 for seed in v["run.seeds"]):
             raise ConfigError("run.seeds must be nonnegative")
-        # construct every sub-config now so bad values fail at parse time
+        # construct every sub-config now so bad values fail at parse time; the
+        # train and arc messages start with the field, the last part of its key
         try:
             self.train_config()
         except ValueError as exc:
-            raise ConfigError(f"train.*: {exc}") from exc
+            raise ConfigError(f"train.{exc}") from exc
         try:
             self.arc_config()
         except ValueError as exc:
-            raise ConfigError(f"arc.*: {exc}") from exc
+            raise ConfigError(f"arc.{exc}") from exc
         for beta in v["otd.betas"]:
             try:
                 self.arc_config(beta=beta)
@@ -261,12 +259,13 @@ def _fmt(value) -> str:
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    return buf.getvalue()
+    """Header plus rows, cells through _fmt. No cell needs quoting: every
+    string cell is a fixed name checked at parse time."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+
+
+def _columns(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
 
 
 def _file_sha256(path: str) -> str:
@@ -317,11 +316,8 @@ def write_bundle(output_dir: str, files: dict[str, str]) -> None:
         raise
 
 
-def _metrics_rows(reports: list[MetricsReport]) -> list[list]:
-    rows = [
-        [m.seed, m.pipeline, m.average_accuracy, m.forgetting]
-        for m in sorted(reports, key=lambda m: (m.seed, m.pipeline))
-    ]
+def _metrics_rows(reports: list[MetricsReport]) -> list:
+    rows = [astuple(m) for m in sorted(reports, key=lambda m: (m.seed, m.pipeline))]
     for pipeline in sorted({m.pipeline for m in reports}):
         group = [m for m in reports if m.pipeline == pipeline]
         accs = [m.average_accuracy for m in group]
@@ -354,21 +350,15 @@ def _record_text(seed: int, traces: list[StageTrace], beta: float | None = None)
     return "".join(lines)
 
 
-RECORD_HEADER = ["seed", "stage", "position", "true_task", "true_label",
-                 "initial_class", "final_class", "decision", "retention_applied",
-                 "confidence", "masked_confidence", "ratio"]
+# arc_records.csv after its seed (and beta) columns: _record_text's order
+RECORD_COLUMNS = ["stage", "position", "true_task", "true_label", *RECORD_DTYPE.names]
+# the score fields of a MetricsReport, after seed and pipeline
+SCORE_COLUMNS = _columns(MetricsReport)[2:]
+OTD_HEADER = ["seed", "beta", *_columns(OtdValidationReport)]
 
 
 def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
-    v = otd_validation(traces)
-    return [seed, beta, v.assumption1_precision, v.assumption1_rate,
-            v.assumption2_precision, v.assumption2_rate,
-            v.flagged1, v.flagged1_true, v.flagged2, v.flagged2_true, v.samples]
-
-
-OTD_HEADER = ["seed", "beta", "assumption1_precision", "assumption1_rate",
-              "assumption2_precision", "assumption2_rate", "flagged1", "flagged1_true",
-              "flagged2", "flagged2_true", "samples"]
+    return [seed, beta, *astuple(otd_validation(traces))]
 
 
 def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
@@ -396,14 +386,13 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
 
     files = {
         "metadata.txt": _metadata("run", cfg),
-        "metrics.csv": render_csv(["seed", "pipeline", "average_accuracy", "forgetting"],
-                                  _metrics_rows(reports)),
+        "metrics.csv": render_csv(_columns(MetricsReport), _metrics_rows(reports)),
         "r_matrices.csv": render_csv(["seed", "pipeline", "stage", "task", "accuracy"], r_rows),
         "bias_histogram.csv": render_csv(["seed", "task", "count"], bias_rows),
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
                                                   pred_rows),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(RECORD_HEADER, []) + "".join(record_text),
+        "arc_records.csv": render_csv(["seed", *RECORD_COLUMNS], []) + "".join(record_text),
     }
     arc_reports = [m for m in reports if m.pipeline == "arc"]
     base_reports = [m for m in reports if m.pipeline == "baseline"]
@@ -421,12 +410,10 @@ def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         for row in linear_probe_experiment(stream, train_cfg, seed):
-            rows.append([seed, row.stage, row.task,
-                         row.independent_accuracy, row.shared_accuracy])
+            rows.append([seed, *astuple(row)])
     files = {
         "metadata.txt": _metadata("probe", cfg),
-        "probe.csv": render_csv(
-            ["seed", "stage", "task", "independent_accuracy", "shared_accuracy"], rows),
+        "probe.csv": render_csv(["seed", *_columns(ProbeRow)], rows),
     }
     return files, f"probe rows: {len(rows)}"
 
@@ -453,14 +440,10 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
         stream = cfg.stream_for_seed(seed)
         reports = ablation_grid(stream, train_cfg, base_arc, variants, seed)
         for variant, report in sorted(reports, key=lambda pair: pair[0].key()):
-            rows.append([seed, variant.loss, variant.temperature, variant.w_mode,
-                         variant.beta, variant.gamma,
-                         report.average_accuracy, report.forgetting])
+            rows.append([seed, *astuple(variant), *(getattr(report, c) for c in SCORE_COLUMNS)])
     files = {
         "metadata.txt": _metadata("ablate", cfg),
-        "ablation.csv": render_csv(
-            ["seed", "loss", "temperature", "w_mode", "beta", "gamma",
-             "average_accuracy", "forgetting"], rows),
+        "ablation.csv": render_csv(["seed", *_columns(Variant), *SCORE_COLUMNS], rows),
     }
     return files, f"variants: {len(variants)}, rows: {len(rows)}"
 
@@ -479,7 +462,7 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     files = {
         "metadata.txt": _metadata("validate-otd", cfg),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(["seed", "beta", *RECORD_HEADER[1:]], [])
+        "arc_records.csv": render_csv(["seed", "beta", *RECORD_COLUMNS], [])
         + "".join(record_text),
     }
     return files, f"rows: {len(otd_rows)}"

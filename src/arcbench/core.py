@@ -227,8 +227,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.weight_decay < 0:
@@ -265,18 +265,23 @@ def fit_task(
     rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
     head = head.copy()
     n = x.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = x[idx]
-            # plain matmul here: training is a hot loop and nothing downstream
-            # depends on its reduction order
-            dz = softmax(batch @ head.weights.T + head.bias)
-            dz[np.arange(len(idx)), y[idx]] -= 1.0
-            dz /= len(idx)
-            dw = dz.T @ batch
-            if cfg.weight_decay:
-                dw += cfg.weight_decay * head.weights
-            head = sgd_step(head, dw, dz.sum(axis=0), cfg.lr)
+    try:  # an overflowing step, or a head too large for its logits
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(cfg.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    batch = x[idx]
+                    # plain matmul here: training is a hot loop and nothing
+                    # downstream depends on its reduction order
+                    dz = softmax(batch @ head.weights.T + head.bias)
+                    dz[np.arange(len(idx)), y[idx]] -= 1.0
+                    dz /= len(idx)
+                    dw = dz.T @ batch
+                    if cfg.weight_decay:
+                        dw += cfg.weight_decay * head.weights
+                    head = sgd_step(head, dw, dz.sum(axis=0), cfg.lr)
+    except FloatingPointError:
+        raise ValueError(f"training overflows at learning rate {cfg.lr:g}, "
+                         f"weight decay {cfg.weight_decay:g}") from None
     return head

@@ -31,7 +31,12 @@ _SPLIT_NAMES = tuple(_SPLIT_CODES)
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sHIIIQ")
-_RECORD_FIXED = struct.Struct("<HIB")
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    """One packed EMB1 record, as written and as read."""
+    return np.dtype([("task", "<u2"), ("label", "<u4"), ("split", "u1"),
+                     ("features", "<f4", (dim,))])
 
 
 class EmbeddingFormatError(ValueError):
@@ -168,15 +173,17 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
     if count == 0:
         raise ValueError("cannot write a stream with no examples")
     layout = stream.layout
-    parts = [_HEADER.pack(_MAGIC, 1, dim, layout.num_tasks, layout.step, count)]
+    records = np.zeros(count, _record_dtype(dim))
+    start = 0
     for task in range(1, layout.num_tasks + 1):
         for split_code, data in ((0, stream.train[task - 1]), (1, stream.test[task - 1])):
-            feats32 = np.ascontiguousarray(data.features, dtype="<f4")
-            for row, label in zip(feats32, data.labels):
-                parts.append(_RECORD_FIXED.pack(task, int(label), split_code))
-                parts.append(row.tobytes())
+            rows = records[start : start + len(data)]
+            rows["task"], rows["split"] = task, split_code
+            rows["label"], rows["features"] = data.labels, data.features
+            start += len(data)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_HEADER.pack(_MAGIC, 1, dim, layout.num_tasks, layout.step, count))
+        fh.write(records.tobytes())
 
 
 def load_embeddings(path: str) -> TaskStream:
@@ -197,13 +204,11 @@ def load_embeddings(path: str) -> TaskStream:
         raise EmbeddingFormatError("no examples")
     layout = TaskLayout(num_tasks, step)
 
-    record_size = _RECORD_FIXED.size + 4 * dim
+    record_size = _record_dtype(0).itemsize + 4 * dim
     fit = min(count, (len(blob) - _HEADER.size) // record_size)
     if fit == 0:  # also keeps a header's absurd dim away from np.dtype
         raise EmbeddingFormatError("truncated record")
-    record = np.dtype([("task", "<u2"), ("label", "<u4"), ("split", "u1"),
-                       ("features", "<f4", (dim,))])
-    records = np.frombuffer(blob, dtype=record, count=fit, offset=_HEADER.size)
+    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=fit, offset=_HEADER.size)
     task, split = records["task"].astype(np.int64), records["split"].astype(np.int64)
     label = records["label"]
     # the first bad record in file order wins; within it, task, split, label

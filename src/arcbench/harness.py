@@ -139,8 +139,8 @@ class OtdValidationReport:
     """
 
     assumption1_precision: float | None
-    assumption2_precision: float | None
     assumption1_rate: float
+    assumption2_precision: float | None
     assumption2_rate: float
     flagged1: int
     flagged1_true: int
@@ -421,8 +421,8 @@ def otd_validation(traces: list[StageTrace]) -> OtdValidationReport:
         flagged2_true += int((flag2 & past).sum())
     return OtdValidationReport(
         assumption1_precision=flagged1_true / flagged1 if flagged1 else None,
-        assumption2_precision=flagged2_true / flagged2 if flagged2 else None,
         assumption1_rate=flagged1 / samples if samples else 0.0,
+        assumption2_precision=flagged2_true / flagged2 if flagged2 else None,
         assumption2_rate=flagged2 / samples if samples else 0.0,
         flagged1=flagged1,
         flagged1_true=flagged1_true,

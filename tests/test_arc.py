@@ -147,6 +147,19 @@ class TestAdaptiveRetention:
         assert ok
         assert mean_loss(updated) < before
 
+    @pytest.mark.parametrize("dim, scale", [
+        (2, 10.0),  # lr * dW overflows in the update itself
+        (4, 1.0),   # a finite head whose logits overflow to +-inf
+        (2, 1.0),   # finite logits of +-1.5e308, whose softmax overflows
+    ])
+    def test_overflowing_step_is_skipped(self, dim, scale):
+        head = LinearHead(np.zeros((2, dim)), np.zeros(2), 1)
+        x = np.full((1, dim), scale)
+        updated, repreds, ok = adaptive_retention(head, x, forward(head, x), ArcConfig(lr=1e308))
+        assert not ok
+        assert updated is head
+        assert repreds.tolist() == [0]
+
     def test_empty_batch_is_identity(self):
         head = LinearHead(np.ones((2, 2)), np.zeros(2), 1)
         updated, repreds, ok = adaptive_retention(
@@ -264,7 +277,7 @@ class TestArcEvaluate:
             assert r.final_class == r.initial_class
             assert not r.retention_applied
         assert result.warnings == [
-            "batch 0: non-finite retention loss or gradient, step skipped"
+            "batch 0: non-finite retention gradient or update, step skipped"
         ]
 
     @pytest.mark.parametrize("field, change", [
@@ -306,8 +319,9 @@ class TestArcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ArcConfig(temperature=0.5)
-        with pytest.raises(ValueError):
-            ArcConfig(lr=0.0)
+        for lr in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lr must be finite and > 0"):
+                ArcConfig(lr=lr)
         with pytest.raises(ValueError):
             ArcConfig(w_mode="nope")
         with pytest.raises(ValueError):

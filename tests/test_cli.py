@@ -6,9 +6,21 @@ import platform
 import numpy as np
 import pytest
 
-from arcbench.cli import main
+from arcbench.arc import RECORD_DTYPE, ArcConfig
+from arcbench.cli import (
+    RECORD_COLUMNS,
+    ConfigError,
+    RunConfig,
+    _effective_config,
+    _record_text,
+    main,
+    read_config_file,
+    render_csv,
+)
+from arcbench.core import TrainConfig
 from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
-from arcbench.harness import trains_in_child
+from arcbench.harness import StageTrace, trains_in_child
+from arcbench.otd import OtdDecision
 
 TINY = [
     "--data.num_tasks", "3", "--data.step", "2", "--data.dim", "8",
@@ -304,8 +316,25 @@ class TestTrainingErrors:
         out = tmp_path / "bundle"
         code = run_cli([command, *TINY, "--train.lr", "1e308", "--run.output_dir", str(out)])
         assert code == 1
-        assert "error: non-finite logits" in capsys.readouterr().err
+        assert "error: training overflows at learning rate 1e+308" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["train.lr", "arc.lr"])
+    def test_infinite_learning_rate_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                          key):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("arcbench.harness.fit_task", never)
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, f"--{key}", "inf", "--run.output_dir", str(out)]) == 1
+        assert f"error: {key} must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_retention_steps_are_skipped(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--arc.lr", "1e308", "--run.output_dir", str(out)]) == 0
+        assert (out / "metrics.csv").exists()
 
     @pytest.mark.skipif(not trains_in_child(),
                         reason="training runs in a child on Linux with two CPUs only")
@@ -336,3 +365,108 @@ class TestListKeys:
         err = capsys.readouterr().err
         assert key in err and "repeated value" in err
         assert not out.exists()
+
+
+def effective(flags=None, file_values=None) -> dict:
+    return _effective_config(file_values or {}, flags or {})
+
+
+class TestConfigBoundary:
+    def test_config_file_with_comments_blanks_and_spaces(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# a comment\n\n  arc.beta=0.7\n\t# indented comment\n"
+                        "train.epochs   =   3  \nrun.seeds = 1, 2\n")
+        raw = read_config_file(str(path))
+        assert raw == {"arc.beta": "0.7", "train.epochs": "3", "run.seeds": "1, 2"}
+        values = effective(file_values=raw)
+        assert (values["arc.beta"], values["train.epochs"], values["run.seeds"]) == (0.7, 3, [1, 2])
+
+    def test_config_file_feeds_a_run(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# tiny\narc.beta = 0.7\narc.retention = off\n")
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--config", str(path), "--run.output_dir", str(out)]) == 0
+        lines = (out / "metadata.txt").read_text().splitlines()
+        assert "arc.beta = 0.69999999999999996" in lines and "arc.retention = 0" in lines
+
+    def test_repeated_file_key_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("arc.beta = 0.7\n# again\narc.beta = 0.9\n")
+        message = r"twice\.cfg:3: config key 'arc\.beta' repeats line 1$"
+        with pytest.raises(ConfigError, match=message):
+            read_config_file(str(path))
+        assert run_cli(["run", "--config", str(path)]) == 1
+        assert "'arc.beta' repeats line 1" in capsys.readouterr().err
+
+    def test_flag_overrides_file(self):
+        values = effective(flags={"arc.beta": "0.6"}, file_values={"arc.beta": "0.7"})
+        assert values["arc.beta"] == 0.6
+
+    def test_env_overrides_file_but_not_flag(self, monkeypatch):
+        monkeypatch.setenv("ARCBENCH_OUTPUT_DIR", "from-env")
+        file_values = {"run.output_dir": "from-file"}
+        assert effective(file_values=file_values)["run.output_dir"] == "from-env"
+        flags = {"run.output_dir": "from-flag"}
+        assert effective(flags, file_values)["run.output_dir"] == "from-flag"
+
+    @pytest.mark.parametrize("text, value", [
+        *((text, True) for text in ("true", "1", "yes", "on", " TRUE ", "On")),
+        *((text, False) for text in ("false", "0", "no", "off", "False", " NO")),
+    ])
+    def test_boolean_spellings(self, text, value):
+        assert effective({"arc.arc_last": text})["arc.arc_last"] is value
+
+    def test_rejected_boolean_named(self):
+        with pytest.raises(ConfigError, match="'arc.retention' \\(from flag\\): not a boolean"):
+            effective({"arc.retention": "maybe"})
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"data.source": "images"}, "data.source must be synthetic or embeddings"),
+        ({"data.source": "embeddings"}, "data.path is required when data.source=embeddings"),
+        ({"run.seeds": ""}, "run.seeds must list at least one seed"),
+        ({"run.seeds": " , "}, "run.seeds must list at least one seed"),
+        ({"run.seeds": "0,-1"}, "run.seeds must be nonnegative"),
+    ])
+    def test_run_config_errors(self, flags, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(effective(flags))
+
+    def test_defaults_build_the_default_configs(self):
+        cfg = RunConfig(effective())
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.arc_config() == ArcConfig()
+        assert cfg.synthetic_spec(seed=0) == SyntheticSpec(seed=0)
+
+
+class TestRecordText:
+    @staticmethod
+    def trace(stage, rng, n=6):
+        records = np.zeros(n, RECORD_DTYPE).view(np.recarray)
+        records.initial_class = rng.integers(0, 40, n)
+        records.final_class = rng.integers(0, 40, n)
+        records.decision = [list(OtdDecision)[i % 3] for i in range(n)]
+        records.retention_applied = [i % 2 == 0 for i in range(n)]
+        records.confidence = rng.random(n)
+        records.masked_confidence = np.nan if stage == 1 else rng.random(n)
+        records.ratio = np.nan if stage == 1 else 1 / 3 + rng.random(n)
+        return StageTrace(stage, records, records.final_class[None, :],
+                          rng.integers(0, 40, n), rng.integers(1, stage + 1, n), 0, [])
+
+    @pytest.mark.parametrize("beta", [None, 0.8])
+    def test_matches_render_csv(self, beta):
+        rng = np.random.default_rng(5)
+        seed = 2**40 + 3
+        traces = [self.trace(1, rng), self.trace(2, rng)]
+        lead = [seed] if beta is None else [seed, beta]
+        rows = []
+        for trace in traces:
+            for position, rec in enumerate(trace.records):
+                undefined = [None if np.isnan(v) else v for v in (rec.masked_confidence, rec.ratio)]
+                rows.append([*lead, trace.stage, position, trace.true_tasks[position],
+                             trace.true_labels[position], rec.initial_class, rec.final_class,
+                             rec.decision.value, rec.retention_applied, rec.confidence,
+                             *undefined])
+        header = [*(["seed"] if beta is None else ["seed", "beta"]), *RECORD_COLUMNS]
+        rendered = render_csv(header, rows)
+        assert rendered.count(",,") == 6  # the stage-1 rows, both cells empty
+        assert render_csv(header, []) + _record_text(seed, traces, beta=beta) == rendered

@@ -278,6 +278,24 @@ class TestFitTask:
             fit_task(new_head(2, 2), np.zeros((3, 2)), np.array([0, 1, 2]),
                      TrainConfig(), seed=0)
 
+    @pytest.mark.parametrize("scale", [
+        10.0,  # lr * dW overflows in the first step
+        1.0,   # the first step leaves a finite head whose next logits overflow
+    ])
+    def test_overflow_names_learning_rate(self, scale):
+        rng = np.random.default_rng(7)
+        x = scale * rng.standard_normal((32, 8))
+        y = rng.integers(0, 2, 32)
+        cfg = TrainConfig(epochs=2, lr=1e308, batch_size=8)
+        with pytest.raises(ValueError, match=r"^training overflows at learning rate 1e\+308, "
+                                             r"weight decay 0.00015$"):
+            fit_task(new_head(8, 2), x, y, cfg)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.inf, np.nan])
+    def test_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match=f"^lr must be finite and > 0, got {lr}$"):
+            TrainConfig(lr=lr)
+
 
 class TestTaskLayout:
     def test_class_ranges_are_disjoint_and_contiguous(self):

@@ -81,6 +81,20 @@ class TestEmbeddingRoundTrip:
         write_embeddings(stream, str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("dim", [8, 64, 768])
+    def test_bytes_match_the_format_spec(self, tmp_path, dim):
+        # each record packed field by field, as the module docstring lays it out
+        stream = generate_synthetic(SyntheticSpec(num_tasks=2, step=2, dim=dim, train_per_class=3,
+                                                  test_per_class=2, seed=1))
+        expected = [struct.pack("<4sHIIIQ", b"EMB1", 1, dim, 2, 2, 20)]
+        for task in (1, 2):
+            for split, data in ((0, stream.train[task - 1]), (1, stream.test[task - 1])):
+                for row, label in zip(data.features, data.labels):
+                    expected.append(struct.pack(f"<HIB{dim}f", task, int(label), split, *row))
+        path = tmp_path / "spec.emb1"
+        write_embeddings(stream, str(path))
+        assert path.read_bytes() == b"".join(expected)
+
     def test_file_size_arithmetic(self, tmp_path):
         spec = SyntheticSpec(num_tasks=1, step=1, dim=3, train_per_class=1,
                              test_per_class=1, seed=0)
