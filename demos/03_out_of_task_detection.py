@@ -32,18 +32,18 @@ z = forward(head, x)
 
 print("a few samples through the detector (beta=0.8, gamma=0.8):")
 th = Thresholds(0.8, 0.8)
-for i in (0, 40, 240, 700, 950):
-    decision, rep = classify_sample(z[i], t, s, th)
-    w = "-" if rep.ratio is None else f"{rep.ratio:.2f}"
-    print(f"  true task {tasks[i]}  predicted class {rep.predicted_class:3d}  "
-          f"c={rep.confidence:.2f}  w={w}  -> {decision.value}")
+picked = [0, 40, 240, 700, 950]
+for i, rec in zip(picked, classify_sample(z[picked], t, s, th)):  # one record per sample
+    w = "-" if np.isnan(rec.ratio) else f"{rec.ratio:.2f}"
+    print(f"  true task {tasks[i]}  predicted class {rec.initial_class:3d}  "
+          f"c={rec.confidence:.2f}  w={w}  -> {rec.decision.value}")
 
 print("\nbeta sweep: how many samples get the retention flag, and how pure they are")
 print("beta   flagged  truly past & correct  precision")
 for beta in (0.0, 0.5, 0.7, 0.8, 0.9):
-    decisions, rep = classify_sample(z, t, s, Thresholds(beta, 0.8))  # the whole batch at once
-    is_flagged = decisions == OtdDecision.PAST_CORRECT
+    records = classify_sample(z, t, s, Thresholds(beta, 0.8))  # the whole batch at once
+    is_flagged = records.decision == OtdDecision.PAST_CORRECT
     flagged = int(is_flagged.sum())
-    correct = int(np.sum(is_flagged & (tasks < t) & (rep.predicted_class == labels)))
+    correct = int(np.sum(is_flagged & (tasks < t) & (records.initial_class == labels)))
     precision = correct / flagged if flagged else float("nan")
     print(f"{beta:4.1f} {flagged:9d} {correct:21d}  {precision:.3f}")

@@ -14,22 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
-from .otd import OtdDecision, Thresholds, classify_sample
+from .otd import RECORD_DTYPE, OtdDecision, Thresholds, classify_sample, misclassified
 
 W_MODES = ("ratio", "raw")
 RETENTION_LOSSES = ("both", "ce", "em")
-
-# one row per test sample; the two float columns are NaN at stage 1, where
-# they are undefined
-RECORD_DTYPE = np.dtype([
-    ("initial_class", np.int64),
-    ("final_class", np.int64),
-    ("decision", object),
-    ("retention_applied", bool),
-    ("confidence", np.float64),
-    ("masked_confidence", np.float64),
-    ("ratio", np.float64),
-])
 
 
 @dataclass(frozen=True)
@@ -97,7 +85,11 @@ def tss(z: np.ndarray, t: int, s: int, temperature: float) -> np.ndarray:
         raise ValueError(f"temperature must be >= 1, got {temperature}")
     scores = np.empty(z.shape[:-1] + (t,))
     for i in range(1, t + 1):
-        p = softmax(z[..., : s * i] / temperature ** (t - i))
+        try:
+            scale = float(temperature) ** (t - i)
+        except OverflowError:  # beyond float range: the T -> inf limit, a flat prefix
+            scale = np.inf
+        p = softmax(z[..., : s * i] / scale)
         scores[..., i - 1] = np.max(p[..., s * (i - 1) :], axis=-1)
     return scores
 
@@ -157,14 +149,12 @@ def adaptive_retention(
     return updated, z.argmax(axis=1), True
 
 
-def _suspects(table: np.ndarray, t: int, s: int, raw: float = -np.inf,
-              ratio: float = -np.inf) -> np.ndarray:
-    """Current-predicted rows of a record table (t >= 2) with c <= ``raw`` or w <= ``ratio``.
-
-    A config's PAST_MISCLASSIFIED rows are this mask with its gamma under its w_mode.
-    """
-    current = table["initial_class"] >= s * (t - 1)
-    return current & ((table["confidence"] <= raw) | (table["ratio"] <= ratio))
+def _suspects(table: np.ndarray, t: int, s: int, gammas: dict) -> np.ndarray:
+    """Rows of a record table that ``misclassified`` flags under any {w_mode: gamma}."""
+    mask = np.zeros(len(table), bool)
+    for w_mode, gamma in gammas.items():
+        mask |= misclassified(table, t, s, gamma, w_mode)
+    return mask
 
 
 @dataclass
@@ -187,14 +177,16 @@ def arc_evaluate(
 
     The configs must agree on every field of ``ArcConfig.trajectory``, so one
     head trajectory serves them all. For each batch: classify all its samples
-    in one call against the head as of the batch's arrival; if retention is
-    enabled, the PAST_CORRECT subset feeds exactly one gradient update and
-    those samples are re-predicted with the updated head. Updates only ever
-    affect later batches. Correction never moves the head, so it runs once the
-    stream ends: each correcting config's PAST_MISCLASSIFIED rows (under its own
-    gamma and w_mode) are relabeled from their arrival logits, with one
-    adaptive_correction call per distinct temperature over the group's suspects.
-    ``records`` is the first config's table.
+    in one call against the head as of the batch's arrival, which writes
+    their records; if retention is enabled, the PAST_CORRECT subset feeds
+    exactly one gradient update and those samples are re-predicted with the
+    updated head, which sets their final_class and retention_applied.
+    Updates only ever affect later batches. Correction never moves the head,
+    so it runs once the stream ends: each correcting config's
+    PAST_MISCLASSIFIED rows (``otd.misclassified`` under its own gamma and
+    w_mode) are relabeled from their arrival logits, with one
+    adaptive_correction call per distinct temperature over the group's
+    suspects. ``records`` is the first config's table.
     """
     if not cfgs:
         raise ValueError("arc_evaluate needs at least one config")
@@ -211,8 +203,8 @@ def arc_evaluate(
     # nothing is suspect at t = 1; later, a current-predicted row is some config's
     # suspect iff its statistic is at most the largest gamma of that w_mode
     correcting = [cfg for cfg in cfgs if cfg.correction_enabled] if t >= 2 else []
-    max_gamma = {mode: max((cfg.thresholds.gamma for cfg in correcting if cfg.w_mode == mode),
-                           default=-np.inf) for mode in W_MODES}
+    max_gamma = {mode: max(cfg.thresholds.gamma for cfg in correcting if cfg.w_mode == mode)
+                 for mode in {cfg.w_mode for cfg in correcting}}
     tables: list[np.ndarray] = []
     suspect_logits: list[np.ndarray] = []
     warnings: list[str] = []
@@ -222,18 +214,8 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        decisions, report = classify_sample(z, t, s, first.thresholds, first.w_mode == "raw")
-        table = np.zeros(len(x), RECORD_DTYPE)
-        table["initial_class"] = table["final_class"] = report.predicted_class
-        table["decision"] = decisions
-        table["confidence"] = report.confidence
-        if t >= 2:
-            table["masked_confidence"] = report.masked_confidence
-            table["ratio"] = report.ratio
-        else:
-            table["masked_confidence"] = table["ratio"] = np.nan
-
-        flagged = decisions == OtdDecision.PAST_CORRECT
+        table = classify_sample(z, t, s, first.thresholds, first.w_mode)
+        flagged = table["decision"] == OtdDecision.PAST_CORRECT
         if first.retention_enabled and flagged.any():
             head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], first)
             if ok:
@@ -244,12 +226,12 @@ def arc_evaluate(
             else:
                 warnings.append(f"batch {batch_index}: non-finite retention gradient or "
                                 "update, step skipped")
-        suspect_logits.append(z[_suspects(table, t, s, **max_gamma)])
+        suspect_logits.append(z[_suspects(table, t, s, max_gamma)])
         tables.append(table)
 
     records = (np.concatenate(tables) if tables else np.zeros(0, RECORD_DTYPE)).view(np.recarray)
     final = np.repeat(records.final_class[None, :], len(cfgs), axis=0)
-    union = _suspects(records, t, s, **max_gamma)
+    union = _suspects(records, t, s, max_gamma)
     if union.any():
         z = np.concatenate(suspect_logits)
         suspect_logits.clear()  # the rows live on in z alone; this lowers the stage's peak
@@ -257,7 +239,7 @@ def arc_evaluate(
                      for temperature in dict.fromkeys(cfg.temperature for cfg in correcting)}
         for v, cfg in enumerate(cfgs):
             if cfg.correction_enabled:
-                mine = _suspects(records, t, s, **{cfg.w_mode: cfg.thresholds.gamma})
+                mine = misclassified(records, t, s, cfg.thresholds.gamma, cfg.w_mode)
                 final[v, mine] = corrected[cfg.temperature][mine[union]]
     records.final_class = final[0]
     return ArcEvalResult(records, final, head, updates, warnings)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .arc import RECORD_DTYPE, ArcConfig
+from .arc import ArcConfig
 from .core import TrainConfig
 from .data import SyntheticSpec, TaskStream, generate_synthetic, load_embeddings
 from .harness import (
@@ -40,7 +40,7 @@ from .harness import (
     otd_validation,
     run_stream,
 )
-from .otd import Thresholds
+from .otd import RECORD_DTYPE, Thresholds
 
 OUTPUT_DIR_ENV = "ARCBENCH_OUTPUT_DIR"
 
@@ -170,7 +170,7 @@ class RunConfig:
         if any(seed < 0 for seed in v["run.seeds"]):
             raise ConfigError("run.seeds must be nonnegative")
         # construct every sub-config now so bad values fail at parse time; the
-        # train and arc messages start with the field, the last part of its key
+        # train, arc and data messages start with the field, the last part of its key
         try:
             self.train_config()
         except ValueError as exc:
@@ -188,7 +188,7 @@ class RunConfig:
             try:
                 self.synthetic_spec(seed=0)
             except ValueError as exc:
-                raise ConfigError(f"data.*: {exc}") from exc
+                raise ConfigError(f"data.{exc}") from exc
 
     @property
     def seeds(self) -> list[int]:

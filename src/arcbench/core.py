@@ -157,29 +157,6 @@ def loss_gradient(
     return (dz.T @ x) / n, dz.sum(axis=0) / n, float(loss / n)
 
 
-def retention_gradient(
-    head: LinearHead,
-    x: np.ndarray,
-    pseudo_label: int,
-    include_ce: bool = True,
-    include_em: bool = True,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``loss_gradient`` at the current head for one feature vector (D,).
-
-    Returns (dW, db, loss) for the single row x with label ``pseudo_label``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (head.dim,):
-        raise ValueError(f"feature shape {x.shape} incompatible with head dim {head.dim}")
-    if not 0 <= pseudo_label < head.num_classes:
-        raise ValueError(f"pseudo_label {pseudo_label} outside 0..{head.num_classes - 1}")
-    if not (include_ce or include_em):
-        raise ValueError("at least one loss term must be enabled")
-    rows = x[None, :]
-    labels = np.array([pseudo_label])
-    return loss_gradient(forward(head, rows), rows, labels, include_ce, include_em)
-
-
 def sgd_step(head: LinearHead, dw: np.ndarray, db: np.ndarray, lr: float) -> LinearHead:
     """One plain SGD update: W - lr*dW, b - lr*db. Exactly one update per call."""
     dw = np.asarray(dw, dtype=np.float64)
@@ -231,8 +208,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.replay_per_class < 0:
             raise ValueError("replay_per_class must be >= 0")
 

@@ -58,18 +58,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_tasks < 1 or self.step < 1:
-            raise ValueError("num_tasks and step must be >= 1")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if not self.noise_sigma > 0:
-            raise ValueError("noise_sigma must be > 0")
-        if not np.isfinite(self.mean_scale) or self.mean_scale < 0:
-            raise ValueError("mean_scale must be finite and >= 0")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class counts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # each message starts with its field
+        for name, least in (("num_tasks", 1), ("step", 1), ("dim", 2), ("train_per_class", 1),
+                            ("test_per_class", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0 <= self.mean_scale < np.inf:
+            raise ValueError(f"mean_scale must be finite and >= 0, got {self.mean_scale}")
+        if not 0 < self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
 
     @property
     def layout(self) -> TaskLayout:
@@ -155,7 +152,11 @@ def generate_synthetic(spec: SyntheticSpec) -> TaskStream:
             ("train", spec.train_per_class, train),
             ("test", spec.test_per_class, test),
         ):
-            feats = np.vstack([_draw_class(spec, task, c, split, per_class) for c in classes])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+                feats = np.vstack([_draw_class(spec, task, c, split, per_class) for c in classes])
+            if not np.isfinite(feats).all():
+                raise ValueError(f"mean_scale {spec.mean_scale:g} and noise_sigma "
+                                 f"{spec.noise_sigma:g} give features beyond float32 range")
             labels = np.repeat(np.array(classes, dtype=np.int64), per_class)
             bucket.append(TaskData(task, feats, labels))
     stream = TaskStream(layout, train, test)

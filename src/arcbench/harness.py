@@ -116,7 +116,7 @@ class MetricsReport:
 class StageTrace:
     """Pipeline records for one stage's shuffled test stream, with ground truth.
 
-    ``records`` is arc_evaluate's table (arc.RECORD_DTYPE) for the group's
+    ``records`` is arc_evaluate's table (otd.RECORD_DTYPE) for the group's
     first config and ``final_classes`` holds every config's final classes, one
     row per config; both are aligned with ``true_labels`` and ``true_tasks``.
     """

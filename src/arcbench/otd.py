@@ -42,85 +42,79 @@ class Thresholds:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class ConfidenceReport:
-    """Confidence quantities feeding the detection branches.
-
-    ``confidence`` is the max softmax probability over all visible classes;
-    ``masked_confidence`` is the same over past-task logits only and ``ratio``
-    is their quotient; both are None at stage 1, where they are undefined.
-    For a batch every other field is an (n,) array, one entry per sample.
-    """
-
-    predicted_class: int | np.ndarray
-    confidence: float | np.ndarray
-    masked_confidence: float | np.ndarray | None
-    ratio: float | np.ndarray | None
+# one row per test sample, written by classify_sample; the pipeline sets
+# final_class and retention_applied. The two float columns are NaN at stage 1,
+# where they are undefined
+RECORD_DTYPE = np.dtype([
+    ("initial_class", np.int64),
+    ("final_class", np.int64),
+    ("decision", object),
+    ("retention_applied", bool),
+    ("confidence", np.float64),
+    ("masked_confidence", np.float64),
+    ("ratio", np.float64),
+])
 
 
-def confidence(z: np.ndarray) -> tuple:
+def confidence(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class (argmax, lowest index on ties) and its softmax probability.
 
-    Takes logits (K,) or a batch (n, K); a batch gives (n,) arrays.
+    Takes a batch of logits (n, K) and gives two (n,) arrays.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (1, 2):
-        raise ValueError(f"confidence expects logits (K,) or (n, K), got shape {z.shape}")
-    rows = z.reshape(-1, z.shape[-1])
-    p = softmax(rows)  # rejects empty / non-finite input
-    k = rows.argmax(axis=-1)
-    c = p[np.arange(len(k)), k]
-    return (int(k[0]), float(c[0])) if z.ndim == 1 else (k, c)
+    if z.ndim != 2:
+        raise ValueError(f"confidence expects logits (n, K), got shape {z.shape}")
+    p = softmax(z)  # rejects empty / non-finite input
+    k = z.argmax(axis=-1)
+    return k, p[np.arange(len(k)), k]
 
 
-def masked_confidence(z: np.ndarray, t: int, s: int):
-    """Max softmax probability over the first s*(t-1) logits only.
-
-    Takes logits (s*t,) or a batch (n, s*t); a batch gives an (n,) array.
-    """
+def masked_confidence(z: np.ndarray, t: int, s: int) -> np.ndarray:
+    """Max softmax probability over the first s*(t-1) logits of each row of (n, s*t)."""
     z = np.asarray(z, dtype=np.float64)
     if t < 2:
         raise ValueError("masked confidence is undefined at the first task")
-    if z.ndim not in (1, 2) or z.shape[-1] != s * t:
-        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
-    c_hat = np.max(softmax(z[..., : s * (t - 1)]), axis=-1)
-    return float(c_hat) if z.ndim == 1 else c_hat
+    if z.ndim != 2 or z.shape[1] != s * t:
+        raise ValueError(f"expected (n, {s * t}) logits, got shape {z.shape}")
+    return np.max(softmax(z[:, : s * (t - 1)]), axis=-1)
 
 
-def classify_sample(
-    z: np.ndarray,
-    t: int,
-    s: int,
-    thresholds: Thresholds,
-    raw_confidence_w: bool = False,
-) -> tuple:
-    """Sort test samples into detection branches.
+def misclassified(records: np.ndarray, t: int, s: int, gamma: float,
+                  w_mode: str = "ratio") -> np.ndarray:
+    """The PAST_MISCLASSIFIED rows of a detection table under (gamma, w_mode).
 
-    Takes one sample's logits (s*t,) and returns its (decision, report), or
-    a batch (n, s*t) and returns (decisions, report): an (n,) object array
-    of decisions and one report of (n,) arrays. A past-predicted sample with
-    confidence >= beta is PAST_CORRECT; a current-predicted one (t >= 2)
-    whose ratio w = c / c_hat is <= gamma is PAST_MISCLASSIFIED; anything
-    else is PASSTHROUGH. At t = 1 every class is current so every sample
-    passes through. ``raw_confidence_w`` is an ablation switch replacing the
-    ratio test with c <= gamma.
+    A row is one at t >= 2 when it is predicted into the current task and its
+    statistic, the ratio w (``w_mode="ratio"``) or the confidence c
+    (``"raw"``, an ablation switch), is <= gamma.
+    """
+    stat = records["confidence" if w_mode == "raw" else "ratio"]
+    return (t >= 2) & (records["initial_class"] >= s * (t - 1)) & (stat <= gamma)
+
+
+def classify_sample(z: np.ndarray, t: int, s: int, thresholds: Thresholds,
+                    w_mode: str = "ratio") -> np.recarray:
+    """Sort a batch of test samples, logits (n, s*t), into detection branches.
+
+    Returns one RECORD_DTYPE row per sample: the argmax as initial and final
+    class, the decision, c, c_hat and w = c / c_hat. A past-predicted sample
+    with c >= beta is PAST_CORRECT; a ``misclassified`` one is
+    PAST_MISCLASSIFIED; anything else is PASSTHROUGH. At t = 1 every class is
+    current, so every sample passes through.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.shape[-1] != s * t:
-        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
-    rows = z.reshape(-1, s * t)
-    n = len(rows)
-    decisions = np.full(n, OtdDecision.PASSTHROUGH, dtype=object)
-    predicted, c = confidence(rows) if n else (np.empty(0, dtype=np.int64), np.empty(0))
-    c_hat = w = None
-    if t >= 2:
-        c_hat = masked_confidence(rows, t, s) if n else np.empty(0)
-        w = c / c_hat
-        stat = c if raw_confidence_w else w
-        past = predicted < s * (t - 1)
-        decisions[past & (c >= thresholds.beta)] = OtdDecision.PAST_CORRECT
-        decisions[~past & (stat <= thresholds.gamma)] = OtdDecision.PAST_MISCLASSIFIED
-    if z.ndim == 2:
-        return decisions, ConfidenceReport(predicted, c, c_hat, w)
-    row = (None if a is None else a[0].item() for a in (predicted, c, c_hat, w))
-    return decisions[0], ConfidenceReport(*row)
+    if z.ndim != 2 or z.shape[1] != s * t:
+        raise ValueError(f"expected (n, {s * t}) logits, got shape {z.shape}")
+    records = np.zeros(len(z), RECORD_DTYPE)
+    records["decision"] = OtdDecision.PASSTHROUGH
+    records["masked_confidence"] = records["ratio"] = np.nan
+    if len(z):
+        records["initial_class"], records["confidence"] = confidence(z)
+        records["final_class"] = records["initial_class"]
+        if t >= 2:
+            records["masked_confidence"] = masked_confidence(z, t, s)
+            records["ratio"] = records["confidence"] / records["masked_confidence"]
+    correct = (records["initial_class"] < s * (t - 1)) & (records["confidence"] >= thresholds.beta)
+    wrong = misclassified(records, t, s, thresholds.gamma, w_mode)
+    records["decision"][correct] = OtdDecision.PAST_CORRECT
+    records["decision"][wrong] = OtdDecision.PAST_MISCLASSIFIED
+    return records.view(np.recarray)

@@ -21,7 +21,7 @@ from arcbench.core import (
     cross_entropy,
     entropy,
     forward,
-    retention_gradient,
+    loss_gradient,
     softmax,
 )
 from arcbench.data import SyntheticSpec, generate_synthetic
@@ -73,7 +73,7 @@ def test_criterion_1_gradient_oracle():
             p = softmax(forward(LinearHead(w, b, 1), x))
             return cross_entropy(p, label) + entropy(p)
 
-        dw, db, _ = retention_gradient(head, x, label)
+        dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
         worst = max(worst, relative_error(dw, fd_dw), relative_error(db, fd_db))
     report(1, "gradient oracle", worst <= 1e-5, f"max relative error {worst:.3g} <= 1e-5")
@@ -92,13 +92,13 @@ def test_criterion_2_tss_oracle():
             want = mp_tss(z, t, s, temperature)
             worst = max(worst, float(np.max(np.abs(got - want))))
         if t == 1:
-            _, c = confidence(z)
+            _, (c,) = confidence(z[None])
             exact_first_stage &= tss(z, 1, s, 2.0)[0] == c
     # first-stage equality checked on dedicated vectors too
     for case in range(10):
         rng = np.random.default_rng(260 + case)
         z = 3.0 * rng.standard_normal(int(rng.integers(1, 13)))
-        _, c = confidence(z)
+        _, (c,) = confidence(z[None])
         exact_first_stage &= tss(z, 1, len(z), 2.0)[0] == c
     ok = worst <= 1e-12 and exact_first_stage
     report(2, "task-score oracle", ok,

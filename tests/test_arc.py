@@ -13,7 +13,7 @@ from arcbench.core import (
     cross_entropy,
     entropy,
     forward,
-    retention_gradient,
+    loss_gradient,
     sgd_step,
     softmax,
 )
@@ -28,7 +28,7 @@ class TestTss:
         for _ in range(20):
             z = rng.standard_normal(5)
             scores = tss(z, t=1, s=5, temperature=2.0)
-            _, c = confidence(z)
+            _, (c,) = confidence(z[None])
             assert scores.shape == (1,)
             assert scores[0] == c  # bitwise: same softmax, exponent zero
 
@@ -116,7 +116,7 @@ class TestAdaptiveRetention:
         cfg = ArcConfig(lr=0.05)
         rows = x[None, :]
         updated, repreds, ok = adaptive_retention(head, rows, forward(head, rows), cfg)
-        dw, db, _ = retention_gradient(head, x, label)
+        dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
         manual = sgd_step(head, dw, db, cfg.lr)
         assert ok
         assert np.array_equal(updated.weights, manual.weights)

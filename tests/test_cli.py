@@ -331,6 +331,50 @@ class TestTrainingErrors:
         assert f"error: {key} must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_weight_decay_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           value):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("arcbench.harness.fit_task", never)
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--train.weight_decay", value,
+                        "--run.output_dir", str(out)]) == 1
+        assert (f"error: train.weight_decay must be finite and >= 0, got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("data.noise_sigma", "inf", "data.noise_sigma must be finite and > 0, got inf"),
+        ("data.mean_scale", "1e300", "mean_scale 1e+300 and noise_sigma 0.6 give features "
+                                     "beyond float32 range"),
+        ("data.noise_sigma", "1e300", "mean_scale 1 and noise_sigma 1e+300 give features "
+                                      "beyond float32 range"),
+    ])
+    def test_features_beyond_float32_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           key, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("arcbench.harness.fit_task", never)
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_temperature_beyond_float_range_is_the_infinite_limit(self, tmp_path):
+        # temperature ** 2 overflows a float at stage 3; the scale is then inf,
+        # as it is for an infinite temperature
+        csvs = {}
+        for value in ("1e200", "inf"):
+            out = tmp_path / value
+            assert run_cli(["run", *TINY, "--arc.temperature", value, "--arc.gamma", "inf",
+                            "--run.output_dir", str(out)]) == 0
+            csvs[value] = {name: (out / name).read_bytes()
+                           for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+        assert csvs["1e200"] == csvs["inf"]
+
     def test_overflowing_retention_steps_are_skipped(self, tmp_path):
         out = tmp_path / "bundle"
         assert run_cli(["run", *TINY, "--arc.lr", "1e308", "--run.output_dir", str(out)]) == 0
@@ -430,6 +474,23 @@ class TestConfigBoundary:
     def test_run_config_errors(self, flags, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(effective(flags))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("data.num_tasks", "0", "data.num_tasks must be >= 1, got 0"),
+        ("data.step", "0", "data.step must be >= 1, got 0"),
+        ("data.dim", "1", "data.dim must be >= 2, got 1"),
+        ("data.train_per_class", "0", "data.train_per_class must be >= 1, got 0"),
+        ("data.test_per_class", "0", "data.test_per_class must be >= 1, got 0"),
+        ("data.mean_scale", "-1", "data.mean_scale must be finite and >= 0, got -1.0"),
+        ("data.mean_scale", "inf", "data.mean_scale must be finite and >= 0, got inf"),
+        ("data.noise_sigma", "0", "data.noise_sigma must be finite and > 0, got 0.0"),
+        ("data.noise_sigma", "nan", "data.noise_sigma must be finite and > 0, got nan"),
+    ])
+    def test_data_errors_name_their_key(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults_build_the_default_configs(self):
         cfg = RunConfig(effective())

@@ -14,7 +14,6 @@ from arcbench.core import (
     forward,
     loss_gradient,
     new_head,
-    retention_gradient,
     sgd_step,
     softmax,
 )
@@ -96,17 +95,19 @@ class TestRetentionGradient:
         # combined gradient collapses to (p - onehot) x^T up to float roundoff.
         head = LinearHead(np.zeros((5, 3)), np.zeros(5), 1)
         x = np.array([0.3, -1.2, 2.0])
-        dw, db, _ = retention_gradient(head, x, pseudo_label=2)
-        dw_ce, db_ce, _ = retention_gradient(head, x, pseudo_label=2, include_em=False)
+        z, rows, label = forward(head, x[None]), x[None], np.array([2])
+        dw, db, _ = loss_gradient(z, rows, label, True, True)
+        dw_ce, db_ce, _ = loss_gradient(z, rows, label, True, False)
         assert np.allclose(dw, dw_ce, rtol=0, atol=1e-14)
         assert np.allclose(db, db_ce, rtol=0, atol=1e-14)
-        dw_em, db_em, _ = retention_gradient(head, x, pseudo_label=2, include_ce=False)
+        dw_em, db_em, _ = loss_gradient(z, rows, label, False, True)
         assert np.max(np.abs(dw_em)) < 1e-14
         assert np.max(np.abs(db_em)) < 1e-14
 
     def test_one_hot_prediction_has_vanishing_gradient(self):
         head = LinearHead(np.zeros((4, 2)), np.array([60.0, 0.0, 0.0, 0.0]), 1)
-        dw, db, _ = retention_gradient(head, np.array([0.5, 0.5]), pseudo_label=0)
+        x = np.array([[0.5, 0.5]])
+        dw, db, _ = loss_gradient(forward(head, x), x, np.array([0]), True, True)
         assert np.max(np.abs(dw)) < 1e-12
         assert np.max(np.abs(db)) < 1e-12
 
@@ -120,7 +121,7 @@ class TestRetentionGradient:
             p = softmax(forward(probe, x))
             return cross_entropy(p, 4) + entropy(p)
 
-        dw, db, _ = retention_gradient(head, x, pseudo_label=4)
+        dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([4]), True, True)
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
@@ -141,9 +142,8 @@ class TestRetentionGradient:
                     total += entropy(p)
                 return total
 
-            dw, db, _ = retention_gradient(
-                head, x, pseudo_label=1, include_ce=include_ce, include_em=include_em
-            )
+            dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([1]),
+                                      include_ce, include_em)
             fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
             assert relative_error(dw, fd_dw) <= 1e-5
             assert relative_error(db, fd_db) <= 1e-5
@@ -173,13 +173,6 @@ class TestRetentionGradient:
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
         assert abs(value - loss(head.weights, head.bias)) <= 1e-12
-
-    def test_dimension_mismatch_rejected(self):
-        head = new_head(dim=3, step=2)
-        with pytest.raises(ValueError):
-            retention_gradient(head, np.zeros(4), 0)
-        with pytest.raises(ValueError):
-            retention_gradient(head, np.zeros(3), 5)
 
 
 class TestSgdStep:

@@ -1,11 +1,12 @@
-"""Golden sha256 of every CSV in four default report bundles.
+"""Golden sha256 of every CSV in four default report bundles and of each demo's stdout.
 
-The manifest pins the exact bytes of the default bundles, so a refactor that
-claims "same numbers" is checked by this test rather than by hand. The
-einsum and BLAS reduction order may depend on the numpy build and the SIMD
-targets it dispatches to, so the manifest is keyed by both; on another key
-the test skips and names the difference. A change meant to move the numbers
-regenerates the manifest and states the change:
+The manifest pins the exact bytes of the default bundles and of what every
+script in ``demos/`` prints, so a refactor that claims "same numbers" is
+checked by this test rather than by hand. The einsum and BLAS reduction
+order may depend on the numpy build and the SIMD targets it dispatches to,
+so the manifest is keyed by both; on another key the test skips and names
+the difference. A change meant to move the numbers
+regenerates both parts of the manifest and states the change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +15,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
@@ -22,7 +24,10 @@ import pytest
 
 from arcbench.cli import main
 
-MANIFEST = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+MANIFEST = os.path.join(HERE, "golden_hashes.json")
+SRC = os.path.join(HERE, os.pardir, "src")
+DEMOS = os.path.join(HERE, os.pardir, "demos")
 
 COMMANDS = {
     "run": ["run", "--run.seeds", "0"],
@@ -61,7 +66,20 @@ def bundle_digests(workdir: str) -> dict:
     return digests
 
 
-def test_default_bundles_match_golden_hashes(tmp_path):
+def demo_digests() -> dict:
+    """Run each demo script with PYTHONPATH=src; sha256 of its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
+    digests = {}
+    for name in sorted(os.listdir(DEMOS)):
+        if name.endswith(".py"):
+            out = subprocess.run([sys.executable, os.path.join(DEMOS, name)], env=env,
+                                 capture_output=True, check=True).stdout
+            digests[name] = hashlib.sha256(out).hexdigest()
+    return digests
+
+
+def golden_manifest() -> dict:
+    """The manifest, or a skip naming each difference when it is for another platform."""
     with open(MANIFEST, encoding="utf-8") as fh:
         manifest = json.load(fh)
     key = platform_key()
@@ -69,15 +87,29 @@ def test_default_bundles_match_golden_hashes(tmp_path):
         diffs = [f"{k}: manifest {manifest['key'].get(k)!r}, here {key[k]!r}"
                  for k in key if manifest["key"].get(k) != key[k]]
         pytest.skip("golden hashes were recorded on another platform: " + "; ".join(diffs))
+    return manifest
+
+
+def test_default_bundles_match_golden_hashes(tmp_path):
+    manifest = golden_manifest()
     got = bundle_digests(str(tmp_path))
     assert sorted(got) == sorted(manifest["sha256"])
     for name, files in manifest["sha256"].items():
         assert got[name] == files, f"{name}: CSV bytes differ from the golden manifest"
 
 
+def test_demo_output_matches_golden_hashes():
+    manifest = golden_manifest()
+    got = demo_digests()
+    assert sorted(got) == sorted(manifest["demos"])
+    for name, digest in manifest["demos"].items():
+        assert got[name] == digest, f"{name}: stdout differs from the golden manifest"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
-        manifest = {"key": platform_key(), "sha256": bundle_digests(workdir)}
+        manifest = {"key": platform_key(), "sha256": bundle_digests(workdir),
+                    "demos": demo_digests()}
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -17,88 +17,84 @@ from oracles import mp_softmax
 
 class TestConfidence:
     def test_exact_exponentials(self):
-        k, c = confidence(np.array([math.log(2.0), 0.0, 0.0]))
+        (k,), (c,) = confidence(np.array([[math.log(2.0), 0.0, 0.0]]))
         assert k == 0
         assert c == pytest.approx(0.5, abs=1e-15)
 
     def test_tie_breaks_to_lowest_index(self):
-        k, c = confidence(np.zeros(4))
+        (k,), (c,) = confidence(np.zeros((1, 4)))
         assert k == 0
         assert c == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(12)
-        k, c = confidence(z)
+        (k,), (c,) = confidence(z[None])
         probs = mp_softmax(z)
         assert k == int(np.argmax(probs))
         assert c == pytest.approx(float(np.max(probs)), abs=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            confidence(np.array([]))
+            confidence(np.empty((1, 0)))
 
 
 class TestMaskedConfidence:
     def test_single_past_class(self):
-        assert masked_confidence(np.array([0.0, 0.0]), t=2, s=1) == 1.0
+        assert masked_confidence(np.array([[0.0, 0.0]]), t=2, s=1)[0] == 1.0
 
     def test_uniform_prefix(self):
         for c in (-3.0, 0.0, 11.0):
-            assert masked_confidence(np.full(4, c), t=2, s=2) == pytest.approx(0.5, abs=1e-15)
+            assert masked_confidence(np.full((1, 4), c), t=2, s=2)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_equals_prefix_softmax_max(self):
         rng = np.random.default_rng(9)
         z = rng.standard_normal(12)  # t=4, s=3 -> prefix of 9
-        got = masked_confidence(z, t=4, s=3)
+        (got,) = masked_confidence(z[None], t=4, s=3)
         assert got == pytest.approx(float(np.max(mp_softmax(z[:9]))), abs=1e-14)
         assert got == float(np.max(softmax(z[:9])))
 
     def test_first_task_rejected(self):
         with pytest.raises(ValueError):
-            masked_confidence(np.array([0.0, 1.0]), t=1, s=2)
+            masked_confidence(np.array([[0.0, 1.0]]), t=1, s=2)
 
 
 class TestClassifySample:
     def test_confident_past_prediction_flagged(self):
-        decision, report = classify_sample(
-            np.array([5.0, 0.0]), t=2, s=1, thresholds=Thresholds(beta=0.8)
-        )
-        assert decision is OtdDecision.PAST_CORRECT
-        assert report.predicted_class == 0
-        assert report.confidence == pytest.approx(1 / (1 + math.exp(-5)), abs=1e-15)
+        (rec,) = classify_sample(np.array([[5.0, 0.0]]), t=2, s=1, thresholds=Thresholds(beta=0.8))
+        assert rec.decision is OtdDecision.PAST_CORRECT
+        assert rec.initial_class == 0
+        assert rec.confidence == pytest.approx(1 / (1 + math.exp(-5)), abs=1e-15)
 
     def test_weak_current_prediction_flagged(self):
-        decision, report = classify_sample(
-            np.array([0.0, 0.1]), t=2, s=1, thresholds=Thresholds(gamma=0.8)
-        )
-        assert decision is OtdDecision.PAST_MISCLASSIFIED
-        assert report.predicted_class == 1
-        assert report.masked_confidence == 1.0
-        assert report.ratio == pytest.approx(1 / (1 + math.exp(-0.1)), abs=1e-15)
+        (rec,) = classify_sample(np.array([[0.0, 0.1]]), t=2, s=1, thresholds=Thresholds(gamma=0.8))
+        assert rec.decision is OtdDecision.PAST_MISCLASSIFIED
+        assert rec.initial_class == 1
+        assert rec.masked_confidence == 1.0
+        assert rec.ratio == pytest.approx(1 / (1 + math.exp(-0.1)), abs=1e-15)
 
     def test_first_task_always_passthrough(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            z = rng.standard_normal(6)
-            decision, report = classify_sample(z, t=1, s=6, thresholds=Thresholds(0.0, np.inf))
-            assert decision is OtdDecision.PASSTHROUGH
-            assert report.masked_confidence is None
-            assert report.ratio is None
+            z = rng.standard_normal((1, 6))
+            (rec,) = classify_sample(z, t=1, s=6, thresholds=Thresholds(0.0, np.inf))
+            assert rec.decision is OtdDecision.PASSTHROUGH
+            assert np.isnan(rec.masked_confidence)
+            assert np.isnan(rec.ratio)
 
     def test_raw_confidence_mode_uses_c(self):
         # Near-uniform logits: c ~ 0.36 is low but w = c / c_hat ~ 0.71 is not.
-        z = np.array([0.0, 0.0, 0.1])
+        z = np.array([[0.0, 0.0, 0.1]])
         th = Thresholds(beta=0.99, gamma=0.6)
-        decision, report = classify_sample(z, t=3, s=1, thresholds=th)
-        assert decision is OtdDecision.PASSTHROUGH  # w > gamma
-        decision_raw, _ = classify_sample(z, t=3, s=1, thresholds=th, raw_confidence_w=True)
-        assert decision_raw is OtdDecision.PAST_MISCLASSIFIED  # c <= gamma
-        assert report.ratio == pytest.approx(report.confidence / report.masked_confidence)
+        (rec,) = classify_sample(z, t=3, s=1, thresholds=th)
+        assert rec.decision is OtdDecision.PASSTHROUGH  # w > gamma
+        (rec_raw,) = classify_sample(z, t=3, s=1, thresholds=th, w_mode="raw")
+        assert rec_raw.decision is OtdDecision.PAST_MISCLASSIFIED  # c <= gamma
+        assert rec.ratio == pytest.approx(rec.confidence / rec.masked_confidence)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            classify_sample(np.zeros(5), t=2, s=3, thresholds=Thresholds())
+            classify_sample(np.zeros((1, 5)), t=2, s=3, thresholds=Thresholds())
 
 
 class TestThresholds:
@@ -118,19 +114,19 @@ class TestBranchStructure:
         t, s = 4, 3
         th = Thresholds(beta=0.5, gamma=0.9)
         for _ in range(200):
-            z = 2.0 * rng.standard_normal(s * t)
-            decision, report = classify_sample(z, t, s, th)
-            if decision is OtdDecision.PAST_CORRECT:
-                assert report.predicted_class < s * (t - 1)
-            if decision is OtdDecision.PAST_MISCLASSIFIED:
-                assert report.predicted_class >= s * (t - 1)
+            z = 2.0 * rng.standard_normal((1, s * t))
+            (rec,) = classify_sample(z, t, s, th)
+            if rec.decision is OtdDecision.PAST_CORRECT:
+                assert rec.initial_class < s * (t - 1)
+            if rec.decision is OtdDecision.PAST_MISCLASSIFIED:
+                assert rec.initial_class >= s * (t - 1)
 
     def test_confidence_bounds(self):
         rng = np.random.default_rng(43)
         t, s = 3, 4
         for _ in range(100):
-            z = 3.0 * rng.standard_normal(s * t)
-            _, report = classify_sample(z, t, s, Thresholds())
-            assert report.confidence >= 1.0 / (s * t)
-            assert report.masked_confidence >= 1.0 / (s * (t - 1))
-            assert report.ratio > 0
+            z = 3.0 * rng.standard_normal((1, s * t))
+            (rec,) = classify_sample(z, t, s, Thresholds())
+            assert rec.confidence >= 1.0 / (s * t)
+            assert rec.masked_confidence >= 1.0 / (s * (t - 1))
+            assert rec.ratio > 0

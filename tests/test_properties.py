@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcbench.arc import ArcConfig, adaptive_correction, adaptive_retention, arc_evaluate, tss
+from arcbench.arc import (
+    W_MODES,
+    ArcConfig,
+    adaptive_correction,
+    adaptive_retention,
+    arc_evaluate,
+    tss,
+)
 from arcbench.core import (
     LinearHead,
     TaskLayout,
@@ -18,13 +25,20 @@ from arcbench.core import (
     entropy,
     expand_head,
     forward,
-    retention_gradient,
+    loss_gradient,
     sgd_step,
     softmax,
 )
 from arcbench.data import SyntheticSpec, generate_synthetic, load_embeddings, streams_equal, write_embeddings
 from arcbench.harness import run_stream, train_sequence
-from arcbench.otd import OtdDecision, Thresholds, classify_sample, masked_confidence
+from arcbench.otd import (
+    RECORD_DTYPE,
+    OtdDecision,
+    Thresholds,
+    classify_sample,
+    masked_confidence,
+    misclassified,
+)
 
 from oracles import fd_gradient, relative_error
 
@@ -54,7 +68,7 @@ def check_gradient_against_finite_differences(rng, k, d):
         p = softmax(forward(LinearHead(w, b, 1), x))
         return cross_entropy(p, label) + entropy(p)
 
-    dw, db, _ = retention_gradient(head, x, label)
+    dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
     fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
     assert relative_error(dw, fd_dw) <= 1e-5
     assert relative_error(db, fd_db) <= 1e-5
@@ -141,10 +155,10 @@ def test_sgd_step_reversible(seed):
 # ---------------------------------------------------------------- otd
 
 @st.composite
-def logit_batches(draw):
-    """(t, s, z) with z of shape (n, s*t): random rows with ties from small
-    integer values, all-equal rows, and rows shifted by +-1e3."""
-    t, s, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+def logit_batches(draw, max_t=4):
+    """(t, s, z) with z of shape (n, s*t), t <= max_t: random rows with ties
+    from small integer values, all-equal rows, and rows shifted by +-1e3."""
+    t, s, n = draw(st.integers(1, max_t)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
     value = st.one_of(st.integers(-2, 2).map(float),
                       st.floats(min_value=-30, max_value=30, allow_nan=False))
     rows = []
@@ -159,64 +173,80 @@ def logit_batches(draw):
 
 @given(logit_batches(),
        st.sampled_from([Thresholds(0.8, 0.8), Thresholds(0.5, 0.9), Thresholds(0.0, np.inf)]),
-       st.booleans())
+       st.sampled_from(W_MODES))
 @settings(deadline=None, max_examples=150)
-def test_batch_detection_equals_row_by_row(batch, thresholds, raw_w):
+def test_batch_detection_equals_row_by_row(batch, thresholds, w_mode):
     t, s, z = batch
-    decisions, report = classify_sample(z, t, s, thresholds, raw_w)
-    assert decisions.dtype == object and decisions.shape == (len(z),)
-    for i, row in enumerate(z):
-        row_decision, row_report = classify_sample(row, t, s, thresholds, raw_w)
-        assert decisions[i] is row_decision
-        for name in ("predicted_class", "confidence", "masked_confidence", "ratio"):
-            column, scalar = getattr(report, name), getattr(row_report, name)
-            if column is None:  # masked_confidence and ratio at t = 1
-                assert t == 1 and scalar is None
-            else:
-                # every float field is positive and finite, so == is bit equality
-                assert column.shape == (len(z),)
-                assert type(scalar) is type(column[i].item()) and column[i] == scalar
+    records = classify_sample(z, t, s, thresholds, w_mode)
+    assert records.dtype.names == RECORD_DTYPE.names and records.shape == (len(z),)
+    # masked_confidence and ratio are NaN at t = 1 and positive and finite after
+    for name in ("masked_confidence", "ratio"):
+        assert np.isnan(records[name]).all() if t == 1 else (records[name] > 0).all()
+    for i in range(len(z)):
+        row = classify_sample(z[i:i + 1], t, s, thresholds, w_mode)
+        assert row.decision[0] is records.decision[i]
+        for name in RECORD_DTYPE.names:
+            if name != "decision":  # bit equality, NaN included
+                assert row[name].tobytes() == records[name][i:i + 1].tobytes(), name
+
+
+@given(logit_batches(max_t=5),
+       st.sampled_from([Thresholds(0.8, 0.8), Thresholds(0.0, 0.5), Thresholds(0.5, 1.0),
+                        Thresholds(0.0, np.inf)]),
+       st.sampled_from(W_MODES))
+@settings(deadline=None, max_examples=150)
+def test_misclassified_is_the_past_misclassified_branch(batch, thresholds, w_mode):
+    t, s, z = batch
+    records = classify_sample(z, t, s, thresholds, w_mode)
+    assert np.array_equal(misclassified(records, t, s, thresholds.gamma, w_mode),
+                          records.decision == OtdDecision.PAST_MISCLASSIFIED)
+
+
+def _detect(z, t, s, thresholds):
+    """One sample's logits (s*t,) through classify_sample as a one-row batch."""
+    (rec,) = classify_sample(z[None], t, s, thresholds)
+    return rec
 
 
 def check_first_stage_passthrough(z):
-    decision, _ = classify_sample(z, t=1, s=len(z), thresholds=Thresholds(0.0, np.inf))
-    assert decision is OtdDecision.PASSTHROUGH
+    rec = _detect(z, t=1, s=len(z), thresholds=Thresholds(0.0, np.inf))
+    assert rec.decision is OtdDecision.PASSTHROUGH
 
 
 def check_branch_ranges(z, t, s, thresholds):
-    decision, report = classify_sample(z, t, s, thresholds)
-    past = report.predicted_class < s * (t - 1)
-    if decision is OtdDecision.PAST_CORRECT:
+    rec = _detect(z, t, s, thresholds)
+    past = rec.initial_class < s * (t - 1)
+    if rec.decision is OtdDecision.PAST_CORRECT:
         assert past
-    if decision is OtdDecision.PAST_MISCLASSIFIED:
+    if rec.decision is OtdDecision.PAST_MISCLASSIFIED:
         assert not past
 
 
 def check_threshold_monotonicity(z, t, s):
     for lo, hi in ((0.2, 0.7), (0.5, 0.95)):
-        d_lo, _ = classify_sample(z, t, s, Thresholds(beta=lo, gamma=0.8))
-        d_hi, _ = classify_sample(z, t, s, Thresholds(beta=hi, gamma=0.8))
+        d_lo = _detect(z, t, s, Thresholds(beta=lo, gamma=0.8)).decision
+        d_hi = _detect(z, t, s, Thresholds(beta=hi, gamma=0.8)).decision
         if d_hi is OtdDecision.PAST_CORRECT:
             assert d_lo is OtdDecision.PAST_CORRECT
-        g_lo, _ = classify_sample(z, t, s, Thresholds(beta=0.8, gamma=lo))
-        g_hi, _ = classify_sample(z, t, s, Thresholds(beta=0.8, gamma=hi))
+        g_lo = _detect(z, t, s, Thresholds(beta=0.8, gamma=lo)).decision
+        g_hi = _detect(z, t, s, Thresholds(beta=0.8, gamma=hi)).decision
         if g_lo is OtdDecision.PAST_MISCLASSIFIED:
             assert g_hi is OtdDecision.PAST_MISCLASSIFIED
 
 
 def check_masked_confidence_prefix_only(z, t, s, rng):
-    base = masked_confidence(z, t, s)
+    base = masked_confidence(z[None], t, s)
     bumped = z.copy()
     bumped[s * (t - 1):] += rng.standard_normal(s) * 50
-    assert masked_confidence(bumped, t, s) == base
+    assert masked_confidence(bumped[None], t, s) == base
 
 
 def check_extreme_thresholds(z, t, s):
     predicted = int(np.argmax(z))
-    d_beta0, _ = classify_sample(z, t, s, Thresholds(beta=0.0, gamma=0.8))
+    d_beta0 = _detect(z, t, s, Thresholds(beta=0.0, gamma=0.8)).decision
     if predicted < s * (t - 1):
         assert d_beta0 is OtdDecision.PAST_CORRECT
-    d_ginf, _ = classify_sample(z, t, s, Thresholds(beta=0.8, gamma=np.inf))
+    d_ginf = _detect(z, t, s, Thresholds(beta=0.8, gamma=np.inf)).decision
     if t >= 2 and predicted >= s * (t - 1):
         assert d_ginf is OtdDecision.PAST_MISCLASSIFIED
 
@@ -263,8 +293,8 @@ def check_tss_temperature_one(z, t, s):
 
 def check_decision_shift_invariance(z, t, s, shift):
     th = Thresholds(0.8, 0.8)
-    d0, _ = classify_sample(z, t, s, th)
-    d1, _ = classify_sample(z + shift, t, s, th)
+    d0 = _detect(z, t, s, th).decision
+    d1 = _detect(z + shift, t, s, th).decision
     assert d0 is d1
     if d0 is OtdDecision.PAST_MISCLASSIFIED:
         _, cls0, _ = adaptive_correction(z, t, s, 2.0)
