@@ -169,6 +169,7 @@ class RunConfig:
             raise ConfigError("run.seeds must list at least one seed")
         if any(seed < 0 for seed in v["run.seeds"]):
             raise ConfigError("run.seeds must be nonnegative")
+        _check_output_dir(v["run.output_dir"])
         # construct every sub-config now so bad values fail at parse time; the
         # train, arc and data messages start with the field, the last part of its key
         try:
@@ -294,15 +295,20 @@ def _metadata(command: str, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_output_dir(output_dir: str) -> None:
+    """Reject a bundle location that is a file or a directory with entries."""
+    if os.path.isfile(output_dir):
+        raise ConfigError(f"run.output_dir is a file: {output_dir}")
+    if os.path.isdir(output_dir) and os.listdir(output_dir):
+        raise ConfigError(f"run.output_dir already exists and is not empty: {output_dir}")
+
+
 def write_bundle(output_dir: str, files: dict[str, str]) -> None:
     """Write all report files to a temp directory, then promote atomically."""
     output_dir = os.path.abspath(output_dir)
     parent = os.path.dirname(output_dir)
     os.makedirs(parent, exist_ok=True)
-    if os.path.isdir(output_dir) and os.listdir(output_dir):
-        raise ConfigError(f"run.output_dir already exists and is not empty: {output_dir}")
-    if os.path.isfile(output_dir):
-        raise ConfigError(f"run.output_dir is a file: {output_dir}")
+    _check_output_dir(output_dir)  # again: it may have appeared while the command ran
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
         for name, text in files.items():

@@ -6,6 +6,7 @@ import platform
 import numpy as np
 import pytest
 
+from arcbench import cli
 from arcbench.arc import RECORD_DTYPE, ArcConfig
 from arcbench.cli import (
     RECORD_COLUMNS,
@@ -138,6 +139,42 @@ class TestCmdRun:
         (out / "keep.txt").write_text("do not clobber")
         assert run_cli(["run", *TINY, "--run.output_dir", str(out)]) == 1
         assert (out / "keep.txt").read_text() == "do not clobber"
+
+    @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
+    @pytest.mark.parametrize("occupant, message", [
+        ("dir", "run.output_dir already exists and is not empty"),
+        ("file", "run.output_dir is a file"),
+    ])
+    def test_occupied_output_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   command, occupant, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before run.output_dir was checked")
+
+        monkeypatch.setattr("arcbench.harness.StageHeads", no_training)
+        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
+        out = tmp_path / "occupied"
+        if occupant == "dir":
+            out.mkdir()
+            (out / "keep.txt").write_text("do not clobber")
+        else:
+            out.write_text("do not clobber")
+        assert run_cli([command, *TINY, "--run.output_dir", str(out)]) == 1
+        assert f"error: {message}: {out}\n" in capsys.readouterr().err
+        assert (out / "keep.txt" if occupant == "dir" else out).read_text() == "do not clobber"
+
+    def test_output_filled_mid_run_not_clobbered(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "late"
+        probe = cli.linear_probe_experiment
+
+        def fill_then_probe(*args, **kwargs):
+            out.mkdir()
+            (out / "keep.txt").write_text("do not clobber")
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "linear_probe_experiment", fill_then_probe)
+        assert run_cli(["probe", *TINY, "--run.output_dir", str(out)]) == 1
+        assert "run.output_dir already exists and is not empty" in capsys.readouterr().err
+        assert os.listdir(out) == ["keep.txt"]
 
     def test_failure_leaves_no_bundle(self, tmp_path, capsys):
         out = tmp_path / "never"

@@ -7,8 +7,10 @@ import pytest
 from arcbench.arc import ArcConfig
 from arcbench.core import TaskLayout, TrainConfig
 from arcbench.data import SyntheticSpec, generate_synthetic
+from arcbench import harness
 from arcbench.otd import Thresholds
 from arcbench.harness import (
+    PROBE_TAG,
     RMatrix,
     StageHeads,
     Variant,
@@ -231,7 +233,8 @@ class TestStageHeads:
             os._exit(3)
 
         monkeypatch.setattr("arcbench.harness.fit_task", killed)
-        with pytest.raises(ChildProcessError, match="exited with code 3"):
+        with pytest.raises(ChildProcessError,
+                           match=r"^training child exited with code 3 before sending stage 1 of 3$"):
             with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
                 heads[0]
 
@@ -342,6 +345,71 @@ class TestLinearProbe:
         a = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         b = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         assert a == b
+
+
+def fail_probe_fits(monkeypatch, fail):
+    """Patch harness.fit_task so that probe fits (seeds tagged PROBE_TAG) call
+    fail(seed) first; the shared head's fits run as before."""
+    fit = harness.fit_task
+
+    def fit_task(*args, seed):
+        if seed[2] == PROBE_TAG:
+            fail(seed)
+        return fit(*args, seed=seed)
+
+    monkeypatch.setattr(harness, "fit_task", fit_task)
+
+
+class TestProbeChild:
+    @needs_fork
+    def test_rows_equal_with_one_cpu(self, small_stream, monkeypatch):
+        rows = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
+        fit_pids = []
+        fit = harness.fit_task
+
+        def fit_task(*args, **kwargs):
+            fit_pids.append(os.getpid())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "fit_task", fit_task)
+        assert linear_probe_experiment(small_stream, FAST_TRAIN, seed=5) == rows
+        assert fit_pids == [os.getpid()] * (3 + 3)  # 3 shared stages, 0 + 1 + 2 probes
+
+    def test_probe_fit_error_reaches_parent(self, small_stream, monkeypatch):
+        def fail(seed):
+            raise ValueError(f"probe fit {seed} failed")
+
+        fail_probe_fits(monkeypatch, fail)
+        with pytest.raises(ValueError, match=r"^probe fit \(5, 2, 14, 1\) failed$"):
+            linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_killed_probe_child_named(self, small_stream, monkeypatch):
+        fail_probe_fits(monkeypatch, lambda seed: os._exit(4))
+        with pytest.raises(ChildProcessError,
+                           match=r"^probe child exited with code 4 before sending stage 2 of 3$"):
+            linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_consumer_error_stops_both_children(self, small_stream, monkeypatch):
+        parent = os.getpid()
+        forward = harness.forward
+        children = []
+
+        def failing_forward(*args):
+            if os.getpid() == parent:
+                children.append(len(multiprocessing.active_children()))
+                raise KeyError("consumer failed")
+            return forward(*args)
+
+        monkeypatch.setattr(harness, "forward", failing_forward)
+        with pytest.raises(KeyError, match="consumer failed"):
+            linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
+        assert children == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestAblationGrid:
