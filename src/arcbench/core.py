@@ -40,12 +40,6 @@ class TaskLayout:
             raise ValueError(f"task {task} outside 1..{self.num_tasks}")
         return range(self.step * (task - 1), self.step * task)
 
-    def task_of_class(self, cls: int) -> int:
-        """1-based task owning a 0-based class index."""
-        if not 0 <= cls < self.num_classes:
-            raise ValueError(f"class {cls} outside 0..{self.num_classes - 1}")
-        return cls // self.step + 1
-
 
 @dataclass
 class LinearHead:
@@ -109,20 +103,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
-
-
-def cross_entropy(p: np.ndarray, label: int) -> float:
-    """-log p[label], with p[label] floored at EPS_LOG."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= label < p.shape[-1]:
-        raise ValueError(f"label {label} outside 0..{p.shape[-1] - 1}")
-    return float(-np.log(max(p[label], EPS_LOG)))
-
-
-def entropy(p: np.ndarray) -> float:
-    """-sum p_i log p_i with the 0*log(0) terms taken as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    return float(-np.sum(p * np.log(np.clip(p, EPS_LOG, None))))
 
 
 def loss_gradient(

@@ -3,11 +3,12 @@
 A run trains the shared head sequentially (task by task, optionally with a
 small replay reservoir) and evaluates every seen test set twice after each
 stage: plain argmax and the full test-time pipeline. On Linux with a second
-CPU the training runs in a forked child (StageHeads), so each stage is
-evaluated here while the next one trains; probe fits its probe heads in a
-second such child. Accuracies land in two lower-triangular matrices from
-which the summary metrics derive. Harness RNG substreams are keyed
-(seed, stage, tag[, extra]) with the tags below.
+CPU the training runs in one forked child per seed (StageHeads), so each
+stage is evaluated here while the next one trains; probe fits its probe
+heads here too, one per task, while the child trains. Accuracies land in
+two lower-triangular matrices from which the summary metrics derive.
+Harness RNG substreams are keyed (seed, stage, tag[, extra]) with the tags
+below; probe keys use stage 0, which belongs to no stage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -205,82 +206,74 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
     return list(_train_stages(stream, train_cfg, seed))
 
 
-def _probe_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iterator[list[float]]:
-    """Probe accuracies per stage: at stage t, a fresh step-wide head is fitted
-    on each past task i < t alone (same epoch budget as the shared head) and
-    scored on task i's test set; stage 1 yields an empty list."""
+def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task: int) -> float:
+    """Fit a fresh step-wide head on one task alone (same epoch budget as the
+    shared head) and score it on that task's test set. Stage 0 in its key
+    belongs to no stage, so no training, eval or data substream shares it."""
     layout = stream.layout
-    for t in range(1, layout.num_tasks + 1):
-        accuracies = []
-        for i in range(1, t):
-            train, test = stream.train[i - 1], stream.test[i - 1]
-            base = layout.step * (i - 1)
-            probe = fit_task(new_head(stream.dim, layout.step), train.features,
-                             train.labels - base, train_cfg, seed=(seed, t, PROBE_TAG, i))
-            predicted = forward(probe, test.features).argmax(axis=1)
-            accuracies.append(float(np.mean(predicted == test.labels - base)))
-        yield accuracies
+    train, test = stream.train[task - 1], stream.test[task - 1]
+    base = layout.step * (task - 1)
+    probe = fit_task(new_head(stream.dim, layout.step), train.features,
+                     train.labels - base, train_cfg, seed=(seed, 0, PROBE_TAG, task))
+    predicted = forward(probe, test.features).argmax(axis=1)
+    return float(np.mean(predicted == test.labels - base))
 
 
 def trains_in_child() -> bool:
-    """Whether StageHeads runs its generator in a forked child: on Linux, when
+    """Whether StageHeads trains in a forked child: on Linux, when
     this process may run on a second CPU. With one CPU the processes could
     only take turns, so the work stays in this process."""
     return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
 
 
-def _send_items(stages: Iterator, conn) -> None:
-    """Child side of StageHeads: each stage's item as it is made, or the error."""
+def _send_heads(heads: Iterator[LinearHead], conn) -> None:
+    """Child side of StageHeads: each stage's head as it is trained, or the error."""
     try:
-        for item in stages:
-            conn.send(item)
+        for head in heads:
+            conn.send(head)
     except Exception as exc:
         conn.send(exc)
 
 
 class StageHeads(Sequence):
-    """Each stage's item from a per-stage generator, made while the caller works.
+    """Each stage's trained head, trained while the caller works.
 
-    ``stages`` is called with (stream, train_cfg, seed) and yields one item
-    per stage: by default _train_stages, so item t is the head trained through
-    stage t. ``child`` names the generator in errors. Where trains_in_child(),
-    the generator runs in a child started by fork (it inherits the stream and
-    configs; only items or one exception come back over a one-way pipe);
-    elsewhere it runs in this process, lazily. The length is the number of
-    stages at once; item t blocks until it has arrived. An error raised in the
-    generator is re-raised here with its type and message, and a child that
-    exits without reporting raises ChildProcessError naming ``child``. Use it
-    as a context manager: leaving the block, even early or by an exception,
-    stops and joins the child.
+    Item t is the head trained through stage t, as from train_sequence.
+    Where trains_in_child(), the training runs in a child started by fork (it
+    inherits the stream and configs; only heads or one exception come back
+    over a one-way pipe); elsewhere it runs in this process, lazily. The
+    length is the number of stages at once; item t blocks until it has
+    arrived. An error raised in training is re-raised here with its type and
+    message, and a child that exits without reporting raises
+    ChildProcessError naming the training child. Use it as a context manager:
+    leaving the block, even early or by an exception, stops and joins the
+    child.
     """
 
-    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int,
-                 stages: Callable[[TaskStream, TrainConfig, int], Iterator] = _train_stages,
-                 child: str = "training"):
+    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int):
         self._num_stages = stream.layout.num_tasks
-        self._child = child
-        self._items: list = []
+        self._items: list[LinearHead] = []
         self._process = None
-        items = stages(stream, train_cfg, seed)
+        heads = _train_stages(stream, train_cfg, seed)
         if not trains_in_child():
-            self._next = items.__next__
+            self._next = heads.__next__
             return
         import multiprocessing  # here, so that start-up before training does not pay for it
 
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(target=_send_items, args=(items, child_conn), daemon=True)
+        self._process = ctx.Process(target=_send_heads, args=(heads, child_conn), daemon=True)
         self._process.start()
         child_conn.close()
         self._next = self._receive
 
-    def _receive(self):
+    def _receive(self) -> LinearHead:
         try:
             item = self._conn.recv()
         except EOFError:
             self._process.join()
             raise ChildProcessError(
-                f"{self._child} child exited with code {self._process.exitcode} before "
+                f"training child exited with code {self._process.exitcode} before "
                 f"sending stage {len(self._items) + 1} of {self._num_stages}") from None
         if isinstance(item, BaseException):
             raise item
@@ -289,7 +282,7 @@ class StageHeads(Sequence):
     def __len__(self) -> int:
         return self._num_stages
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index: int) -> LinearHead:
         i = operator.index(index)
         if i < 0:
             i += self._num_stages
@@ -461,24 +454,23 @@ def linear_probe_experiment(
 ) -> list[ProbeRow]:
     """Per-task probe heads vs the shared sequential head on past test sets.
 
-    After each stage t, a fresh step-wide head is trained on each past task
-    i < t alone (same epoch budget as the shared head) and both are scored on
-    task i's test set. The widening gap is the shared classifier's bias.
-    Where trains_in_child(), the shared heads and the probes (_probe_stages)
-    are each made in their own forked child, and this process only scores
-    each shared head as it arrives; otherwise both run here, stage by stage.
+    Probe i is a fresh step-wide head trained on task i alone (same epoch
+    budget as the shared head) and scored on task i's test set. Features are
+    frozen, so it is fitted once and its accuracy fills every stage t > i;
+    the shared head as of stage t is scored on the same test sets. The
+    widening gap is the shared classifier's bias. Probe t - 1 is fitted here
+    before waiting for shared head t, so each fit overlaps the training
+    child (see StageHeads).
     """
     rows: list[ProbeRow] = []
-    with StageHeads(stream, train_cfg, seed) as heads, \
-            StageHeads(stream, train_cfg, seed, _probe_stages, "probe") as probes:
+    probes: list[float] = []
+    with StageHeads(stream, train_cfg, seed) as heads:
         for t in range(2, stream.layout.num_tasks + 1):
+            probes.append(_probe_accuracy(stream, train_cfg, seed, t - 1))
             shared = heads[t - 1]
-            shared_accuracies = [
-                float(np.mean(forward(shared, test.features).argmax(axis=1) == test.labels))
-                for test in stream.test[: t - 1]
-            ]
-            for i, (probe_acc, shared_acc) in enumerate(zip(probes[t - 1], shared_accuracies),
-                                                        start=1):
+            for i, (probe_acc, test) in enumerate(zip(probes, stream.test), start=1):
+                shared_acc = float(np.mean(forward(shared, test.features).argmax(axis=1)
+                                           == test.labels))
                 rows.append(ProbeRow(t, i, probe_acc, shared_acc))
     return rows
 

@@ -4,8 +4,17 @@ Every random draw in the package comes from a Philox generator seeded with a
 documented key, so results are reproducible independent of draw order:
 
     substream(seed)                      -> one-off generator
-    substream(seed, task, cls, split)    -> per-class data substream
-    substream(seed, stage, tag)          -> harness substream (see harness tags)
+    substream(seed, task, cls, code)     -> per-class data substream
+                                            (code 0 train, 1 test, 2 class mean)
+    substream(seed, stage, TRAIN_TAG)    -> shared head's training at a stage
+    substream(seed, stage, EVAL_TAG)     -> a stage's test-stream order
+    substream(seed, stage, REPLAY_TAG, cls) -> a class's replay picks
+    substream(seed, 0, PROBE_TAG, task)  -> a task's probe fit (stage 0 is
+                                            no stage, so no other key shares it)
+
+Tasks and stages count from 1; the tags live in harness. Keys of up to four
+parts that differ only by trailing zeros seed the same stream: at the default
+layout (seed, 2, TRAIN_TAG) is also class 11's train-draw key.
 """
 
 import numpy as np

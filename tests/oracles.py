@@ -1,12 +1,15 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here deliberately avoids the library's own numerics: matrix
-products and softmax terms are evaluated with mpmath at 50 digits, and the
-gradient oracle is central finite differences of the composed loss.
+products and softmax terms are evaluated with mpmath at 50 digits, the
+gradient oracle is central finite differences of the composed loss, and
+the scalar losses it composes are written out term by term.
 """
 
 import mpmath as mp
 import numpy as np
+
+from arcbench.core import EPS_LOG
 
 mp.mp.dps = 50
 
@@ -48,6 +51,28 @@ def mp_tss(z, t, s, temperature):
         block = [exps[k] / total for k in range(s * (i - 1), s * i)]
         scores.append(float(max(block)))
     return np.array(scores)
+
+
+def cross_entropy(p, label):
+    """-log p[label], with p[label] floored at EPS_LOG."""
+    p = np.asarray(p, dtype=np.float64)
+    if not 0 <= label < p.shape[-1]:
+        raise ValueError(f"label {label} outside 0..{p.shape[-1] - 1}")
+    return float(-np.log(max(p[label], EPS_LOG)))
+
+
+def entropy(p):
+    """-sum p_i log p_i with the 0*log(0) terms taken as 0."""
+    p = np.asarray(p, dtype=np.float64)
+    return float(-np.sum(p * np.log(np.clip(p, EPS_LOG, None))))
+
+
+def task_of_class(layout, cls):
+    """1-based task whose class_range holds a 0-based class, found by search."""
+    for task in range(1, layout.num_tasks + 1):
+        if cls in layout.class_range(task):
+            return task
+    raise ValueError(f"class {cls} outside 0..{layout.num_classes - 1}")
 
 
 def fd_gradient(loss_fn, w, b, step=1e-4):

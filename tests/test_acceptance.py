@@ -18,8 +18,6 @@ from arcbench.core import (
     LinearHead,
     TaskLayout,
     TrainConfig,
-    cross_entropy,
-    entropy,
     forward,
     loss_gradient,
     softmax,
@@ -29,7 +27,7 @@ from arcbench.harness import RMatrix, average_accuracy, forgetting, linear_probe
 from arcbench.otd import Thresholds, confidence
 
 import test_properties as props
-from oracles import fd_gradient, mp_tss, relative_error
+from oracles import cross_entropy, entropy, fd_gradient, mp_tss, relative_error
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -10,8 +10,6 @@ from arcbench.arc import (
 )
 from arcbench.core import (
     LinearHead,
-    cross_entropy,
-    entropy,
     forward,
     loss_gradient,
     sgd_step,
@@ -19,7 +17,7 @@ from arcbench.core import (
 )
 from arcbench.otd import OtdDecision, Thresholds, confidence
 
-from oracles import mp_tss
+from oracles import cross_entropy, entropy, mp_tss
 
 
 class TestTss:

@@ -6,7 +6,8 @@ checked by this test rather than by hand. The einsum and BLAS reduction
 order may depend on the numpy build and the SIMD targets it dispatches to,
 so the manifest is keyed by both; on another key the test skips and names
 the difference. A change meant to move the numbers
-regenerates both parts of the manifest and states the change:
+regenerates both parts of the manifest and states the change; the script
+prints each entry whose digest changed, as old -> new:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -98,6 +99,15 @@ def test_default_bundles_match_golden_hashes(tmp_path):
         assert got[name] == files, f"{name}: CSV bytes differ from the golden manifest"
 
 
+def test_changed_entries_names_each_moved_digest():
+    old = {"key": {"numpy": "1"}, "sha256": {"probe": {"probe.csv": "a"}, "run": {"m.csv": "b"}}}
+    new = {"key": {"numpy": "1"}, "sha256": {"probe": {"probe.csv": "c"}, "run": {"m.csv": "b"}},
+           "demos": {"01.py": "d"}}
+    assert changed_entries(old, new) == ["demos/01.py: (absent) -> d",
+                                         "sha256/probe/probe.csv: a -> c"]
+    assert changed_entries(new, new) == []
+
+
 def test_demo_output_matches_golden_hashes():
     manifest = golden_manifest()
     got = demo_digests()
@@ -106,11 +116,36 @@ def test_demo_output_matches_golden_hashes():
         assert got[name] == digest, f"{name}: stdout differs from the golden manifest"
 
 
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """Flatten nested dicts to {"a/b/c": leaf}."""
+    flat = {}
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            flat.update(_leaves(value, f"{prefix}{name}/"))
+        else:
+            flat[f"{prefix}{name}"] = value
+    return flat
+
+
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """One "entry: old -> new" line per manifest entry that differs."""
+    before, after = _leaves(old), _leaves(new)
+    return [f"{name}: {before.get(name, '(absent)')} -> {after.get(name, '(absent)')}"
+            for name in sorted(before.keys() | after.keys())
+            if before.get(name) != after.get(name)]
+
+
 if __name__ == "__main__":
+    try:
+        with open(MANIFEST, encoding="utf-8") as fh:
+            previous = json.load(fh)
+    except FileNotFoundError:
+        previous = {}
     with tempfile.TemporaryDirectory() as workdir:
         manifest = {"key": platform_key(), "sha256": bundle_digests(workdir),
                     "demos": demo_digests()}
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    print("\n".join(changed_entries(previous, manifest)) or "no entry changed")
     print(f"wrote {MANIFEST}", file=sys.stderr)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from arcbench.arc import ArcConfig
-from arcbench.core import TaskLayout, TrainConfig
+from arcbench.core import TaskLayout, TrainConfig, forward, new_head
 from arcbench.data import SyntheticSpec, generate_synthetic
-from arcbench import harness
+from arcbench import core, data, harness
 from arcbench.otd import Thresholds
 from arcbench.harness import (
     PROBE_TAG,
@@ -346,6 +346,29 @@ class TestLinearProbe:
         b = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         assert a == b
 
+    def test_each_probe_fitted_once_at_its_key(self, small_stream, monkeypatch):
+        probe_seeds = []
+        fit = harness.fit_task
+
+        def fit_task(*args, seed):
+            if seed[2] == PROBE_TAG:
+                probe_seeds.append(seed)
+            return fit(*args, seed=seed)
+
+        monkeypatch.setattr(harness, "fit_task", fit_task)
+        rows = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
+        n, step = SMALL_SPEC.num_tasks, SMALL_SPEC.step
+        assert probe_seeds == [(5, 0, PROBE_TAG, i) for i in range(1, n)]
+        for i in range(1, n):
+            train, test = small_stream.train[i - 1], small_stream.test[i - 1]
+            base = step * (i - 1)
+            probe = fit(new_head(SMALL_SPEC.dim, step), train.features, train.labels - base,
+                        FAST_TRAIN, seed=(5, 0, PROBE_TAG, i))
+            direct = float(np.mean(forward(probe, test.features).argmax(axis=1)
+                                   == test.labels - base))
+            accuracies = [row.independent_accuracy for row in rows if row.task == i]
+            assert accuracies == [direct] * (n - i)
+
 
 def fail_probe_fits(monkeypatch, fail):
     """Patch harness.fit_task so that probe fits (seeds tagged PROBE_TAG) call
@@ -374,27 +397,19 @@ class TestProbeChild:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness, "fit_task", fit_task)
         assert linear_probe_experiment(small_stream, FAST_TRAIN, seed=5) == rows
-        assert fit_pids == [os.getpid()] * (3 + 3)  # 3 shared stages, 0 + 1 + 2 probes
+        assert fit_pids == [os.getpid()] * (3 + 2)  # 3 shared stages, one probe per past task
 
     def test_probe_fit_error_reaches_parent(self, small_stream, monkeypatch):
         def fail(seed):
             raise ValueError(f"probe fit {seed} failed")
 
         fail_probe_fits(monkeypatch, fail)
-        with pytest.raises(ValueError, match=r"^probe fit \(5, 2, 14, 1\) failed$"):
+        with pytest.raises(ValueError, match=r"^probe fit \(5, 0, 14, 1\) failed$"):
             linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_killed_probe_child_named(self, small_stream, monkeypatch):
-        fail_probe_fits(monkeypatch, lambda seed: os._exit(4))
-        with pytest.raises(ChildProcessError,
-                           match=r"^probe child exited with code 4 before sending stage 2 of 3$"):
-            linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
-        assert multiprocessing.active_children() == []
-
-    @needs_fork
-    def test_consumer_error_stops_both_children(self, small_stream, monkeypatch):
+    def test_consumer_error_stops_the_training_child(self, small_stream, monkeypatch):
         parent = os.getpid()
         forward = harness.forward
         children = []
@@ -408,8 +423,60 @@ class TestProbeChild:
         monkeypatch.setattr(harness, "forward", failing_forward)
         with pytest.raises(KeyError, match="consumer failed"):
             linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
-        assert children == [2]
+        assert children == [1]
         assert multiprocessing.active_children() == []
+
+
+class TestSubstreamKeys:
+    def test_probe_keys_seed_no_other_stream(self, monkeypatch):
+        """Every key that data and harness draw at the default layout (10 tasks
+        of 10 classes; replay on so that its keys are drawn too), recorded as
+        drawn, against the probe keys. Keys compare by their seed state: keys
+        of up to four words that differ only by trailing zeros seed the same
+        stream, so (s, t, 11) and (s, t, 11, 0) are one key."""
+        seed = 3
+        drawn = []
+        for module in (core, data, harness):
+            original = module.substream
+
+            def recording(*key, original=original):
+                drawn.append(key)
+                return original(*key)
+
+            monkeypatch.setattr(module, "substream", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        spec = SyntheticSpec(dim=2, train_per_class=2, test_per_class=1, seed=seed)
+        layout = TaskLayout(spec.num_tasks, spec.step)
+        cfg = TrainConfig(epochs=1, replay_per_class=1)
+        stream = generate_synthetic(spec)
+        run_stream(stream, cfg, ArcConfig(), seed)
+        others = set(drawn)
+        drawn.clear()
+        linear_probe_experiment(stream, cfg, seed)
+        probes = {(seed, 0, PROBE_TAG, i) for i in range(1, spec.num_tasks)}
+        assert probes <= set(drawn)
+        others |= set(drawn) - probes
+
+        stages = range(1, spec.num_tasks + 1)
+        assert {(seed, t, harness.TRAIN_TAG) for t in stages} <= others
+        assert {(seed, t, harness.EVAL_TAG) for t in stages} <= others
+        assert {(seed, t, harness.REPLAY_TAG, c)
+                for t in stages[:-1] for c in layout.class_range(t)} <= others
+        # in-process training stops at the last head; a training child goes on
+        # to draw the last stage's replay picks
+        others |= {(seed, stages[-1], harness.REPLAY_TAG, c)
+                   for c in layout.class_range(stages[-1])}
+        assert {(seed, t, c, code)
+                for t in stages for c in layout.class_range(t) for code in (0, 1, 2)} <= others
+
+        def state(key):
+            return tuple(np.random.SeedSequence(key).generate_state(4))
+
+        other_states = {state(key) for key in others}
+        assert not {state(key) for key in probes} & other_states
+        # the check has teeth: the stage-2 probe key (seed, 2, PROBE_TAG, 1)
+        # is class 14's test-draw key
+        assert state((seed, 2, PROBE_TAG, 1)) in other_states
 
 
 class TestAblationGrid:

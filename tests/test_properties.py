@@ -21,8 +21,6 @@ from arcbench.core import (
     LinearHead,
     TaskLayout,
     TrainConfig,
-    cross_entropy,
-    entropy,
     expand_head,
     forward,
     loss_gradient,
@@ -40,7 +38,7 @@ from arcbench.otd import (
     misclassified,
 )
 
-from oracles import fd_gradient, relative_error
+from oracles import cross_entropy, entropy, fd_gradient, relative_error
 
 logits_arrays = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=24
