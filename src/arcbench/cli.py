@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import os
 import platform
 import shutil
 import sys
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +33,6 @@ from .harness import (
     ProbeRow,
     StageHeads,
     StageTrace,
-    Variant,
     ablation_grid,
     evaluate_stages,
     linear_probe_experiment,
@@ -101,9 +100,11 @@ SCHEMA: dict[str, tuple] = {
     "arc.retention_loss": (str, ArcConfig.retention_loss, "retention objective: both | ce | em"),
     "run.seeds": (_list_of(int), [0], "comma-separated seeds"),
     "run.output_dir": (str, "arcbench-out", "report bundle directory"),
-    "ablate.losses": (_list_of(str), ["ce", "em", "both"], "loss variants"),
-    "ablate.temperatures": (_list_of(str), ["on", "off"], "temperature variants"),
-    "ablate.w_modes": (_list_of(str), ["ratio", "raw"], "w-statistic variants"),
+    "ablate.losses": (_list_of(str), ["ce", "em", "both"],
+                      "retention-loss variants: ce | em | both"),
+    "ablate.temperatures": (_list_of(str), ["on", "off"],
+                            "temperature variants: on (arc.temperature) | off (1)"),
+    "ablate.w_modes": (_list_of(str), ["ratio", "raw"], "w-statistic variants: ratio | raw"),
     "ablate.betas": (_list_of(float), [0.6, 0.7, 0.8, 0.9], "beta sweep"),
     "ablate.gammas": (_list_of(float), [0.6, 0.7, 0.8, 0.9, 1.0], "gamma sweep"),
     "otd.betas": (_list_of(float), [0.0, 0.8], "betas compared by validate-otd"),
@@ -150,11 +151,54 @@ def _effective_config(file_values: dict[str, str], flag_values: dict[str, str]) 
     return cfg
 
 
+@contextmanager
+def _named(prefix: str):
+    """Re-raise a ValueError from the block as a ConfigError starting with prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _by_field(cls, values: dict, prefix: str, **given):
+    """cls with each field not given read from the key <prefix>.<field>."""
+    return cls(**{f.name: values[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in given},
+               **given)
+
+
+def _with_beta(arc: ArcConfig, beta: float) -> ArcConfig:
+    return replace(arc, thresholds=replace(arc.thresholds, beta=beta))
+
+
+def _with_temperature(arc: ArcConfig, setting: str) -> ArcConfig:
+    """"on" keeps arc.temperature; "off" is 1, which disables the scaling."""
+    if setting not in ("on", "off"):
+        raise ValueError(f"temperature must be on or off, got {setting!r}")
+    return arc if setting == "on" else replace(arc, temperature=1.0)
+
+
+# each ablate.* axis, in the grid's product order: how one of its values sets
+# an arc config; ABLATE_COLUMNS are their ablation.csv columns
+ABLATE_AXES = {
+    "ablate.losses": lambda arc, loss: replace(arc, retention_loss=loss),
+    "ablate.temperatures": _with_temperature,
+    "ablate.w_modes": lambda arc, w_mode: replace(arc, w_mode=w_mode),
+    "ablate.betas": _with_beta,
+    "ablate.gammas": lambda arc, gamma: replace(
+        arc, thresholds=replace(arc.thresholds, gamma=gamma)),
+}
+ABLATE_COLUMNS = ["loss", "temperature", "w_mode", "beta", "gamma"]
+
+
 @dataclass
 class RunConfig:
-    """Validated, typed view of the effective configuration."""
+    """Validated, typed view of the effective configuration, with the configs
+    it feeds; ``spec`` is seed 0's, None when data.source=embeddings."""
 
     values: dict
+    train: TrainConfig = field(init=False)
+    arc: ArcConfig = field(init=False)
+    spec: SyntheticSpec | None = field(init=False, default=None)
 
     def __post_init__(self):
         v = self.values
@@ -170,26 +214,30 @@ class RunConfig:
         if any(seed < 0 for seed in v["run.seeds"]):
             raise ConfigError("run.seeds must be nonnegative")
         _check_output_dir(v["run.output_dir"])
-        # construct every sub-config now so bad values fail at parse time; the
-        # train, arc and data messages start with the field, the last part of its key
-        try:
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(f"train.{exc}") from exc
-        try:
-            self.arc_config()
-        except ValueError as exc:
-            raise ConfigError(f"arc.{exc}") from exc
-        for beta in v["otd.betas"]:
-            try:
-                self.arc_config(beta=beta)
-            except ValueError as exc:
-                raise ConfigError(f"otd.betas: {exc}") from exc
+        # build and keep every sub-config now so bad values fail at parse time;
+        # the train, arc and data messages start with the field, the last part of its key
+        with _named("train."):
+            self.train = _by_field(TrainConfig, v, "train")
+        with _named("arc."):
+            self.arc = ArcConfig(
+                thresholds=Thresholds(v["arc.beta"], v["arc.gamma"]),
+                temperature=v["arc.temperature"],
+                lr=v["arc.lr"],
+                retention_enabled=v["arc.retention"],
+                correction_enabled=v["arc.correction"],
+                batch_size=v["arc.batch_size"],
+                arc_last=v["arc.arc_last"],
+                w_mode=v["arc.w_mode"],
+                retention_loss=v["arc.retention_loss"],
+            )
+        # each value of a list axis once, on the arc config
+        for key, set_axis in {"otd.betas": _with_beta, **ABLATE_AXES}.items():
+            with _named(f"{key}: "):
+                for value in v[key]:
+                    set_axis(self.arc, value)
         if v["data.source"] == "synthetic":
-            try:
-                self.synthetic_spec(seed=0)
-            except ValueError as exc:
-                raise ConfigError(f"data.{exc}") from exc
+            with _named("data."):
+                self.spec = _by_field(SyntheticSpec, v, "data", seed=0)
 
     @property
     def seeds(self) -> list[int]:
@@ -199,43 +247,6 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.values["run.output_dir"]
 
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"],
-            lr=v["train.lr"],
-            batch_size=v["train.batch_size"],
-            weight_decay=v["train.weight_decay"],
-            replay_per_class=v["train.replay_per_class"],
-        )
-
-    def arc_config(self, beta: float | None = None) -> ArcConfig:
-        v = self.values
-        return ArcConfig(
-            thresholds=Thresholds(v["arc.beta"] if beta is None else beta, v["arc.gamma"]),
-            temperature=v["arc.temperature"],
-            lr=v["arc.lr"],
-            retention_enabled=v["arc.retention"],
-            correction_enabled=v["arc.correction"],
-            batch_size=v["arc.batch_size"],
-            arc_last=v["arc.arc_last"],
-            w_mode=v["arc.w_mode"],
-            retention_loss=v["arc.retention_loss"],
-        )
-
-    def synthetic_spec(self, seed: int) -> SyntheticSpec:
-        v = self.values
-        return SyntheticSpec(
-            num_tasks=v["data.num_tasks"],
-            step=v["data.step"],
-            dim=v["data.dim"],
-            mean_scale=v["data.mean_scale"],
-            noise_sigma=v["data.noise_sigma"],
-            train_per_class=v["data.train_per_class"],
-            test_per_class=v["data.test_per_class"],
-            seed=seed,
-        )
-
     @cached_property
     def _embeddings(self) -> TaskStream:
         """The EMB1 stream, read once per command and shared by every seed."""
@@ -244,7 +255,7 @@ class RunConfig:
     def stream_for_seed(self, seed: int) -> TaskStream:
         if self.values["data.source"] == "embeddings":
             return self._embeddings
-        return generate_synthetic(self.synthetic_spec(seed))
+        return generate_synthetic(replace(self.spec, seed=seed))
 
 
 def _fmt(value) -> str:
@@ -368,13 +379,11 @@ def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
 
 
 def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    train_cfg = cfg.train_config()
-    arc_cfg = cfg.arc_config()
     reports: list[MetricsReport] = []
     r_rows, bias_rows, otd_rows, pred_rows, record_text = [], [], [], [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
-        result = run_stream(stream, train_cfg, arc_cfg, seed)
+        result = run_stream(stream, cfg.train, cfg.arc, seed)
         reports.extend([result.metrics_with_arc, result.metrics_without_arc])
         for pipeline, r in (("arc", result.r_with_arc), ("baseline", result.r_without_arc)):
             for t in range(1, r.num_tasks + 1):
@@ -387,7 +396,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
                 zip(result.task1_labels, result.task1_predictions)
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
-        otd_rows.append(_otd_row(seed, arc_cfg.thresholds.beta, result.arc_traces))
+        otd_rows.append(_otd_row(seed, cfg.arc.thresholds.beta, result.arc_traces))
         record_text.append(_record_text(seed, result.arc_traces))
 
     files = {
@@ -411,11 +420,10 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
 
 
 def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    train_cfg = cfg.train_config()
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
-        for row in linear_probe_experiment(stream, train_cfg, seed):
+        for row in linear_probe_experiment(stream, cfg.train, seed):
             rows.append([seed, *astuple(row)])
     files = {
         "metadata.txt": _metadata("probe", cfg),
@@ -424,45 +432,41 @@ def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
     return files, f"probe rows: {len(rows)}"
 
 
-def build_variants(cfg: RunConfig) -> list[Variant]:
-    v = cfg.values
-    try:
-        return [
-            Variant(loss=loss, temperature=temp, w_mode=w, beta=beta, gamma=gamma)
-            for loss, temp, w, beta, gamma in itertools.product(
-                v["ablate.losses"], v["ablate.temperatures"], v["ablate.w_modes"],
-                v["ablate.betas"], v["ablate.gammas"])
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"ablate.*: {exc}") from exc
+def _ablation_cells(cfg: RunConfig) -> list[tuple[tuple, ArcConfig]]:
+    """Each cell of the ablate.* grid (one value per axis, in ABLATE_COLUMNS
+    order) with its arc config, in ablation.csv's row order: sorted as text
+    by row_key, so gamma 10 comes before gamma 2."""
+    cells = [((), cfg.arc)]
+    for key, set_axis in ABLATE_AXES.items():
+        cells = [((*cell, value), set_axis(arc, value))
+                 for cell, arc in cells for value in cfg.values[key]]
+    row_key = "loss={},temp={},w={},beta={:g},gamma={:g}".format
+    return sorted(cells, key=lambda pair: row_key(*pair[0]))
 
 
 def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    train_cfg = cfg.train_config()
-    base_arc = cfg.arc_config()
-    variants = build_variants(cfg)
+    cells = _ablation_cells(cfg)
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
-        reports = ablation_grid(stream, train_cfg, base_arc, variants, seed)
-        for variant, report in sorted(reports, key=lambda pair: pair[0].key()):
-            rows.append([seed, *astuple(variant), *(getattr(report, c) for c in SCORE_COLUMNS)])
+        reports = ablation_grid(stream, cfg.train, [arc for _, arc in cells], seed)
+        for (cell, _), report in zip(cells, reports):
+            rows.append([seed, *cell, *(getattr(report, c) for c in SCORE_COLUMNS)])
     files = {
         "metadata.txt": _metadata("ablate", cfg),
-        "ablation.csv": render_csv(["seed", *_columns(Variant), *SCORE_COLUMNS], rows),
+        "ablation.csv": render_csv(["seed", *ABLATE_COLUMNS, *SCORE_COLUMNS], rows),
     }
-    return files, f"variants: {len(variants)}, rows: {len(rows)}"
+    return files, f"variants: {len(cells)}, rows: {len(rows)}"
 
 
 def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    train_cfg = cfg.train_config()
     otd_rows, record_text = [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
-        with StageHeads(stream, train_cfg, seed) as heads:
+        with StageHeads(stream, cfg.train, seed) as heads:
             for beta in cfg.values["otd.betas"]:
-                traces = list(evaluate_stages(stream, heads, [cfg.arc_config(beta=beta)], seed))
+                traces = list(evaluate_stages(stream, heads, [_with_beta(cfg.arc, beta)], seed))
                 otd_rows.append(_otd_row(seed, beta, traces))
                 record_text.append(_record_text(seed, traces, beta=beta))
     files = {

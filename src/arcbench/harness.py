@@ -16,15 +16,15 @@ from __future__ import annotations
 import operator
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .arc import ArcConfig, arc_evaluate
 from .core import LinearHead, TaskLayout, TrainConfig, expand_head, fit_task, forward, new_head
-from .data import TaskStream
-from .otd import OtdDecision, Thresholds
+from .data import TaskData, TaskStream
+from .otd import OtdDecision
 from .seeding import substream
 
 TRAIN_TAG = 11
@@ -206,17 +206,24 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
     return list(_train_stages(stream, train_cfg, seed))
 
 
+def _plain_accuracy(head: LinearHead, data: TaskData, base: int = 0) -> tuple[float, np.ndarray]:
+    """Plain argmax over one labeled set, no pipeline: (accuracy, predicted
+    classes). A head whose class c is global class base + c scores against
+    labels - base."""
+    predicted = forward(head, data.features).argmax(axis=1)
+    return float(np.mean(predicted == data.labels - base)), predicted
+
+
 def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task: int) -> float:
     """Fit a fresh step-wide head on one task alone (same epoch budget as the
     shared head) and score it on that task's test set. Stage 0 in its key
     belongs to no stage, so no training, eval or data substream shares it."""
     layout = stream.layout
-    train, test = stream.train[task - 1], stream.test[task - 1]
+    train = stream.train[task - 1]
     base = layout.step * (task - 1)
     probe = fit_task(new_head(stream.dim, layout.step), train.features,
                      train.labels - base, train_cfg, seed=(seed, 0, PROBE_TAG, task))
-    predicted = forward(probe, test.features).argmax(axis=1)
-    return float(np.mean(predicted == test.labels - base))
+    return _plain_accuracy(probe, stream.test[task - 1], base)[0]
 
 
 def trains_in_child() -> bool:
@@ -380,28 +387,28 @@ def run_stream(
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
     Pipeline-side head updates never leak across stages (see evaluate_stages).
-    Both evaluations of stage t run as soon as its head is trained.
+    Both evaluations of stage t run as soon as its head is trained. The bias
+    histogram reads the final stage's plain predictions on task 1.
     """
     layout = stream.layout
     n = layout.num_tasks
     r_plain = RMatrix.empty(n)
     traces: list[StageTrace] = []
+    bias = task1_preds = task1_labels = None
     with StageHeads(stream, train_cfg, seed) as stage_heads:
         for trace in evaluate_stages(stream, stage_heads, [arc_cfg], seed):
             t = trace.stage
             for i in range(1, t + 1):
-                data = stream.test[i - 1]
-                preds = forward(stage_heads[t - 1], data.features).argmax(axis=1)
-                r_plain.set_entry(t, i, float(np.mean(preds == data.labels)))
+                accuracy, predicted = _plain_accuracy(stage_heads[t - 1], stream.test[i - 1])
+                r_plain.set_entry(t, i, accuracy)
+                if n >= 2 and (t, i) == (n, 1):
+                    task1_preds = predicted
             traces.append(trace)
         heads = list(stage_heads)
     r_arc, = _accuracy_matrices(traces, n, 1)
 
-    bias = task1_preds = task1_labels = None
-    if n >= 2:
-        data = stream.test[0]
-        task1_preds = forward(heads[-1], data.features).argmax(axis=1)
-        task1_labels = data.labels
+    if task1_preds is not None:
+        task1_labels = stream.test[0].labels
         bias = bias_histogram(task1_preds, task1_labels, layout, n)
 
     return RunResult(
@@ -469,67 +476,32 @@ def linear_probe_experiment(
             probes.append(_probe_accuracy(stream, train_cfg, seed, t - 1))
             shared = heads[t - 1]
             for i, (probe_acc, test) in enumerate(zip(probes, stream.test), start=1):
-                shared_acc = float(np.mean(forward(shared, test.features).argmax(axis=1)
-                                           == test.labels))
-                rows.append(ProbeRow(t, i, probe_acc, shared_acc))
+                rows.append(ProbeRow(t, i, probe_acc, _plain_accuracy(shared, test)[0]))
     return rows
-
-
-@dataclass(frozen=True)
-class Variant:
-    """One cell of the ablation grid over the pipeline's knobs."""
-
-    loss: str = "both"         # retention objective: "ce" | "em" | "both"
-    temperature: str = "on"    # "on" = configured value, "off" = 1.0
-    w_mode: str = "ratio"      # "ratio" | "raw"
-    beta: float = 0.8
-    gamma: float = 0.8
-
-    def __post_init__(self):
-        if self.temperature not in ("on", "off"):
-            raise ValueError(f"unknown temperature variant {self.temperature!r}")
-        self.apply(ArcConfig())  # ArcConfig rejects unknown loss and w_mode names
-
-    def key(self) -> str:
-        return (
-            f"loss={self.loss},temp={self.temperature},w={self.w_mode},"
-            f"beta={self.beta:g},gamma={self.gamma:g}"
-        )
-
-    def apply(self, base: ArcConfig) -> ArcConfig:
-        return replace(
-            base,
-            thresholds=Thresholds(self.beta, self.gamma),
-            temperature=base.temperature if self.temperature == "on" else 1.0,
-            w_mode=self.w_mode,
-            retention_loss=self.loss,
-        )
 
 
 def ablation_grid(
     stream: TaskStream,
     train_cfg: TrainConfig,
-    base_arc: ArcConfig,
-    variants: list[Variant],
+    cfgs: list[ArcConfig],
     seed: int,
-) -> list[tuple[Variant, MetricsReport]]:
-    """One pipeline MetricsReport per variant, in input order.
+) -> list[MetricsReport]:
+    """One pipeline MetricsReport per config, in input order.
 
-    Training is shared across all variants, and the pipeline runs once per
-    head trajectory: variants that agree on ArcConfig.trajectory (the same
-    loss and beta over one base) are evaluated as one group.
+    Training is shared across all configs, and the pipeline runs once per
+    head trajectory: configs that agree on ArcConfig.trajectory are
+    evaluated as one group.
     """
-    if not variants:
+    if not cfgs:
         return []
     n = stream.layout.num_tasks
-    cfgs = [variant.apply(base_arc) for variant in variants]
     groups: dict[tuple, list[int]] = {}
     for index, cfg in enumerate(cfgs):
         groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
-    reports: list[MetricsReport | None] = [None] * len(variants)
+    reports: list[MetricsReport | None] = [None] * len(cfgs)
     with StageHeads(stream, train_cfg, seed) as heads:
         for members in groups.values():
             traces = evaluate_stages(stream, heads, [cfgs[i] for i in members], seed)
             for i, r in zip(members, _accuracy_matrices(traces, n, len(members))):
                 reports[i] = _metrics(seed, "arc", r)
-    return list(zip(variants, reports))
+    return reports

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import itertools
 import os
 import platform
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from arcbench import cli
 from arcbench.arc import RECORD_DTYPE, ArcConfig
 from arcbench.cli import (
     RECORD_COLUMNS,
+    SCHEMA,
     ConfigError,
     RunConfig,
     _effective_config,
@@ -286,11 +289,42 @@ class TestCmdAblate:
              "average_accuracy", "forgetting"]
         ]
 
-    def test_unknown_variant_named(self, tmp_path, capsys):
-        code = run_cli(["ablate", *TINY, "--ablate.losses", "cheese",
-                        "--run.output_dir", str(tmp_path / "x")])
-        assert code == 1
-        assert "cheese" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("ablate.losses", "ce,cheese",
+         "retention_loss must be one of ('both', 'ce', 'em'), got 'cheese'"),
+        ("ablate.temperatures", "on,lukewarm", "temperature must be on or off, got 'lukewarm'"),
+        ("ablate.w_modes", "raw,median", "w_mode must be one of ('ratio', 'raw'), got 'median'"),
+        ("ablate.betas", "0.5,1.5", "beta must be in [0, 1], got 1.5"),
+        ("ablate.gammas", "0.5,-1", "gamma must be >= 0, got -1.0"),
+    ], ids=["losses", "temperatures", "w_modes", "betas", "gammas"])
+    def test_bad_axis_value_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                  command, key, value, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr("arcbench.harness.StageHeads", no_training)
+        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
+        out = tmp_path / "bundle"
+        assert run_cli([command, *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
+        assert not out.exists()
+
+    def test_rows_in_variant_key_order(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert run_cli(["ablate", *TINY, "--ablate.losses", "em,both",
+                        "--ablate.temperatures", "on,off", "--ablate.w_modes", "raw,ratio",
+                        "--ablate.betas", "1,0.05", "--ablate.gammas", "10,2",
+                        "--run.output_dir", str(out)]) == 0
+        rows = read_rows(out / "ablation.csv")[1:]
+        assert {r[0] for r in rows} == {"0"}
+        cells = [(r[1], r[2], r[3], float(r[4]), float(r[5])) for r in rows]
+        # sorted as text, so gamma 10 comes before gamma 2
+        assert cells == list(itertools.product(("both", "em"), ("off", "on"), ("ratio", "raw"),
+                                               (0.05, 1.0), (10.0, 2.0)))
+        keys = [f"loss={loss},temp={temp},w={w},beta={beta:g},gamma={gamma:g}"
+                for loss, temp, w, beta, gamma in cells]
+        assert keys == sorted(keys)
 
 
 class TestCmdValidateOtd:
@@ -452,6 +486,51 @@ def effective(flags=None, file_values=None) -> dict:
     return _effective_config(file_values or {}, flags or {})
 
 
+# each train.*, arc.* and generator data.* key: a value other than its default
+# and the field of cfg.train, cfg.arc or cfg.spec that it sets
+KEY_FIELDS = {
+    "data.num_tasks": ("4", "spec.num_tasks"),
+    "data.step": ("3", "spec.step"),
+    "data.dim": ("9", "spec.dim"),
+    "data.mean_scale": ("2.5", "spec.mean_scale"),
+    "data.noise_sigma": ("0.25", "spec.noise_sigma"),
+    "data.train_per_class": ("7", "spec.train_per_class"),
+    "data.test_per_class": ("5", "spec.test_per_class"),
+    "train.epochs": ("3", "train.epochs"),
+    "train.lr": ("0.5", "train.lr"),
+    "train.batch_size": ("8", "train.batch_size"),
+    "train.weight_decay": ("0.01", "train.weight_decay"),
+    "train.replay_per_class": ("2", "train.replay_per_class"),
+    "arc.beta": ("0.5", "arc.thresholds.beta"),
+    "arc.gamma": ("1.5", "arc.thresholds.gamma"),
+    "arc.temperature": ("3", "arc.temperature"),
+    "arc.lr": ("0.2", "arc.lr"),
+    "arc.retention": ("false", "arc.retention_enabled"),
+    "arc.correction": ("false", "arc.correction_enabled"),
+    "arc.batch_size": ("16", "arc.batch_size"),
+    "arc.arc_last": ("true", "arc.arc_last"),
+    "arc.w_mode": ("raw", "arc.w_mode"),
+    "arc.retention_loss": ("ce", "arc.retention_loss"),
+}
+
+
+def config_fields(cfg: RunConfig) -> dict:
+    """Every leaf field of cfg.train, cfg.arc and cfg.spec, by dotted path."""
+    leaves = {}
+
+    def walk(path, obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                walk(f"{path}.{f.name}", value)
+            else:
+                leaves[f"{path}.{f.name}"] = value
+
+    for name in ("train", "arc", "spec"):
+        walk(name, getattr(cfg, name))
+    return leaves
+
+
 class TestConfigBoundary:
     def test_config_file_with_comments_blanks_and_spaces(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -531,9 +610,36 @@ class TestConfigBoundary:
 
     def test_defaults_build_the_default_configs(self):
         cfg = RunConfig(effective())
-        assert cfg.train_config() == TrainConfig()
-        assert cfg.arc_config() == ArcConfig()
-        assert cfg.synthetic_spec(seed=0) == SyntheticSpec(seed=0)
+        assert cfg.train == TrainConfig()
+        assert cfg.arc == ArcConfig()
+        assert cfg.spec == SyntheticSpec(seed=0)
+
+    @pytest.mark.parametrize("key", [key for key in SCHEMA
+                                     if key.startswith(("train.", "arc.", "data."))
+                                     and key not in ("data.source", "data.path")])
+    def test_key_reaches_its_field_alone(self, key):
+        text, path = KEY_FIELDS[key]
+        default = config_fields(RunConfig(effective()))
+        changed = config_fields(RunConfig(effective({key: text})))
+        assert {p for p in default if changed[p] != default[p]} == {path}
+        assert changed[path] == SCHEMA[key][0](text)
+
+    def test_every_config_field_has_a_key(self):
+        """A field that no key sets (a new or renamed one) fails here."""
+        paths = set(config_fields(RunConfig(effective()))) - {"spec.seed"}
+        assert sorted(path for _, path in KEY_FIELDS.values()) == sorted(paths)
+        assert {f"data.{f.name}" for f in fields(SyntheticSpec)} - {"data.seed"} <= set(SCHEMA)
+
+    def test_help_lists_allowed_values(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        help_of = {chunk.split()[0]: chunk for chunk in text.split(" --")[1:]}
+        for key, allowed in [("arc.w_mode", "ratio | raw"), ("ablate.losses", "ce | em | both"),
+                             ("ablate.temperatures", "on (arc.temperature) | off (1)"),
+                             ("ablate.w_modes", "ratio | raw")]:
+            assert f": {allowed} (default:" in help_of[key]
 
 
 class TestRecordText:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from arcbench.harness import (
     PROBE_TAG,
     RMatrix,
     StageHeads,
-    Variant,
     ablation_grid,
     average_accuracy,
     bias_histogram,
@@ -383,7 +383,7 @@ def fail_probe_fits(monkeypatch, fail):
     monkeypatch.setattr(harness, "fit_task", fit_task)
 
 
-class TestProbeChild:
+class TestProbeFits:
     @needs_fork
     def test_rows_equal_with_one_cpu(self, small_stream, monkeypatch):
         rows = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
@@ -481,22 +481,18 @@ class TestSubstreamKeys:
 
 class TestAblationGrid:
     def test_empty_variant_list(self, small_stream):
-        assert ablation_grid(small_stream, FAST_TRAIN, ArcConfig(), [], seed=5) == []
+        assert ablation_grid(small_stream, FAST_TRAIN, [], seed=5) == []
 
     def test_one_report_per_variant(self, small_stream):
-        variants = [Variant(beta=b) for b in (0.6, 0.7, 0.8, 0.9)]
-        reports = ablation_grid(small_stream, FAST_TRAIN, ArcConfig(batch_size=8),
-                                variants, seed=5)
+        cfgs = [ArcConfig(batch_size=8, thresholds=Thresholds(b, 0.8))
+                for b in (0.6, 0.7, 0.8, 0.9)]
+        reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
         assert len(reports) == 4
-        assert [v.beta for v, _ in reports] == [0.6, 0.7, 0.8, 0.9]
+        assert [r.pipeline for r in reports] == ["arc"] * 4
 
     def test_identity_variant_matches_run_stream(self, small_stream, small_run):
-        base = ArcConfig(batch_size=8)
-        identity = Variant(loss="both", temperature="on", w_mode="ratio",
-                           beta=base.thresholds.beta, gamma=base.thresholds.gamma)
-        (_, report), = ablation_grid(small_stream, FAST_TRAIN, base, [identity], seed=5)
-        assert report.average_accuracy == small_run.metrics_with_arc.average_accuracy
-        assert report.forgetting == small_run.metrics_with_arc.forgetting
+        report, = ablation_grid(small_stream, FAST_TRAIN, [ArcConfig(batch_size=8)], seed=5)
+        assert report == small_run.metrics_with_arc
 
     @pytest.mark.parametrize("base", [
         ArcConfig(batch_size=8),
@@ -504,21 +500,15 @@ class TestAblationGrid:
         ArcConfig(batch_size=8, correction_enabled=False),
     ], ids=["default", "arc_last", "no_correction"])
     def test_grouped_grid_equals_one_config_at_a_time(self, small_stream, base):
-        variants = [
-            Variant(loss=loss, temperature=temp, w_mode=w, beta=beta, gamma=gamma)
-            for loss in ("ce", "em", "both") for temp in ("on", "off")
+        cfgs = [
+            replace(base, retention_loss=loss, temperature=temperature, w_mode=w,
+                    thresholds=Thresholds(beta, gamma))
+            for loss in ("ce", "em", "both") for temperature in (2.0, 1.0)
             for w in ("ratio", "raw") for beta in (0.0, 0.9) for gamma in (0.7, 1.0)
         ]
-        variants.insert(7, variants[20])  # a duplicate keeps its place
-        reports = ablation_grid(small_stream, FAST_TRAIN, base, variants, seed=5)
-        assert [v for v, _ in reports] == variants
-        expected = [run_stream(small_stream, FAST_TRAIN, v.apply(base), seed=5).metrics_with_arc
-                    for v in variants]
-        assert [report for _, report in reports] == expected
-        assert len({report.average_accuracy for _, report in reports}) > 1
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="loss"):
-            Variant(loss="cheese")
-        with pytest.raises(ValueError, match="temperature"):
-            Variant(temperature="lukewarm")
+        cfgs.insert(7, cfgs[20])  # a duplicate keeps its place
+        reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
+        expected = [run_stream(small_stream, FAST_TRAIN, cfg, seed=5).metrics_with_arc
+                    for cfg in cfgs]
+        assert reports == expected
+        assert len({report.average_accuracy for report in reports}) > 1
