@@ -31,12 +31,11 @@ from .harness import (
     MetricsReport,
     OtdValidationReport,
     ProbeRow,
-    StageHeads,
     StageTrace,
     ablation_grid,
-    evaluate_stages,
     linear_probe_experiment,
     otd_validation,
+    pipeline_traces,
     run_stream,
 )
 from .otd import RECORD_DTYPE, Thresholds
@@ -464,11 +463,11 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
-        with StageHeads(stream, cfg.train, seed) as heads:
-            for beta in cfg.values["otd.betas"]:
-                traces = list(evaluate_stages(stream, heads, [_with_beta(cfg.arc, beta)], seed))
-                otd_rows.append(_otd_row(seed, beta, traces))
-                record_text.append(_record_text(seed, traces, beta=beta))
+        betas = cfg.values["otd.betas"]
+        cfgs = [_with_beta(cfg.arc, beta) for beta in betas]
+        for beta, traces in zip(betas, pipeline_traces(stream, cfg.train, cfgs, seed)):
+            otd_rows.append(_otd_row(seed, beta, traces))
+            record_text.append(_record_text(seed, traces, beta=beta))
     files = {
         "metadata.txt": _metadata("validate-otd", cfg),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),

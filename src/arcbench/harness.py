@@ -2,22 +2,22 @@
 
 A run trains the shared head sequentially (task by task, optionally with a
 small replay reservoir) and evaluates every seen test set twice after each
-stage: plain argmax and the full test-time pipeline. On Linux with a second
-CPU the training runs in one forked child per seed (StageHeads), so each
-stage is evaluated here while the next one trains; probe fits its probe
-heads here too, one per task, while the child trains. Accuracies land in
-two lower-triangular matrices from which the summary metrics derive.
-Harness RNG substreams are keyed (seed, stage, tag[, extra]) with the tags
-below; probe keys use stage 0, which belongs to no stage.
+stage: plain argmax and the full test-time pipeline. Stage t is evaluated
+from head t alone, so every experiment hands its per-stage work to one
+StageMap, which on Linux with a second CPU trains in a forked child and
+shares the stages between the two processes; probe fits its probe heads
+here, one per task, while the child trains. Accuracies land in two
+lower-triangular matrices from which the summary metrics derive. Harness
+RNG substreams are keyed (seed, stage, tag[, extra]) with the tags below;
+probe keys use stage 0, which belongs to no stage.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class RMatrix:
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy {accuracy} outside [0, 1]")
         self.values[stage - 1, task - 1] = accuracy
+
+    def set_row(self, stage: int, accuracies) -> None:
+        """Entries (stage, 1), (stage, 2), ... from accuracies, in task order."""
+        for task, accuracy in enumerate(accuracies, start=1):
+            self.set_entry(stage, task, float(accuracy))
 
     def entry(self, stage: int, task: int) -> float:
         v = self.values[stage - 1, task - 1]
@@ -202,7 +207,7 @@ def _train_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iter
 
 def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> list[LinearHead]:
     """Sequential training in this process; returns the head as of the end of
-    each stage. StageHeads gives the same heads from a child process."""
+    each stage. StageMap trains the same heads, in a child process where it can."""
     return list(_train_stages(stream, train_cfg, seed))
 
 
@@ -227,87 +232,133 @@ def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task:
 
 
 def trains_in_child() -> bool:
-    """Whether StageHeads trains in a forked child: on Linux, when
-    this process may run on a second CPU. With one CPU the processes could
-    only take turns, so the work stays in this process."""
+    """Whether StageMap trains, and evaluates the last stages, in a forked
+    child: on Linux, when this process may run on a second CPU. With one CPU
+    the processes could only take turns, so the work stays in this process."""
     return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
 
 
-def _send_heads(heads: Iterator[LinearHead], conn) -> None:
-    """Child side of StageHeads: each stage's head as it is trained, or the error."""
+def _drain(conn, inbox) -> None:
+    """StageMap's reader thread: moves each item the child sends into inbox as
+    it arrives, so the child never blocks on a full pipe. None marks the end
+    of the pipe: the child has exited."""
     try:
-        for head in heads:
-            conn.send(head)
-    except Exception as exc:
-        conn.send(exc)
+        while True:
+            inbox.put(conn.recv())
+    except EOFError:
+        inbox.put(None)
+    except Exception as exc:  # an item that cannot be read: the caller raises it
+        inbox.put(exc)
 
 
-class StageHeads(Sequence):
-    """Each stage's trained head, trained while the caller works.
+class StageMap:
+    """work(t, head t) for every stage t of one training run, in stage order.
 
-    Item t is the head trained through stage t, as from train_sequence.
-    Where trains_in_child(), the training runs in a child started by fork (it
-    inherits the stream and configs; only heads or one exception come back
-    over a one-way pipe); elsewhere it runs in this process, lazily. The
-    length is the number of stages at once; item t blocks until it has
-    arrived. An error raised in training is re-raised here with its type and
+    Head t is the shared head trained through stage t, as from
+    train_sequence. Where trains_in_child(), a child started by fork (it
+    inherits the stream, the configs and work) trains and sends every head,
+    then claims stages n, n - 1, ... until one is already claimed and sends
+    their results, which must pickle. Iterating claims stages 1, 2, ... in
+    order and evaluates each one it claims here once its head arrives. A
+    claim is a flag set under the lock of a shared table, so each stage is
+    evaluated once. A thread here empties the pipe as items arrive, so the
+    child never waits on the caller. Elsewhere all of it runs here, lazily.
+
+    ``heads`` holds the heads received so far, all of them once the iteration
+    ends. An error raised in the child is re-raised here with its type and
     message, and a child that exits without reporting raises
-    ChildProcessError naming the training child. Use it as a context manager:
-    leaving the block, even early or by an exception, stops and joins the
-    child.
+    ChildProcessError naming the training child, its exit code and the stage
+    it did not send. Use it as a context manager: leaving the block, even
+    early or by an exception, stops and joins the child and the thread.
     """
 
-    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int):
+    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int,
+                 work: Callable[[int, LinearHead], object]):
         self._num_stages = stream.layout.num_tasks
-        self._items: list[LinearHead] = []
+        self._work = work
+        self._trained = _train_stages(stream, train_cfg, seed)
+        self.heads: list[LinearHead] = []
         self._process = None
-        heads = _train_stages(stream, train_cfg, seed)
         if not trains_in_child():
-            self._next = heads.__next__
             return
-        import multiprocessing  # here, so that start-up before training does not pay for it
+        # imported here, so that start-up before training does not pay for them
+        import multiprocessing
+        import queue
+        import threading
 
         ctx = multiprocessing.get_context("fork")
+        self._claims = ctx.Array("b", self._num_stages)  # stage t's flag at t - 1
+        self._results: dict[int, object] = {}
         self._conn, child_conn = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(target=_send_heads, args=(heads, child_conn), daemon=True)
+        self._process = ctx.Process(target=self._child, args=(child_conn,), daemon=True)
         self._process.start()
         child_conn.close()
-        self._next = self._receive
+        self._inbox = queue.SimpleQueue()
+        self._reader = threading.Thread(target=_drain, args=(self._conn, self._inbox),
+                                        daemon=True)
+        self._reader.start()
 
-    def _receive(self) -> LinearHead:
+    def _claim(self, t: int) -> bool:
+        """Claim stage t for the calling process, unless it is already claimed."""
+        with self._claims.get_lock():
+            if self._claims[t - 1]:
+                return False
+            self._claims[t - 1] = 1
+            return True
+
+    def _child(self, conn) -> None:
+        """The child's side: every head, then stages from the top down while
+        they are unclaimed, each result dropped once sent; or the error."""
         try:
-            item = self._conn.recv()
-        except EOFError:
+            heads = []
+            for head in self._trained:
+                conn.send(head)
+                heads.append(head)
+            for t in range(self._num_stages, 0, -1):
+                if not self._claim(t):
+                    break
+                conn.send((t, self._work(t, heads[t - 1])))
+        except Exception as exc:
+            conn.send(exc)
+
+    def _pull(self, t: int) -> None:
+        """File the child's next item, waiting for it; stage t is awaited."""
+        item = self._inbox.get()
+        if item is None:
             self._process.join()
             raise ChildProcessError(
                 f"training child exited with code {self._process.exitcode} before "
-                f"sending stage {len(self._items) + 1} of {self._num_stages}") from None
+                f"sending stage {t} of {self._num_stages}")
         if isinstance(item, BaseException):
             raise item
-        return item
+        if isinstance(item, LinearHead):
+            self.heads.append(item)
+        else:
+            self._results[item[0]] = item[1]
 
-    def __len__(self) -> int:
-        return self._num_stages
-
-    def __getitem__(self, index: int) -> LinearHead:
-        i = operator.index(index)
-        if i < 0:
-            i += self._num_stages
-        if not 0 <= i < self._num_stages:
-            raise IndexError(f"stage index {index} outside {self._num_stages} stages")
-        while len(self._items) <= i:
-            self._items.append(self._next())
-        return self._items[i]
+    def __iter__(self) -> Iterator:
+        for t in range(1, self._num_stages + 1):
+            if self._process is None:
+                self.heads.append(next(self._trained))
+                yield self._work(t, self.heads[-1])
+            elif self._claim(t):
+                while len(self.heads) < t:
+                    self._pull(t)
+                yield self._work(t, self.heads[t - 1])
+            else:  # the child claimed t, and so every later stage
+                while t not in self._results:
+                    self._pull(t)
+                yield self._results.pop(t)
 
     def close(self) -> None:
-        """Stop the child (if still running) and wait for it."""
-        if self._process is not None:
-            self._conn.close()
+        """Stop the child (if still running), then wait for it and the thread."""
+        if self._process is not None and not self._conn.closed:
             self._process.terminate()
             self._process.join()
-            self._process = None
+            self._reader.join()  # the pipe ends with the child
+            self._conn.close()
 
-    def __enter__(self) -> "StageHeads":
+    def __enter__(self) -> "StageMap":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -317,7 +368,13 @@ class StageHeads(Sequence):
 def _stage_trace(
     stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig], seed: int
 ) -> StageTrace:
-    """Evaluate tasks 1..t as one shuffled online stream through the pipeline."""
+    """Evaluate tasks 1..t as one shuffled online stream through the pipeline.
+
+    ``cfgs`` is a group of configs sharing one head trajectory (see
+    arc_evaluate). The evaluation starts from head t and its updates are
+    discarded with it, so they never leak across stages.
+    """
+    cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in cfgs]
     x = np.vstack([stream.test[i - 1].features for i in range(1, t + 1)])
     y = np.concatenate([stream.test[i - 1].labels for i in range(1, t + 1)])
     tasks = np.concatenate(
@@ -332,41 +389,12 @@ def _stage_trace(
                       result.retention_updates, result.warnings)
 
 
-def evaluate_stages(
-    stream: TaskStream, heads: Sequence[LinearHead], cfgs: Sequence[ArcConfig], seed: int
-) -> Iterator[StageTrace]:
-    """Run every stage of a trained sequence through the pipeline.
-
-    ``heads`` holds each stage's trained head, as from train_sequence or
-    StageHeads (stage t is evaluated as soon as head t is there), and
-    ``cfgs`` is a group of configs sharing one head trajectory (see
-    arc_evaluate). Each stage's online evaluation starts from that stage's
-    head and its updates are discarded afterwards, so they never leak across
-    stages. A stage's trace is yielded when the stage ends, so a caller that
-    keeps only accuracies holds one stage's records at a time.
-    """
-    n = stream.layout.num_tasks
-    if len(heads) != n:
-        raise ValueError(f"expected one head per stage ({n}), got {len(heads)}")
-    for t, head in enumerate(heads, start=1):
-        stage_cfgs = [cfg.for_stage(is_final_stage=(t == n)) for cfg in cfgs]
-        # a stage's arrays die with _stage_trace's frame, before the next stage
-        yield _stage_trace(stream, head, t, stage_cfgs, seed)
-
-
-def _accuracy_matrices(
-    traces: Iterable[StageTrace], num_tasks: int, num_configs: int
-) -> list[RMatrix]:
-    """Pipeline accuracies, one matrix per config of the group: each trace's
-    final classes against its ground truth, per task."""
-    matrices = [RMatrix.empty(num_tasks) for _ in range(num_configs)]
-    for trace in traces:
-        correct = trace.final_classes == trace.true_labels
-        for i in range(1, trace.stage + 1):
-            accuracies = correct[:, trace.true_tasks == i].mean(axis=1)
-            for r, accuracy in zip(matrices, accuracies):
-                r.set_entry(trace.stage, i, float(accuracy))
-    return matrices
+def _task_accuracies(trace: StageTrace) -> np.ndarray:
+    """Pipeline accuracies of a trace, one row per config of its group and one
+    column per task 1..t: final classes against the ground truth."""
+    correct = trace.final_classes == trace.true_labels
+    return np.stack([correct[:, trace.true_tasks == i].mean(axis=1)
+                     for i in range(1, trace.stage + 1)], axis=1)
 
 
 def _metrics(seed: int, pipeline: str, r: RMatrix) -> MetricsReport:
@@ -386,27 +414,28 @@ def run_stream(
 ) -> RunResult:
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
-    Pipeline-side head updates never leak across stages (see evaluate_stages).
-    Both evaluations of stage t run as soon as its head is trained. The bias
-    histogram reads the final stage's plain predictions on task 1.
+    Each stage's plain accuracies and pipeline trace come from its own head
+    (see StageMap), so pipeline-side head updates never leak across stages.
+    The bias histogram reads the final stage's plain predictions on task 1.
     """
     layout = stream.layout
     n = layout.num_tasks
-    r_plain = RMatrix.empty(n)
-    traces: list[StageTrace] = []
-    bias = task1_preds = task1_labels = None
-    with StageHeads(stream, train_cfg, seed) as stage_heads:
-        for trace in evaluate_stages(stream, stage_heads, [arc_cfg], seed):
-            t = trace.stage
-            for i in range(1, t + 1):
-                accuracy, predicted = _plain_accuracy(stage_heads[t - 1], stream.test[i - 1])
-                r_plain.set_entry(t, i, accuracy)
-                if n >= 2 and (t, i) == (n, 1):
-                    task1_preds = predicted
-            traces.append(trace)
-        heads = list(stage_heads)
-    r_arc, = _accuracy_matrices(traces, n, 1)
 
+    def evaluate(t: int, head: LinearHead):
+        plain = [_plain_accuracy(head, test) for test in stream.test[:t]]
+        task1_preds = plain[0][1] if n >= 2 and t == n else None
+        return (_stage_trace(stream, head, t, [arc_cfg], seed),
+                [accuracy for accuracy, _ in plain], task1_preds)
+
+    r_arc, r_plain = RMatrix.empty(n), RMatrix.empty(n)
+    traces: list[StageTrace] = []
+    with StageMap(stream, train_cfg, seed, evaluate) as stages:
+        for t, (trace, plain, task1_preds) in enumerate(stages, start=1):
+            r_arc.set_row(t, _task_accuracies(trace)[0])
+            r_plain.set_row(t, plain)
+            traces.append(trace)
+
+    bias = task1_labels = None
     if task1_preds is not None:
         task1_labels = stream.test[0].labels
         bias = bias_histogram(task1_preds, task1_labels, layout, n)
@@ -417,12 +446,26 @@ def run_stream(
         r_without_arc=r_plain,
         metrics_with_arc=_metrics(seed, "arc", r_arc),
         metrics_without_arc=_metrics(seed, "baseline", r_plain),
-        stage_heads=heads,
+        stage_heads=stages.heads,
         arc_traces=traces,
         bias_histogram=bias,
         task1_predictions=task1_preds,
         task1_labels=task1_labels,
     )
+
+
+def pipeline_traces(
+    stream: TaskStream, train_cfg: TrainConfig, cfgs: list[ArcConfig], seed: int
+) -> list[list[StageTrace]]:
+    """Every stage's pipeline trace for each config, from one training run:
+    list c is run_stream's arc_traces for cfgs[c]. Each config is evaluated
+    on its own, so each keeps its own record table."""
+    def evaluate(t: int, head: LinearHead) -> list[StageTrace]:
+        return [_stage_trace(stream, head, t, [cfg], seed) for cfg in cfgs]
+
+    with StageMap(stream, train_cfg, seed, evaluate) as stages:
+        per_stage = list(stages)
+    return [list(traces) for traces in zip(*per_stage)]
 
 
 def otd_validation(traces: list[StageTrace]) -> OtdValidationReport:
@@ -465,18 +508,23 @@ def linear_probe_experiment(
     budget as the shared head) and scored on task i's test set. Features are
     frozen, so it is fitted once and its accuracy fills every stage t > i;
     the shared head as of stage t is scored on the same test sets. The
-    widening gap is the shared classifier's bias. Probe t - 1 is fitted here
-    before waiting for shared head t, so each fit overlaps the training
-    child (see StageHeads).
+    widening gap is the shared classifier's bias. Probe t is fitted here
+    before stage t + 1 is claimed, so each fit overlaps the training child
+    (see StageMap).
     """
+    n = stream.layout.num_tasks
+
+    def shared_scores(t: int, head: LinearHead) -> list[float]:
+        return [_plain_accuracy(head, test)[0] for test in stream.test[:t - 1]]
+
     rows: list[ProbeRow] = []
     probes: list[float] = []
-    with StageHeads(stream, train_cfg, seed) as heads:
-        for t in range(2, stream.layout.num_tasks + 1):
-            probes.append(_probe_accuracy(stream, train_cfg, seed, t - 1))
-            shared = heads[t - 1]
-            for i, (probe_acc, test) in enumerate(zip(probes, stream.test), start=1):
-                rows.append(ProbeRow(t, i, probe_acc, _plain_accuracy(shared, test)[0]))
+    with StageMap(stream, train_cfg, seed, shared_scores) as stages:
+        for t, shared in enumerate(stages, start=1):
+            for i, (probe_acc, shared_acc) in enumerate(zip(probes, shared), start=1):
+                rows.append(ProbeRow(t, i, probe_acc, shared_acc))
+            if t < n:
+                probes.append(_probe_accuracy(stream, train_cfg, seed, t))
     return rows
 
 
@@ -488,8 +536,8 @@ def ablation_grid(
 ) -> list[MetricsReport]:
     """One pipeline MetricsReport per config, in input order.
 
-    Training is shared across all configs, and the pipeline runs once per
-    head trajectory: configs that agree on ArcConfig.trajectory are
+    Training is shared across all configs, and each stage's pipeline runs
+    once per head trajectory: configs that agree on ArcConfig.trajectory are
     evaluated as one group.
     """
     if not cfgs:
@@ -498,10 +546,16 @@ def ablation_grid(
     groups: dict[tuple, list[int]] = {}
     for index, cfg in enumerate(cfgs):
         groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
-    reports: list[MetricsReport | None] = [None] * len(cfgs)
-    with StageHeads(stream, train_cfg, seed) as heads:
-        for members in groups.values():
-            traces = evaluate_stages(stream, heads, [cfgs[i] for i in members], seed)
-            for i, r in zip(members, _accuracy_matrices(traces, n, len(members))):
-                reports[i] = _metrics(seed, "arc", r)
-    return reports
+    members = list(groups.values())
+
+    def evaluate(t: int, head: LinearHead) -> list[np.ndarray]:
+        return [_task_accuracies(_stage_trace(stream, head, t, [cfgs[i] for i in group], seed))
+                for group in members]
+
+    matrices = [RMatrix.empty(n) for _ in cfgs]
+    with StageMap(stream, train_cfg, seed, evaluate) as stages:
+        for t, per_group in enumerate(stages, start=1):
+            for group, accuracies in zip(members, per_group):
+                for i, row in zip(group, accuracies):
+                    matrices[i].set_row(t, row)
+    return [_metrics(seed, "arc", r) for r in matrices]

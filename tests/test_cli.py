@@ -26,6 +26,8 @@ from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
 from arcbench.harness import StageTrace, trains_in_child
 from arcbench.otd import OtdDecision
 
+from stage_schedules import late_claims, log_stages
+
 TINY = [
     "--data.num_tasks", "3", "--data.step", "2", "--data.dim", "8",
     "--data.train_per_class", "10", "--data.test_per_class", "8",
@@ -153,8 +155,7 @@ class TestCmdRun:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before run.output_dir was checked")
 
-        monkeypatch.setattr("arcbench.harness.StageHeads", no_training)
-        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
+        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
         out = tmp_path / "occupied"
         if occupant == "dir":
             out.mkdir()
@@ -303,8 +304,7 @@ class TestCmdAblate:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
-        monkeypatch.setattr("arcbench.harness.StageHeads", no_training)
-        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
+        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
         out = tmp_path / "bundle"
         assert run_cli([command, *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {key}: {message}\n"
@@ -372,7 +372,7 @@ class TestCmdValidateOtd:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
-        monkeypatch.setattr("arcbench.cli.StageHeads", no_training)
+        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
         out = tmp_path / "bundle"
         code = run_cli(["validate-otd", *TINY, "--otd.betas", "0.5,1.5",
                         "--run.output_dir", str(out)])
@@ -462,6 +462,37 @@ class TestTrainingErrors:
         assert run_cli(["run", *TINY, "--run.output_dir", str(out)]) == 1
         assert "exited with code 3" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStageSchedules:
+    @pytest.mark.skipif(not trains_in_child(),
+                        reason="training runs in a child on Linux with two CPUs only")
+    @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
+    def test_bundle_same_when_child_evaluates_late_stages(self, tmp_path, monkeypatch, command):
+        """The child evaluating stages 3 and 2 or this process evaluating all
+        three, in-process: every CSV is byte-identical and every stage is
+        evaluated once."""
+        args = [command, *TINY, "--ablate.losses", "em,both", "--ablate.betas", "0.6,0.9",
+                "--ablate.gammas", "0.8,1"]
+        csvs, logs = {}, {}
+        for schedule in ("late_claims", "one_cpu"):
+            out = tmp_path / schedule
+            with monkeypatch.context() as m:
+                if schedule == "late_claims":
+                    late_claims(m)
+                else:
+                    m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                logged = log_stages(m, tmp_path / f"{schedule}.log")
+                assert run_cli([*args, "--run.output_dir", str(out)]) == 0
+                logs[schedule] = logged()
+            csvs[schedule] = {name: (out / name).read_bytes()
+                              for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+        assert csvs["late_claims"] == csvs["one_cpu"]
+        parent = os.getpid()
+        assert logs["one_cpu"] == [(parent, 1), (parent, 2), (parent, 3)]
+        by_stage = sorted(logs["late_claims"], key=lambda entry: entry[1])
+        assert [stage for _, stage in by_stage] == [1, 2, 3]
+        assert [pid == parent for pid, _ in by_stage] == [True, False, False]
 
 
 class TestListKeys:

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import pickle
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +16,10 @@ from arcbench.otd import Thresholds
 from arcbench.harness import (
     PROBE_TAG,
     RMatrix,
-    StageHeads,
+    StageMap,
     ablation_grid,
     average_accuracy,
     bias_histogram,
-    evaluate_stages,
     forgetting,
     linear_probe_experiment,
     otd_validation,
@@ -25,6 +27,8 @@ from arcbench.harness import (
     train_sequence,
     trains_in_child,
 )
+
+from stage_schedules import late_claims, log_stages
 
 SMALL_SPEC = SyntheticSpec(num_tasks=3, step=2, dim=8, train_per_class=12,
                            test_per_class=10, seed=5)
@@ -197,35 +201,48 @@ needs_fork = pytest.mark.skipif(not trains_in_child(),
                                 reason="training runs in a child on Linux with two CPUs only")
 
 
+def stage_heads(stream, cfg, seed):
+    """The head each stage's work receives from a StageMap, in stage order,
+    and the map's own heads once the iteration ends."""
+    with StageMap(stream, cfg, seed, lambda t, head: head) as stages:
+        got = list(stages)
+    return got, stages.heads
+
+
+def only_main_thread():
+    return threading.enumerate() == [threading.main_thread()]
+
+
 class TestStageHeads:
+    """The heads a StageMap trains and hands to each stage's work."""
+
     def test_bit_identical_to_train_sequence_with_replay(self, small_stream):
         cfg = TrainConfig(epochs=4, lr=1.0, batch_size=16, weight_decay=1e-3,
                           replay_per_class=3)
-        with StageHeads(small_stream, cfg, seed=5) as heads:
-            assert len(heads) == SMALL_SPEC.num_tasks
-            got = list(heads)
-        assert_same_heads(got, train_sequence(small_stream, cfg, seed=5))
+        expected = train_sequence(small_stream, cfg, seed=5)
+        got, heads = stage_heads(small_stream, cfg, seed=5)
+        assert_same_heads(got, expected)
+        assert_same_heads(heads, expected)
 
     def test_bit_identical_on_one_task_stream(self):
         stream = generate_synthetic(SyntheticSpec(num_tasks=1, step=3, dim=8,
                                                   train_per_class=10, test_per_class=5,
                                                   seed=4))
-        with StageHeads(stream, FAST_TRAIN, seed=4) as heads:
-            got = list(heads)
-        assert_same_heads(got, train_sequence(stream, FAST_TRAIN, seed=4))
+        expected = train_sequence(stream, FAST_TRAIN, seed=4)
+        got, heads = stage_heads(stream, FAST_TRAIN, seed=4)
+        assert_same_heads(got, expected)
+        assert_same_heads(heads, expected)
 
-    def test_indexing_waits_and_caches(self, small_stream):
-        expected = train_sequence(small_stream, FAST_TRAIN, seed=5)
-        with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
-            assert_same_heads([heads[-1], heads[0]], [expected[-1], expected[0]])
-            assert heads[0] is heads[-3]
-            with pytest.raises(IndexError):
-                heads[3]
+    def test_results_in_stage_order(self, small_stream):
+        def work(t, head):
+            return t, head.visible_tasks
+
+        with StageMap(small_stream, FAST_TRAIN, 5, work) as stages:
+            assert list(stages) == [(1, 1), (2, 2), (3, 3)]
 
     def test_training_error_reaches_parent(self, small_stream):
         with pytest.raises(ValueError, match=r"^training overflows at learning rate 1e\+308,"):
-            with StageHeads(small_stream, TrainConfig(lr=1e308), seed=5) as heads:
-                list(heads)
+            stage_heads(small_stream, TrainConfig(lr=1e308), seed=5)
 
     @needs_fork
     def test_killed_child_raises_child_process_error(self, small_stream, monkeypatch):
@@ -235,38 +252,170 @@ class TestStageHeads:
         monkeypatch.setattr("arcbench.harness.fit_task", killed)
         with pytest.raises(ChildProcessError,
                            match=r"^training child exited with code 3 before sending stage 1 of 3$"):
-            with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
-                heads[0]
+            stage_heads(small_stream, FAST_TRAIN, seed=5)
 
     @needs_fork
     def test_close_after_stage_two_leaves_no_child(self, small_stream):
-        heads = StageHeads(small_stream, FAST_TRAIN, seed=5)
+        stages = StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: t)
         assert len(multiprocessing.active_children()) == 1
-        heads[1]
-        heads.close()
+        assert not only_main_thread()  # the reader
+        results = iter(stages)
+        assert [next(results), next(results)] == [1, 2]
+        stages.close()
         assert multiprocessing.active_children() == []
+        assert only_main_thread()
 
     def test_one_cpu_trains_in_process(self, small_stream, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not trains_in_child()
-        with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
+        with StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: (os.getpid(), head)) as stages:
             assert multiprocessing.active_children() == []
-            got = list(heads)
+            assert only_main_thread()
+            results = iter(stages)
+            first = next(results)
+            assert len(stages.heads) == 1  # each head is trained when its stage is reached
+            pids, got = zip(first, *results)
+        assert pids == (os.getpid(),) * 3
         assert_same_heads(got, train_sequence(small_stream, FAST_TRAIN, seed=5))
 
     def test_consumer_error_stops_the_child(self, small_stream):
         with pytest.raises(KeyError):
-            with StageHeads(small_stream, FAST_TRAIN, seed=5) as heads:
-                heads[0]
+            with StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: head) as stages:
+                next(iter(stages))
                 raise KeyError("consumer failed")
         assert multiprocessing.active_children() == []
+        assert only_main_thread()
 
 
-class TestEvaluateStages:
-    def test_one_head_per_stage_required(self, small_stream):
-        heads = train_sequence(small_stream, FAST_TRAIN, seed=5)
-        with pytest.raises(ValueError, match="one head per stage"):
-            list(evaluate_stages(small_stream, heads[:-1], [ArcConfig(batch_size=8)], seed=5))
+def child_takes_stage_three(in_child):
+    """Work for a 3-stage map that lets the child take stage 3: the caller's
+    stage 1 waits until the child has claimed and started stage 3, whose work
+    there is in_child(3)."""
+    parent, started = os.getpid(), multiprocessing.get_context("fork").Event()
+
+    def work(t, head):
+        if os.getpid() == parent:
+            assert started.wait(timeout=60)
+            return t
+        started.set()
+        return in_child(t)
+
+    return work
+
+
+def _refuse_unpickling():
+    raise pickle.UnpicklingError("refused")
+
+
+class Unreadable:
+    """Pickles, but cannot be unpickled."""
+
+    def __reduce__(self):
+        return _refuse_unpickling, ()
+
+
+@needs_fork
+class TestStagesInChild:
+    """Stages the training child evaluates, from the top down, once it has sent
+    its last head."""
+
+    def test_child_evaluation_error_reaches_parent(self, small_stream):
+        def fail(t):
+            raise LookupError(f"stage {t} failed in the child")
+
+        with pytest.raises(LookupError, match=r"^stage 3 failed in the child$"):
+            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(fail)) as stages:
+                list(stages)
+
+    def test_child_killed_during_evaluation_raises_child_process_error(self, small_stream):
+        def killed(t):
+            os._exit(3)
+
+        with pytest.raises(ChildProcessError,
+                           match=r"^training child exited with code 3 before sending stage 3 of 3$"):
+            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(killed)) as stages:
+                list(stages)
+
+    def test_unreadable_result_reaches_parent(self, small_stream):
+        with pytest.raises(pickle.UnpicklingError, match=r"^refused$"):
+            with StageMap(small_stream, FAST_TRAIN, 5,
+                          child_takes_stage_three(lambda t: Unreadable())) as stages:
+                list(stages)
+
+    def test_consumer_error_during_child_evaluation_stops_child_and_reader(self, small_stream):
+        def stuck(t):
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(stuck)) as stages:
+                next(iter(stages))
+                raise KeyError("consumer failed")
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        assert only_main_thread()
+
+    def test_child_claims_top_stage_while_caller_sleeps(self):
+        # heads of 512 x 20 and 512 x 30 floats: together past a 64 KiB pipe,
+        # which a child that waited on the caller's reads would fill
+        stream = generate_synthetic(SyntheticSpec(num_tasks=3, step=10, dim=512,
+                                                  train_per_class=4, test_per_class=2, seed=1))
+        def work(t, head):
+            return os.getpid(), time.monotonic()
+
+        with StageMap(stream, FAST_TRAIN, 1, work) as stages:
+            results = []
+            for t, result in enumerate(stages, start=1):
+                results.append(result)
+                if t == 1:
+                    time.sleep(0.5)
+                    woke = time.monotonic()
+        pid, started = results[-1]
+        assert pid != os.getpid()
+        assert started < woke
+
+    @pytest.mark.parametrize("cfg", [FAST_TRAIN, replace(FAST_TRAIN, replay_per_class=2)],
+                             ids=["memory_free", "replay"])
+    def test_run_same_under_every_schedule(self, small_stream, monkeypatch, tmp_path, cfg):
+        results, logs = {}, {}
+        for schedule in ("late_claims", "one_cpu"):
+            with monkeypatch.context() as m:
+                if schedule == "late_claims":
+                    late_claims(m)
+                else:
+                    m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                logged = log_stages(m, tmp_path / f"{schedule}.log")
+                results[schedule] = run_stream(small_stream, cfg, ArcConfig(batch_size=8), seed=5)
+                logs[schedule] = logged()
+        parent = os.getpid()
+        assert logs["one_cpu"] == [(parent, 1), (parent, 2), (parent, 3)]
+        assert sorted(stage for _, stage in logs["late_claims"]) == [1, 2, 3]
+        assert [pid == parent for pid, _ in sorted(logs["late_claims"], key=lambda e: e[1])] == [
+            True, False, False]
+        late, in_process = results["late_claims"], results["one_cpu"]
+        for name in ("r_with_arc", "r_without_arc"):
+            assert np.array_equal(getattr(late, name).values, getattr(in_process, name).values,
+                                  equal_nan=True)
+        assert (late.metrics_with_arc, late.metrics_without_arc) == (
+            in_process.metrics_with_arc, in_process.metrics_without_arc)
+        assert_same_heads(late.stage_heads, in_process.stage_heads)
+        assert np.array_equal(late.bias_histogram, in_process.bias_histogram)
+        assert np.array_equal(late.task1_predictions, in_process.task1_predictions)
+        assert_same_traces(late.arc_traces, in_process.arc_traces)
+
+
+def assert_same_traces(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.stage, a.retention_updates, a.warnings) == (
+            b.stage, b.retention_updates, b.warnings)
+        for name in ("final_classes", "true_labels", "true_tasks"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert isinstance(a.records, np.recarray)
+        assert a.records.dtype == b.records.dtype
+        for name in a.records.dtype.names:
+            column = b.records[name]
+            assert np.array_equal(a.records[name], column, equal_nan=column.dtype.kind == "f")
 
 
 class TestOtdValidation:
