@@ -9,14 +9,17 @@ EMB1 file format (little-endian, no padding):
             step u32, example count u64
     record: task u16 (1-based), label u32 (0-based global),
             split u8 (0 = train, 1 = test), dim x float32 features
-Trailing bytes after the last record, non-finite features, and a task with
-no train or no test records are errors. Features are widened to
-float64 in memory; the generator rounds through float32 so that a write/load
-round trip is bit-exact.
+Records may come in any order; each task's train and test split keeps file
+order. Trailing bytes after the last record, non-finite features, and a task
+with no train or no test records are errors. Features are widened to float64
+in memory; the generator rounds through float32 so that a write/load round
+trip is bit-exact. The loader reads the file twice, a bounded chunk at a time,
+so its peak memory is the float64 stream plus one chunk.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -31,6 +34,7 @@ _SPLIT_NAMES = tuple(_SPLIT_CODES)
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sHIIIQ")
+_CHUNK_BYTES = 4 << 20  # the read size of each loader pass
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -187,62 +191,89 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
         fh.write(records.tobytes())
 
 
-def load_embeddings(path: str) -> TaskStream:
-    """Parse an EMB1 file back into a TaskStream, all records in one vectorized
-    pass that raises the error a record-by-record reader would raise first."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise EmbeddingFormatError("truncated header")
-    magic, version, dim, num_tasks, step, count = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise EmbeddingFormatError(f"bad magic {magic!r}")
-    if version != 1:
-        raise EmbeddingFormatError(f"unsupported version {version}")
-    if dim < 1 or num_tasks < 1 or step < 1:
-        raise EmbeddingFormatError("header declares an empty layout")
-    if count == 0:
-        raise EmbeddingFormatError("no examples")
-    layout = TaskLayout(num_tasks, step)
+def _chunks(fh, dtype: np.dtype, count: int):
+    """Yield (first record index, records) for the next `count` records of fh,
+    at most _CHUNK_BYTES at a time; each array is a view on one reused buffer."""
+    per_chunk = max(1, _CHUNK_BYTES // dtype.itemsize)
+    buffer = bytearray(min(count, per_chunk) * dtype.itemsize)
+    for start in range(0, count, per_chunk):
+        n = min(per_chunk, count - start)
+        if fh.readinto(memoryview(buffer)[: n * dtype.itemsize]) != n * dtype.itemsize:
+            raise EmbeddingFormatError("truncated record")  # the file shrank between passes
+        yield start, np.frombuffer(buffer, dtype, count=n)
 
-    record_size = _record_dtype(0).itemsize + 4 * dim
-    fit = min(count, (len(blob) - _HEADER.size) // record_size)
-    if fit == 0:  # also keeps a header's absurd dim away from np.dtype
-        raise EmbeddingFormatError("truncated record")
-    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=fit, offset=_HEADER.size)
-    task, split = records["task"].astype(np.int64), records["split"].astype(np.int64)
-    label = records["label"]
-    # the first bad record in file order wins; within it, task, split, label
-    bad_task = (task < 1) | (task > num_tasks)
-    bad_split = split > 1
-    bad_label = (label < step * (task - 1)) | (label >= step * task)
-    bad = np.flatnonzero(bad_task | bad_split | bad_label)
-    if len(bad):
-        r = int(bad[0])
-        if bad_task[r]:
-            raise EmbeddingFormatError(f"task {task[r]} outside 1..{num_tasks}")
-        if bad_split[r]:
-            raise EmbeddingFormatError(f"bad split code {split[r]}")
-        raise EmbeddingFormatError(f"label {label[r]} outside task {task[r]}'s class range")
-    if fit < count:
-        raise EmbeddingFormatError("truncated record")
-    if _HEADER.size + count * record_size != len(blob):
-        raise EmbeddingFormatError("trailing bytes after last record")
-    bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
-    if len(bad):
-        r = int(bad[0])
-        raise EmbeddingFormatError(f"record {r} (task {task[r]}, {_SPLIT_NAMES[split[r]]} split) "
-                                   "has non-finite features")
-    # bucket 2*(task-1) + split; each keeps its records in file order
-    bucket = 2 * (task - 1) + split
-    sizes = np.bincount(bucket)  # no minlength: a header may declare 2^32 tasks
+
+def load_embeddings(path: str) -> TaskStream:
+    """Parse an EMB1 file into a TaskStream, raising the error a record-by-record
+    reader would raise first. Records may come in any order; each split keeps
+    file order. Two passes, each a bounded chunk at a time: the first reads task,
+    label and split and checks them, the second widens each record's features
+    into its row of one float64 array, so the peak is that array plus one chunk."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise EmbeddingFormatError("truncated header")
+        magic, version, dim, num_tasks, step, count = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise EmbeddingFormatError(f"bad magic {magic!r}")
+        if version != 1:
+            raise EmbeddingFormatError(f"unsupported version {version}")
+        if dim < 1 or num_tasks < 1 or step < 1:
+            raise EmbeddingFormatError("header declares an empty layout")
+        if count == 0:
+            raise EmbeddingFormatError("no examples")
+        layout = TaskLayout(num_tasks, step)
+
+        size = os.fstat(fh.fileno()).st_size
+        record_size = _record_dtype(0).itemsize + 4 * dim
+        fit = min(count, (size - _HEADER.size) // record_size)  # never sized by the header
+        if fit == 0:  # also keeps a header's absurd dim away from np.dtype
+            raise EmbeddingFormatError("truncated record")
+        record = _record_dtype(dim)
+        task, split = np.empty(fit, np.int64), np.empty(fit, np.int64)
+        label = np.empty(fit, np.uint32)
+        for start, records in _chunks(fh, record, fit):
+            rows = slice(start, start + len(records))
+            task[rows], split[rows], label[rows] = records["task"], records["split"], records["label"]
+        # the first bad record in file order wins; within it, task, split, label
+        bad_task = (task < 1) | (task > num_tasks)
+        bad_split = split > 1
+        bad_label = (label < step * (task - 1)) | (label >= step * task)
+        bad = np.flatnonzero(bad_task | bad_split | bad_label)
+        if len(bad):
+            r = int(bad[0])
+            if bad_task[r]:
+                raise EmbeddingFormatError(f"task {task[r]} outside 1..{num_tasks}")
+            if bad_split[r]:
+                raise EmbeddingFormatError(f"bad split code {split[r]}")
+            raise EmbeddingFormatError(f"label {label[r]} outside task {task[r]}'s class range")
+        if fit < count:
+            raise EmbeddingFormatError("truncated record")
+        if _HEADER.size + count * record_size != size:
+            raise EmbeddingFormatError("trailing bytes after last record")
+
+        # bucket 2*(task-1) + split; each keeps its records in file order
+        bucket = 2 * (task - 1) + split
+        sizes = np.bincount(bucket)  # no minlength: a header may declare 2^32 tasks
+        order = np.argsort(bucket, kind="stable")
+        row = np.argsort(order)  # record i's row of features
+        features = np.empty((fit, dim))
+        fh.seek(_HEADER.size)
+        for start, records in _chunks(fh, record, fit):
+            # checked before widening, so no value reaches the stream unchecked
+            bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
+            if len(bad):
+                r = start + int(bad[0])
+                raise EmbeddingFormatError(f"record {r} (task {task[r]}, {_SPLIT_NAMES[split[r]]} "
+                                           "split) has non-finite features")
+            features[row[start : start + len(records)]] = records["features"]
     empty = np.flatnonzero(sizes == 0)
     b = int(empty[0]) if len(empty) else len(sizes)
     if b < 2 * num_tasks:
         raise EmbeddingFormatError(f"task {b // 2 + 1} has an empty {_SPLIT_NAMES[b % 2]} split")
-    buckets = np.split(np.argsort(bucket, kind="stable"), np.cumsum(sizes)[:-1])
-    data = [TaskData(b // 2 + 1, records["features"][rows].astype(np.float64),
-                     label[rows].astype(np.int64)) for b, rows in enumerate(buckets)]
+    cuts = np.cumsum(sizes)[:-1]
+    data = [TaskData(b // 2 + 1, x, y) for b, (x, y) in enumerate(
+        zip(np.split(features, cuts), np.split(label[order].astype(np.int64), cuts)))]
     stream = TaskStream(layout, data[0::2], data[1::2])
     stream.validate()
     return stream

@@ -1,12 +1,17 @@
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from arcbench import data
 from arcbench.core import TrainConfig, fit_task, forward, new_head
 from arcbench.data import (
     EmbeddingFormatError,
     SyntheticSpec,
+    TaskData,
+    TaskStream,
     generate_synthetic,
     load_embeddings,
     streams_equal,
@@ -16,6 +21,20 @@ from arcbench.data import (
 from oracles import task_of_class
 
 SMALL = SyntheticSpec(num_tasks=2, step=3, dim=4, train_per_class=5, test_per_class=4, seed=7)
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Loop over it to run a block with the loader's chunk at its default size,
+    then at one record and at three records of a `dim`-wide file, so a record
+    the loader must find sits at a chunk border."""
+    def sizes(dim):
+        for records in (None, 1, 3):
+            with monkeypatch.context() as patch:
+                if records:
+                    patch.setattr(data, "_CHUNK_BYTES", records * (7 + 4 * dim))
+                yield records
+    return sizes
 
 
 class TestGenerateSynthetic:
@@ -69,12 +88,55 @@ class TestGenerateSynthetic:
 
 
 class TestEmbeddingRoundTrip:
-    def test_round_trip_identity(self, tmp_path):
+    def test_round_trip_identity(self, tmp_path, chunk_sizes):
         stream = generate_synthetic(SMALL)
         path = tmp_path / "stream.emb1"
         write_embeddings(stream, str(path))
-        loaded = load_embeddings(str(path))
-        assert streams_equal(stream, loaded)
+        for _ in chunk_sizes(SMALL.dim):
+            assert streams_equal(stream, load_embeddings(str(path)))
+
+    def test_records_in_any_order(self, tmp_path, chunk_sizes):
+        # 32 records, not a multiple of a 3-record chunk
+        spec = SyntheticSpec(num_tasks=2, step=2, dim=4, train_per_class=5, test_per_class=3, seed=3)
+        stream = generate_synthetic(spec)
+        path = tmp_path / "canonical.emb1"
+        write_embeddings(stream, str(path))
+        blob = path.read_bytes()
+        size = 7 + 4 * spec.dim
+        records = [blob[at : at + size] for at in range(26, len(blob), size)]
+        fields = [struct.unpack_from("<HIB", r) for r in records]  # task, label, split
+        bucket = np.array([2 * (task - 1) + split for task, _, split in fields])
+        rng = np.random.default_rng(0)
+        # splits interleaved, each in its canonical order: the canonical stream
+        interleaved = np.empty(len(records), np.int64)
+        interleaved[np.argsort(rng.permutation(bucket), kind="stable")] = np.arange(len(records))
+        # every record anywhere: each split in the order a record-by-record reader meets it
+        shuffled = rng.permutation(len(records))
+        rows: dict[tuple[int, int], list] = {(t, s): [] for t in (1, 2) for s in (0, 1)}
+        for i in shuffled:
+            task, label, split = fields[i]
+            rows[task, split].append((label, struct.unpack_from(f"<{spec.dim}f", records[i], 7)))
+        expected = TaskStream(spec.layout, *(
+            [TaskData(t, np.array([f for _, f in rows[t, s]]), np.array([y for y, _ in rows[t, s]]))
+             for t in (1, 2)] for s in (0, 1)))
+        for order, want in ((interleaved, stream), (shuffled, expected)):
+            path.write_bytes(blob[:26] + b"".join(records[i] for i in order))
+            for _ in chunk_sizes(spec.dim):
+                assert streams_equal(load_embeddings(str(path)), want)
+
+    def test_peak_memory_is_the_stream_plus_one_chunk(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100,
+                             test_per_class=100, seed=0)  # 3000 records
+        path = tmp_path / "wide.emb1"
+        write_embeddings(generate_synthetic(spec), str(path))
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 64 << 10)
+        tracemalloc.start()
+        try:
+            load_embeddings(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3000 * spec.dim * 8  # the float64 stream's bytes
 
     def test_canonical_encoding(self, tmp_path):
         stream = generate_synthetic(SMALL)
@@ -172,7 +234,7 @@ class TestEmbeddingValidation:
         ({44: np.nan, 50: np.inf}, 44, "task 2, test split"),
         ({3: -np.inf}, 3, "task 1, train split"),
     ])
-    def test_non_finite_features(self, tmp_path, bad, first, where):
+    def test_non_finite_features(self, tmp_path, chunk_sizes, bad, first, where):
         # canonical order: task 1 train (15 records), task 1 test (12), then task 2
         path = self.write_valid(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -180,9 +242,10 @@ class TestEmbeddingValidation:
             at = 26 + record * (7 + 4 * SMALL.dim) + 7 + 4 * (record % SMALL.dim)
             blob[at : at + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
-        with pytest.raises(EmbeddingFormatError,
-                           match=rf"record {first} \({where}\) has non-finite features"):
-            load_embeddings(str(path))
+        for _ in chunk_sizes(SMALL.dim):
+            with pytest.raises(EmbeddingFormatError,
+                               match=rf"record {first} \({where}\) has non-finite features"):
+                load_embeddings(str(path))
 
     @staticmethod
     def record(task, label, split, *features):
@@ -203,20 +266,28 @@ class TestEmbeddingValidation:
         # non-finite features win over empty splits
         ([(2, 3, 1), (1, 0, 0, 0.0, float("nan"))], 2, b"", r"record 1 \(task 1, train split\)"),
     ])
-    def test_error_precedence(self, tmp_path, records, count, tail, message):
+    def test_error_precedence(self, tmp_path, chunk_sizes, records, count, tail, message):
         header = struct.pack("<4sHIIIQ", b"EMB1", 1, 2, 2, 3, count)
         path = tmp_path / "faults.emb1"
         path.write_bytes(header + b"".join(self.record(*fields) for fields in records) + tail)
-        with pytest.raises(EmbeddingFormatError, match=message):
-            load_embeddings(str(path))
+        for _ in chunk_sizes(2):
+            with pytest.raises(EmbeddingFormatError, match=message):
+                load_embeddings(str(path))
 
-    @pytest.mark.parametrize("dim, num_tasks, message", [
-        (2**32 - 1, 1, "truncated record"),
-        (2, 2**32 - 1, "task 1 has an empty test split"),
+    def test_short_read_between_passes(self):
+        # a file that shrinks after the size check ends the load; no chunk buffer is reused stale
+        short = io.BytesIO(self.record(1, 0, 0)[:-1])
+        with pytest.raises(EmbeddingFormatError, match="truncated record"):
+            list(data._chunks(short, data._record_dtype(2), 1))
+
+    @pytest.mark.parametrize("dim, num_tasks, count, message", [
+        (2**32 - 1, 1, 1, "truncated record"),
+        (2, 2**32 - 1, 1, "task 1 has an empty test split"),
+        (2, 1, 2**64 - 1, "truncated record"),
     ])
-    def test_absurd_header_sizes(self, tmp_path, dim, num_tasks, message):
-        # neither size may reach an allocation: the file holds one 2-dim record
-        header = struct.pack("<4sHIIIQ", b"EMB1", 1, dim, num_tasks, 1, 1)
+    def test_absurd_header_sizes(self, tmp_path, dim, num_tasks, count, message):
+        # no size may reach an allocation: the file holds one 2-dim record
+        header = struct.pack("<4sHIIIQ", b"EMB1", 1, dim, num_tasks, 1, count)
         path = tmp_path / "absurd.emb1"
         path.write_bytes(header + self.record(1, 0, 0))
         with pytest.raises(EmbeddingFormatError, match=message):
