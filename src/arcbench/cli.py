@@ -11,7 +11,7 @@ failures never leave a partial bundle.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import os
 import platform
 import shutil
@@ -116,21 +116,27 @@ def read_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line "
-                                  f"{line_of[key]}")
-            raw[key], line_of[key] = value.strip(), lineno
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # decoded whole, so the error's position is the file offset
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line "
+                              f"{line_of[key]}")
+        raw[key], line_of[key] = value.strip(), lineno
     return raw
 
 
@@ -279,14 +285,6 @@ def _columns(cls) -> list[str]:
     return [f.name for f in fields(cls)]
 
 
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _metadata(command: str, cfg: RunConfig) -> str:
     """Provenance and the effective config; called once the command's work is done."""
     lines = [f"arcbench version = {__version__}", f"command = {command}",
@@ -294,7 +292,7 @@ def _metadata(command: str, cfg: RunConfig) -> str:
              f"python version = {platform.python_version()}",
              f"platform = {platform.platform()}"]
     if cfg.values["data.source"] == "embeddings":
-        lines.append(f"data.path sha256 = {_file_sha256(cfg.values['data.path'])}")
+        lines.append(f"data.path sha256 = {cfg._embeddings.sha256}")  # hashed as it loaded
     for key in sorted(SCHEMA):
         value = cfg.values[key]
         if isinstance(value, list):
@@ -477,19 +475,17 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
     return files, f"rows: {len(otd_rows)}"
 
 
+# each subcommand: its function and its --help line
 COMMANDS = {
-    "run": cmd_run,
-    "probe": cmd_probe,
-    "ablate": cmd_ablate,
-    "validate-otd": cmd_validate_otd,
+    "run": (cmd_run, "train sequentially and report paired arc/baseline metrics"),
+    "probe": (cmd_probe, "per-task probe heads vs the shared head"),
+    "ablate": (cmd_ablate, "full variant grid over losses, temperature, w-mode and thresholds"),
+    "validate-otd": (cmd_validate_otd, "detection precision at each requested beta"),
 }
 
 
-def _key_to_dest(key: str) -> str:
-    return key.replace(".", "__")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each flag's dest is its key (argparse keeps the dot)."""
     parser = argparse.ArgumentParser(
         prog="arcbench",
         description="Class-incremental benchmark with test-time classifier "
@@ -498,19 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"arcbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "run": "train sequentially and report paired arc/baseline metrics",
-        "probe": "per-task probe heads vs the shared head",
-        "ablate": "full variant grid over losses, temperature, w-mode and thresholds",
-        "validate-otd": "detection precision at each requested beta",
-    }
-    for name, text in help_lines.items():
+    for name, (_, text) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", metavar="FILE", default=None,
                         help="flat key=value config file")
         for key, (_, default, key_help) in SCHEMA.items():
-            sp.add_argument(f"--{key}", dest=_key_to_dest(key), metavar="V",
-                            default=None, help=f"{key_help} (default: {default})")
+            sp.add_argument(f"--{key}", metavar="V", default=None,
+                            help=f"{key_help} (default: {default})")
     return parser
 
 
@@ -518,13 +508,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        flag_values = {
-            key: getattr(args, _key_to_dest(key))
-            for key in SCHEMA
-            if getattr(args, _key_to_dest(key)) is not None
-        }
+        flag_values = {key: value for key, value in vars(args).items()
+                       if key in SCHEMA and value is not None}
         cfg = RunConfig(_effective_config(file_values, flag_values))
-        files, summary = COMMANDS[args.command](cfg)
+        files, summary = COMMANDS[args.command][0](cfg)
         write_bundle(cfg.output_dir, files)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ so its peak memory is the float64 stream plus one chunk.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -91,11 +92,13 @@ class TaskData:
 
 @dataclass
 class TaskStream:
-    """Ordered per-task train/test datasets under a fixed class layout."""
+    """Ordered per-task train/test datasets under a fixed class layout;
+    ``sha256`` is the hex digest of the EMB1 file it was loaded from."""
 
     layout: TaskLayout
     train: list[TaskData]
     test: list[TaskData]
+    sha256: str | None = None
 
     @property
     def dim(self) -> int:
@@ -121,7 +124,8 @@ class TaskStream:
 
 
 def streams_equal(a: TaskStream, b: TaskStream) -> bool:
-    """Field-by-field equality, features compared bit-exactly."""
+    """Field-by-field equality, features compared bit-exactly; the source
+    file's digest is not compared."""
     if a.layout != b.layout:
         return False
     for split_a, split_b in ((a.train, b.train), (a.test, b.test)):
@@ -207,8 +211,9 @@ def load_embeddings(path: str) -> TaskStream:
     """Parse an EMB1 file into a TaskStream, raising the error a record-by-record
     reader would raise first. Records may come in any order; each split keeps
     file order. Two passes, each a bounded chunk at a time: the first reads task,
-    label and split and checks them, the second widens each record's features
-    into its row of one float64 array, so the peak is that array plus one chunk."""
+    label and split, checks them and hashes the file (the stream's sha256), the
+    second widens each record's features into its row of one float64 array, so
+    the peak is that array plus one chunk."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -223,6 +228,7 @@ def load_embeddings(path: str) -> TaskStream:
         if count == 0:
             raise EmbeddingFormatError("no examples")
         layout = TaskLayout(num_tasks, step)
+        digest = hashlib.sha256(header)  # with pass 1's chunks: every byte of a valid file
 
         size = os.fstat(fh.fileno()).st_size
         record_size = _record_dtype(0).itemsize + 4 * dim
@@ -233,6 +239,7 @@ def load_embeddings(path: str) -> TaskStream:
         task, split = np.empty(fit, np.int64), np.empty(fit, np.int64)
         label = np.empty(fit, np.uint32)
         for start, records in _chunks(fh, record, fit):
+            digest.update(records)
             rows = slice(start, start + len(records))
             task[rows], split[rows], label[rows] = records["task"], records["split"], records["label"]
         # the first bad record in file order wins; within it, task, split, label
@@ -274,6 +281,6 @@ def load_embeddings(path: str) -> TaskStream:
     cuts = np.cumsum(sizes)[:-1]
     data = [TaskData(b // 2 + 1, x, y) for b, (x, y) in enumerate(
         zip(np.split(features, cuts), np.split(label[order].astype(np.int64), cuts)))]
-    stream = TaskStream(layout, data[0::2], data[1::2])
+    stream = TaskStream(layout, data[0::2], data[1::2], digest.hexdigest())
     stream.validate()
     return stream

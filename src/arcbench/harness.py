@@ -3,11 +3,11 @@
 A run trains the shared head sequentially (task by task, optionally with a
 small replay reservoir) and evaluates every seen test set twice after each
 stage: plain argmax and the full test-time pipeline. Stage t is evaluated
-from head t alone, so every experiment hands its per-stage work to one
-StageMap, which on Linux with a second CPU trains in a forked child and
-shares the stages between the two processes; probe fits its probe heads
-here, one per task, while the child trains. Accuracies land in two
-lower-triangular matrices from which the summary metrics derive. Harness
+from head t alone, so every experiment is one map_stages call (which on
+Linux with a second CPU trains in a forked child and shares the stages
+between the two processes) and then assembles the per-stage results; probe
+t is fitted in stage t's work. Accuracies land in two lower-triangular
+matrices from which the summary metrics derive. Harness
 RNG substreams are keyed (seed, stage, tag[, extra]) with the tags below;
 probe keys use stage 0, which belongs to no stage.
 """
@@ -207,7 +207,7 @@ def _train_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iter
 
 def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> list[LinearHead]:
     """Sequential training in this process; returns the head as of the end of
-    each stage. StageMap trains the same heads, in a child process where it can."""
+    each stage. map_stages trains the same heads, in a child process where it can."""
     return list(_train_stages(stream, train_cfg, seed))
 
 
@@ -232,14 +232,14 @@ def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task:
 
 
 def trains_in_child() -> bool:
-    """Whether StageMap trains, and evaluates the last stages, in a forked
+    """Whether map_stages trains, and evaluates the last stages, in a forked
     child: on Linux, when this process may run on a second CPU. With one CPU
     the processes could only take turns, so the work stays in this process."""
     return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
 
 
 def _drain(conn, inbox) -> None:
-    """StageMap's reader thread: moves each item the child sends into inbox as
+    """map_stages' reader thread: moves each item the child sends into inbox as
     it arrives, so the child never blocks on a full pipe. None marks the end
     of the pipe: the child has exited."""
     try:
@@ -251,118 +251,98 @@ def _drain(conn, inbox) -> None:
         inbox.put(exc)
 
 
-class StageMap:
-    """work(t, head t) for every stage t of one training run, in stage order.
+def _claim(claims, t: int) -> bool:
+    """Claim stage t for the calling process, unless it is already claimed."""
+    with claims.get_lock():
+        if claims[t - 1]:
+            return False
+        claims[t - 1] = 1
+        return True
 
-    Head t is the shared head trained through stage t, as from
-    train_sequence. Where trains_in_child(), a child started by fork (it
-    inherits the stream, the configs and work) trains and sends every head,
-    then claims stages n, n - 1, ... until one is already claimed and sends
-    their results, which must pickle. Iterating claims stages 1, 2, ... in
-    order and evaluates each one it claims here once its head arrives. A
-    claim is a flag set under the lock of a shared table, so each stage is
-    evaluated once. A thread here empties the pipe as items arrive, so the
-    child never waits on the caller. Elsewhere all of it runs here, lazily.
 
-    ``heads`` holds the heads received so far, all of them once the iteration
-    ends. An error raised in the child is re-raised here with its type and
-    message, and a child that exits without reporting raises
-    ChildProcessError naming the training child, its exit code and the stage
-    it did not send. Use it as a context manager: leaving the block, even
-    early or by an exception, stops and joins the child and the thread.
+def _child(conn, trained: Iterator[LinearHead], claims, work) -> None:
+    """The child's side: every head, then stages from the top down while they
+    are unclaimed, each result dropped once sent; or the error."""
+    try:
+        heads = []
+        for head in trained:
+            conn.send(head)
+            heads.append(head)
+        for t in range(len(heads), 0, -1):
+            if not _claim(claims, t):
+                break
+            conn.send((t, work(t, heads[t - 1])))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def map_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int,
+               work: Callable[[int, LinearHead], object]) -> tuple[list[LinearHead], list]:
+    """(heads, results): head t is the shared head trained through stage t, as
+    from train_sequence, and result t is work(t, head t), both in stage order.
+
+    Where trains_in_child(), a child started by fork (it inherits the stream,
+    the configs and work) trains and sends every head, then claims stages n,
+    n - 1, ... until one is already claimed and sends their results, which
+    must pickle. This process claims stages 1, 2, ... and does the work of
+    each one it claims once its head arrives. A claim is a flag set under the
+    lock of a shared table, so each stage is done once. A thread here empties
+    the pipe as items arrive, so the child never waits on this process.
+    Elsewhere all of it runs here, each head trained when its stage is reached.
+
+    An error raised in the child is re-raised here with its type and message,
+    and a child that exits without reporting raises ChildProcessError naming
+    the training child, its exit code and the stage it did not send. Either
+    way, and on success, the child and the thread are stopped and joined
+    before this returns.
     """
+    n = stream.layout.num_tasks
+    trained = _train_stages(stream, train_cfg, seed)
+    heads: list[LinearHead] = []
+    if not trains_in_child():
+        results = []
+        for t in range(1, n + 1):
+            heads.append(next(trained))
+            results.append(work(t, heads[-1]))
+        return heads, results
+    # imported here, so that start-up before training does not pay for them
+    import multiprocessing
+    import queue
+    import threading
 
-    def __init__(self, stream: TaskStream, train_cfg: TrainConfig, seed: int,
-                 work: Callable[[int, LinearHead], object]):
-        self._num_stages = stream.layout.num_tasks
-        self._work = work
-        self._trained = _train_stages(stream, train_cfg, seed)
-        self.heads: list[LinearHead] = []
-        self._process = None
-        if not trains_in_child():
-            return
-        # imported here, so that start-up before training does not pay for them
-        import multiprocessing
-        import queue
-        import threading
-
-        ctx = multiprocessing.get_context("fork")
-        self._claims = ctx.Array("b", self._num_stages)  # stage t's flag at t - 1
-        self._results: dict[int, object] = {}
-        self._conn, child_conn = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(target=self._child, args=(child_conn,), daemon=True)
-        self._process.start()
-        child_conn.close()
-        self._inbox = queue.SimpleQueue()
-        self._reader = threading.Thread(target=_drain, args=(self._conn, self._inbox),
-                                        daemon=True)
-        self._reader.start()
-
-    def _claim(self, t: int) -> bool:
-        """Claim stage t for the calling process, unless it is already claimed."""
-        with self._claims.get_lock():
-            if self._claims[t - 1]:
-                return False
-            self._claims[t - 1] = 1
-            return True
-
-    def _child(self, conn) -> None:
-        """The child's side: every head, then stages from the top down while
-        they are unclaimed, each result dropped once sent; or the error."""
-        try:
-            heads = []
-            for head in self._trained:
-                conn.send(head)
-                heads.append(head)
-            for t in range(self._num_stages, 0, -1):
-                if not self._claim(t):
-                    break
-                conn.send((t, self._work(t, heads[t - 1])))
-        except Exception as exc:
-            conn.send(exc)
-
-    def _pull(self, t: int) -> None:
-        """File the child's next item, waiting for it; stage t is awaited."""
-        item = self._inbox.get()
-        if item is None:
-            self._process.join()
-            raise ChildProcessError(
-                f"training child exited with code {self._process.exitcode} before "
-                f"sending stage {t} of {self._num_stages}")
-        if isinstance(item, BaseException):
-            raise item
-        if isinstance(item, LinearHead):
-            self.heads.append(item)
-        else:
-            self._results[item[0]] = item[1]
-
-    def __iter__(self) -> Iterator:
-        for t in range(1, self._num_stages + 1):
-            if self._process is None:
-                self.heads.append(next(self._trained))
-                yield self._work(t, self.heads[-1])
-            elif self._claim(t):
-                while len(self.heads) < t:
-                    self._pull(t)
-                yield self._work(t, self.heads[t - 1])
-            else:  # the child claimed t, and so every later stage
-                while t not in self._results:
-                    self._pull(t)
-                yield self._results.pop(t)
-
-    def close(self) -> None:
-        """Stop the child (if still running), then wait for it and the thread."""
-        if self._process is not None and not self._conn.closed:
-            self._process.terminate()
-            self._process.join()
-            self._reader.join()  # the pipe ends with the child
-            self._conn.close()
-
-    def __enter__(self) -> "StageMap":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    ctx = multiprocessing.get_context("fork")
+    claims = ctx.Array("b", n)  # stage t's flag at t - 1
+    conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_child, args=(child_conn, trained, claims, work), daemon=True)
+    process.start()
+    child_conn.close()
+    inbox = queue.SimpleQueue()
+    reader = threading.Thread(target=_drain, args=(conn, inbox), daemon=True)
+    reader.start()
+    done: dict[int, object] = {}
+    try:
+        for t in range(1, n + 1):
+            mine = _claim(claims, t)  # if not, the child claimed t and every later stage
+            while (len(heads) < t) if mine else (t not in done):
+                item = inbox.get()  # the child's next item
+                if item is None:
+                    process.join()
+                    raise ChildProcessError(f"training child exited with code "
+                                            f"{process.exitcode} before sending stage {t} of {n}")
+                if isinstance(item, BaseException):
+                    raise item
+                if isinstance(item, LinearHead):
+                    heads.append(item)
+                else:
+                    done[item[0]] = item[1]
+            if mine:
+                done[t] = work(t, heads[t - 1])
+    finally:
+        process.terminate()
+        process.join()
+        reader.join()  # the pipe ends with the child
+        conn.close()
+    return heads, [done[t] for t in range(1, n + 1)]
 
 
 def _stage_trace(
@@ -415,7 +395,7 @@ def run_stream(
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
     Each stage's plain accuracies and pipeline trace come from its own head
-    (see StageMap), so pipeline-side head updates never leak across stages.
+    (see map_stages), so pipeline-side head updates never leak across stages.
     The bias histogram reads the final stage's plain predictions on task 1.
     """
     layout = stream.layout
@@ -427,14 +407,12 @@ def run_stream(
         return (_stage_trace(stream, head, t, [arc_cfg], seed),
                 [accuracy for accuracy, _ in plain], task1_preds)
 
+    heads, stages = map_stages(stream, train_cfg, seed, evaluate)
     r_arc, r_plain = RMatrix.empty(n), RMatrix.empty(n)
-    traces: list[StageTrace] = []
-    with StageMap(stream, train_cfg, seed, evaluate) as stages:
-        for t, (trace, plain, task1_preds) in enumerate(stages, start=1):
-            r_arc.set_row(t, _task_accuracies(trace)[0])
-            r_plain.set_row(t, plain)
-            traces.append(trace)
-
+    for t, (trace, plain, _) in enumerate(stages, start=1):
+        r_arc.set_row(t, _task_accuracies(trace)[0])
+        r_plain.set_row(t, plain)
+    task1_preds = stages[-1][2]
     bias = task1_labels = None
     if task1_preds is not None:
         task1_labels = stream.test[0].labels
@@ -446,8 +424,8 @@ def run_stream(
         r_without_arc=r_plain,
         metrics_with_arc=_metrics(seed, "arc", r_arc),
         metrics_without_arc=_metrics(seed, "baseline", r_plain),
-        stage_heads=stages.heads,
-        arc_traces=traces,
+        stage_heads=heads,
+        arc_traces=[trace for trace, _, _ in stages],
         bias_histogram=bias,
         task1_predictions=task1_preds,
         task1_labels=task1_labels,
@@ -463,8 +441,7 @@ def pipeline_traces(
     def evaluate(t: int, head: LinearHead) -> list[StageTrace]:
         return [_stage_trace(stream, head, t, [cfg], seed) for cfg in cfgs]
 
-    with StageMap(stream, train_cfg, seed, evaluate) as stages:
-        per_stage = list(stages)
+    _, per_stage = map_stages(stream, train_cfg, seed, evaluate)
     return [list(traces) for traces in zip(*per_stage)]
 
 
@@ -508,24 +485,21 @@ def linear_probe_experiment(
     budget as the shared head) and scored on task i's test set. Features are
     frozen, so it is fitted once and its accuracy fills every stage t > i;
     the shared head as of stage t is scored on the same test sets. The
-    widening gap is the shared classifier's bias. Probe t is fitted here
-    before stage t + 1 is claimed, so each fit overlaps the training child
-    (see StageMap).
+    widening gap is the shared classifier's bias. Probe t is fitted in stage
+    t's work (see map_stages), beside the shared head's scores; the final
+    stage fits none.
     """
     n = stream.layout.num_tasks
 
-    def shared_scores(t: int, head: LinearHead) -> list[float]:
-        return [_plain_accuracy(head, test)[0] for test in stream.test[:t - 1]]
+    def scores(t: int, head: LinearHead) -> tuple[list[float], float | None]:
+        shared = [_plain_accuracy(head, test)[0] for test in stream.test[:t - 1]]
+        return shared, _probe_accuracy(stream, train_cfg, seed, t) if t < n else None
 
-    rows: list[ProbeRow] = []
-    probes: list[float] = []
-    with StageMap(stream, train_cfg, seed, shared_scores) as stages:
-        for t, shared in enumerate(stages, start=1):
-            for i, (probe_acc, shared_acc) in enumerate(zip(probes, shared), start=1):
-                rows.append(ProbeRow(t, i, probe_acc, shared_acc))
-            if t < n:
-                probes.append(_probe_accuracy(stream, train_cfg, seed, t))
-    return rows
+    _, stages = map_stages(stream, train_cfg, seed, scores)
+    probes = [probe for _, probe in stages]
+    return [ProbeRow(t, i, probes[i - 1], shared_acc)
+            for t, (shared, _) in enumerate(stages, start=1)
+            for i, shared_acc in enumerate(shared, start=1)]
 
 
 def ablation_grid(
@@ -552,10 +526,10 @@ def ablation_grid(
         return [_task_accuracies(_stage_trace(stream, head, t, [cfgs[i] for i in group], seed))
                 for group in members]
 
+    _, stages = map_stages(stream, train_cfg, seed, evaluate)
     matrices = [RMatrix.empty(n) for _ in cfgs]
-    with StageMap(stream, train_cfg, seed, evaluate) as stages:
-        for t, per_group in enumerate(stages, start=1):
-            for group, accuracies in zip(members, per_group):
-                for i, row in zip(group, accuracies):
-                    matrices[i].set_row(t, row)
+    for t, per_group in enumerate(stages, start=1):
+        for group, accuracies in zip(members, per_group):
+            for i, row in zip(group, accuracies):
+                matrices[i].set_row(t, row)
     return [_metrics(seed, "arc", r) for r in matrices]

@@ -3,17 +3,20 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. The desk-scale benchmark
 is the default synthetic stream (10 tasks x 10 classes, D=64, noise 0.6,
 memory-free) over seeds 0..4 with the default training and pipeline
-configuration (beta=0.8, gamma=0.8, temperature=2).
+configuration (beta=0.8, gamma=0.8, temperature=2). Criterion 10 is the
+memory-based setting of ``configs/memory_based.cfg`` (noise 1.4, two replay
+exemplars per past class) over seeds 0..2.
 """
 
 import csv
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from arcbench.arc import ArcConfig, tss
-from arcbench.cli import main
+from arcbench.cli import RunConfig, _effective_config, main, read_config_file
 from arcbench.core import (
     LinearHead,
     TaskLayout,
@@ -30,6 +33,7 @@ import test_properties as props
 from oracles import cross_entropy, entropy, fd_gradient, mp_tss, relative_error
 
 SEEDS = (0, 1, 2, 3, 4)
+MEMORY_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "memory_based.cfg")
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -238,3 +242,19 @@ def test_criterion_9_ablation_grid(tmp_path):
     report(9, "ablation grid", ok,
            f"{len(rows)} rows == {expected}, full variant grid covered, "
            f"byte-identical across reruns: {identical}")
+
+
+def test_criterion_10_memory_based(tmp_path):
+    # the file read as `arcbench run --config` reads it
+    cfg = RunConfig(_effective_config(read_config_file(MEMORY_CONFIG),
+                                      {"run.output_dir": str(tmp_path / "unused")}))
+    ok = cfg.train.replay_per_class > 0
+    details = [f"replay {cfg.train.replay_per_class} per class, noise {cfg.spec.noise_sigma:g}"]
+    for seed in (0, 1, 2):
+        result = run_stream(cfg.stream_for_seed(seed), cfg.train, cfg.arc, seed)
+        arc, base = result.metrics_with_arc, result.metrics_without_arc
+        ok &= arc.average_accuracy > base.average_accuracy and arc.forgetting < base.forgetting
+        details.append(f"seed {seed}: accuracy {arc.average_accuracy:.4f} > "
+                       f"{base.average_accuracy:.4f}, forgetting {arc.forgetting:.4f} < "
+                       f"{base.forgetting:.4f}")
+    report(10, "memory-based improvement", ok, "; ".join(details))

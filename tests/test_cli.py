@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import os
 import platform
+import re
+import sys
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from arcbench.otd import OtdDecision
 
 from stage_schedules import late_claims, log_stages
 
+HELP_TEXT = os.path.join(os.path.dirname(__file__), "cli_help.txt")
 TINY = [
     "--data.num_tasks", "3", "--data.step", "2", "--data.dim", "8",
     "--data.train_per_class", "10", "--data.test_per_class", "8",
@@ -155,7 +158,7 @@ class TestCmdRun:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before run.output_dir was checked")
 
-        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
+        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
         out = tmp_path / "occupied"
         if occupant == "dir":
             out.mkdir()
@@ -304,7 +307,7 @@ class TestCmdAblate:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
-        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
+        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
         out = tmp_path / "bundle"
         assert run_cli([command, *TINY, f"--{key}", value, "--run.output_dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {key}: {message}\n"
@@ -372,7 +375,7 @@ class TestCmdValidateOtd:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
-        monkeypatch.setattr("arcbench.harness.StageMap", no_training)
+        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
         out = tmp_path / "bundle"
         code = run_cli(["validate-otd", *TINY, "--otd.betas", "0.5,1.5",
                         "--run.output_dir", str(out)])
@@ -671,6 +674,35 @@ class TestConfigBoundary:
                              ("ablate.temperatures", "on (arc.temperature) | off (1)"),
                              ("ablate.w_modes", "ratio | raw")]:
             assert f": {allowed} (default:" in help_of[key]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse lays help out differently in other Python versions; "
+                               "cli_help.txt was recorded with Python 3.11")
+    def test_help_text_unchanged(self, capsys, monkeypatch):
+        """The --help text of arcbench and of each subcommand, at 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for command in ([], *([name] for name in cli.COMMANDS)):
+            with pytest.raises(SystemExit) as stop:
+                main([*command, "--help"])
+            assert stop.value.code == 0
+            texts.append(f"==> {' '.join(['arcbench', *command, '--help'])} <==\n"
+                         + capsys.readouterr().out)
+        with open(HELP_TEXT, encoding="utf-8") as fh:
+            assert "".join(texts) == fh.read()
+
+    @pytest.mark.parametrize("lead", ["", "# " + "x" * 10000 + "\n"], ids=["short", "long"])
+    def test_config_file_not_utf8_named(self, tmp_path, capsys, lead):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(f"{lead}arc.beta = 0.7\r\n# café\n".encode("latin-1"))
+        offset = len(lead) + 21  # of the é
+        lineno = 2 + lead.count("\n")
+        message = (f"{path}:{lineno}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+                   f"position {offset}: invalid continuation byte")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read_config_file(str(path))
+        assert run_cli(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRecordText:

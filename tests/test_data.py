@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 import tracemalloc
@@ -123,6 +124,23 @@ class TestEmbeddingRoundTrip:
             path.write_bytes(blob[:26] + b"".join(records[i] for i in order))
             for _ in chunk_sizes(spec.dim):
                 assert streams_equal(load_embeddings(str(path)), want)
+
+    def test_digest_is_the_file_sha256(self, tmp_path, chunk_sizes):
+        stream = generate_synthetic(SMALL)
+        assert stream.sha256 is None
+        path = tmp_path / "stream.emb1"
+        write_embeddings(stream, str(path))
+        canonical = path.read_bytes()
+        size = 7 + 4 * SMALL.dim
+        records = [canonical[at : at + size] for at in range(26, len(canonical), size)]
+        order = np.random.default_rng(1).permutation(len(records))
+        shuffled = canonical[:26] + b"".join(records[i] for i in order)
+        for blob in (canonical, shuffled):
+            path.write_bytes(blob)
+            for _ in chunk_sizes(SMALL.dim):
+                assert load_embeddings(str(path)).sha256 == hashlib.sha256(blob).hexdigest()
+        path.write_bytes(canonical)
+        assert streams_equal(load_embeddings(str(path)), stream)  # the digest is not compared
 
     def test_peak_memory_is_the_stream_plus_one_chunk(self, tmp_path, monkeypatch):
         spec = SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100,

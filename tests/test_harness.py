@@ -16,12 +16,12 @@ from arcbench.otd import Thresholds
 from arcbench.harness import (
     PROBE_TAG,
     RMatrix,
-    StageMap,
     ablation_grid,
     average_accuracy,
     bias_histogram,
     forgetting,
     linear_probe_experiment,
+    map_stages,
     otd_validation,
     run_stream,
     train_sequence,
@@ -202,11 +202,10 @@ needs_fork = pytest.mark.skipif(not trains_in_child(),
 
 
 def stage_heads(stream, cfg, seed):
-    """The head each stage's work receives from a StageMap, in stage order,
-    and the map's own heads once the iteration ends."""
-    with StageMap(stream, cfg, seed, lambda t, head: head) as stages:
-        got = list(stages)
-    return got, stages.heads
+    """The head each stage's work receives from map_stages, in stage order,
+    and the heads it returns."""
+    heads, got = map_stages(stream, cfg, seed, lambda t, head: head)
+    return got, heads
 
 
 def only_main_thread():
@@ -214,7 +213,7 @@ def only_main_thread():
 
 
 class TestStageHeads:
-    """The heads a StageMap trains and hands to each stage's work."""
+    """The heads map_stages trains and hands to each stage's work."""
 
     def test_bit_identical_to_train_sequence_with_replay(self, small_stream):
         cfg = TrainConfig(epochs=4, lr=1.0, batch_size=16, weight_decay=1e-3,
@@ -237,8 +236,8 @@ class TestStageHeads:
         def work(t, head):
             return t, head.visible_tasks
 
-        with StageMap(small_stream, FAST_TRAIN, 5, work) as stages:
-            assert list(stages) == [(1, 1), (2, 2), (3, 3)]
+        _, results = map_stages(small_stream, FAST_TRAIN, 5, work)
+        assert results == [(1, 1), (2, 2), (3, 3)]
 
     def test_training_error_reaches_parent(self, small_stream):
         with pytest.raises(ValueError, match=r"^training overflows at learning rate 1e\+308,"):
@@ -254,35 +253,43 @@ class TestStageHeads:
                            match=r"^training child exited with code 3 before sending stage 1 of 3$"):
             stage_heads(small_stream, FAST_TRAIN, seed=5)
 
-    @needs_fork
-    def test_close_after_stage_two_leaves_no_child(self, small_stream):
-        stages = StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: t)
-        assert len(multiprocessing.active_children()) == 1
-        assert not only_main_thread()  # the reader
-        results = iter(stages)
-        assert [next(results), next(results)] == [1, 2]
-        stages.close()
-        assert multiprocessing.active_children() == []
-        assert only_main_thread()
-
     def test_one_cpu_trains_in_process(self, small_stream, monkeypatch):
+        expected = train_sequence(small_stream, FAST_TRAIN, seed=5)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not trains_in_child()
-        with StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: (os.getpid(), head)) as stages:
+        calls = []
+        fit = harness.fit_task
+
+        def fit_task(*args, seed):
+            calls.append(("fit_task", seed[1]))
+            return fit(*args, seed=seed)
+
+        def work(t, head):
+            calls.append(("work", t))
             assert multiprocessing.active_children() == []
             assert only_main_thread()
-            results = iter(stages)
-            first = next(results)
-            assert len(stages.heads) == 1  # each head is trained when its stage is reached
-            pids, got = zip(first, *results)
-        assert pids == (os.getpid(),) * 3
-        assert_same_heads(got, train_sequence(small_stream, FAST_TRAIN, seed=5))
+            return os.getpid(), head
 
-    def test_consumer_error_stops_the_child(self, small_stream):
-        with pytest.raises(KeyError):
-            with StageMap(small_stream, FAST_TRAIN, 5, lambda t, head: head) as stages:
-                next(iter(stages))
-                raise KeyError("consumer failed")
+        monkeypatch.setattr(harness, "fit_task", fit_task)
+        heads, results = map_stages(small_stream, FAST_TRAIN, 5, work)
+        # head t is trained when stage t is reached, after stage t - 1's work
+        assert calls == [("fit_task", 1), ("work", 1), ("fit_task", 2), ("work", 2),
+                         ("fit_task", 3), ("work", 3)]
+        pids, got = zip(*results)
+        assert pids == (os.getpid(),) * 3
+        assert_same_heads(got, expected)
+        assert_same_heads(heads, expected)
+
+    def test_work_error_in_caller_stops_the_child(self, small_stream):
+        parent = os.getpid()
+
+        def work(t, head):
+            if os.getpid() == parent:
+                raise KeyError("work failed")
+            return t
+
+        with pytest.raises(KeyError, match="work failed"):
+            map_stages(small_stream, FAST_TRAIN, 5, work)
         assert multiprocessing.active_children() == []
         assert only_main_thread()
 
@@ -324,8 +331,7 @@ class TestStagesInChild:
             raise LookupError(f"stage {t} failed in the child")
 
         with pytest.raises(LookupError, match=r"^stage 3 failed in the child$"):
-            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(fail)) as stages:
-                list(stages)
+            map_stages(small_stream, FAST_TRAIN, 5, child_takes_stage_three(fail))
 
     def test_child_killed_during_evaluation_raises_child_process_error(self, small_stream):
         def killed(t):
@@ -333,24 +339,26 @@ class TestStagesInChild:
 
         with pytest.raises(ChildProcessError,
                            match=r"^training child exited with code 3 before sending stage 3 of 3$"):
-            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(killed)) as stages:
-                list(stages)
+            map_stages(small_stream, FAST_TRAIN, 5, child_takes_stage_three(killed))
 
     def test_unreadable_result_reaches_parent(self, small_stream):
         with pytest.raises(pickle.UnpicklingError, match=r"^refused$"):
-            with StageMap(small_stream, FAST_TRAIN, 5,
-                          child_takes_stage_three(lambda t: Unreadable())) as stages:
-                list(stages)
+            map_stages(small_stream, FAST_TRAIN, 5, child_takes_stage_three(lambda t: Unreadable()))
 
-    def test_consumer_error_during_child_evaluation_stops_child_and_reader(self, small_stream):
+    def test_work_error_during_child_evaluation_stops_child_and_reader(self, small_stream):
         def stuck(t):
             time.sleep(60)
 
+        parent, wait_for_stuck_child = os.getpid(), child_takes_stage_three(stuck)
+
+        def work(t, head):
+            wait_for_stuck_child(t, head)
+            if os.getpid() == parent:
+                raise KeyError("work failed")
+
         start = time.monotonic()
-        with pytest.raises(KeyError):
-            with StageMap(small_stream, FAST_TRAIN, 5, child_takes_stage_three(stuck)) as stages:
-                next(iter(stages))
-                raise KeyError("consumer failed")
+        with pytest.raises(KeyError, match="work failed"):
+            map_stages(small_stream, FAST_TRAIN, 5, work)
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
         assert only_main_thread()
@@ -361,17 +369,14 @@ class TestStagesInChild:
         stream = generate_synthetic(SyntheticSpec(num_tasks=3, step=10, dim=512,
                                                   train_per_class=4, test_per_class=2, seed=1))
         def work(t, head):
-            return os.getpid(), time.monotonic()
+            started = time.monotonic()
+            if t == 1:
+                time.sleep(0.5)
+            return os.getpid(), started, time.monotonic()
 
-        with StageMap(stream, FAST_TRAIN, 1, work) as stages:
-            results = []
-            for t, result in enumerate(stages, start=1):
-                results.append(result)
-                if t == 1:
-                    time.sleep(0.5)
-                    woke = time.monotonic()
-        pid, started = results[-1]
-        assert pid != os.getpid()
+        _, results = map_stages(stream, FAST_TRAIN, 1, work)
+        (first_pid, _, woke), (pid, started, _) = results[0], results[-1]
+        assert first_pid == os.getpid() != pid
         assert started < woke
 
     @pytest.mark.parametrize("cfg", [FAST_TRAIN, replace(FAST_TRAIN, replay_per_class=2)],
@@ -558,7 +563,7 @@ class TestProbeFits:
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_consumer_error_stops_the_training_child(self, small_stream, monkeypatch):
+    def test_work_error_stops_the_training_child(self, small_stream, monkeypatch):
         parent = os.getpid()
         forward = harness.forward
         children = []
@@ -566,11 +571,11 @@ class TestProbeFits:
         def failing_forward(*args):
             if os.getpid() == parent:
                 children.append(len(multiprocessing.active_children()))
-                raise KeyError("consumer failed")
+                raise KeyError("work failed")
             return forward(*args)
 
         monkeypatch.setattr(harness, "forward", failing_forward)
-        with pytest.raises(KeyError, match="consumer failed"):
+        with pytest.raises(KeyError, match="work failed"):
             linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         assert children == [1]
         assert multiprocessing.active_children() == []
