@@ -35,6 +35,8 @@ COMMANDS = {
     "ablate-raw-w": ["ablate", "--ablate.losses", "both", "--ablate.temperatures", "on,off",
                      "--ablate.w_modes", "raw", "--ablate.betas", "0.5",
                      "--ablate.gammas", "0.9"],
+    "ablate-groups": ["ablate", "--ablate.losses", "ce,both", "--ablate.betas", "0.6,0.9",
+                      "--ablate.gammas", "0.7,1.0"],
     "validate-otd": ["validate-otd"],
     "probe": ["probe"],
 }
