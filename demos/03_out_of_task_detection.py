@@ -11,7 +11,6 @@ import numpy as np
 from arcbench import (
     OtdDecision,
     SyntheticSpec,
-    Thresholds,
     TrainConfig,
     classify_sample,
     forward,
@@ -31,9 +30,8 @@ tasks = np.concatenate([np.full(len(d.labels), d.task) for d in stream.test])
 z = forward(head, x)
 
 print("a few samples through the detector (beta=0.8, gamma=0.8):")
-th = Thresholds(0.8, 0.8)
 picked = [0, 40, 240, 700, 950]
-for i, rec in zip(picked, classify_sample(z[picked], t, s, th)):  # one record per sample
+for i, rec in zip(picked, classify_sample(z[picked], t, s, 0.8, 0.8)):  # one record per sample
     w = "-" if np.isnan(rec.ratio) else f"{rec.ratio:.2f}"
     print(f"  true task {tasks[i]}  predicted class {rec.initial_class:3d}  "
           f"c={rec.confidence:.2f}  w={w}  -> {rec.decision.value}")
@@ -41,7 +39,7 @@ for i, rec in zip(picked, classify_sample(z[picked], t, s, th)):  # one record p
 print("\nbeta sweep: how many samples get the retention flag, and how pure they are")
 print("beta   flagged  truly past & correct  precision")
 for beta in (0.0, 0.5, 0.7, 0.8, 0.9):
-    records = classify_sample(z, t, s, Thresholds(beta, 0.8))  # the whole batch at once
+    records = classify_sample(z, t, s, beta, 0.8)  # the whole batch at once
     is_flagged = records.decision == OtdDecision.PAST_CORRECT
     flagged = int(is_flagged.sum())
     correct = int(np.sum(is_flagged & (tasks < t) & (records.initial_class == labels)))

@@ -37,8 +37,8 @@ updates = [trace.retention_updates for trace in result.arc_traces]
 print(f"retention updates per stage: {updates}")
 
 variants = {
-    "retention only ": ArcConfig(correction_enabled=False),
-    "correction only": ArcConfig(retention_enabled=False),
+    "retention only ": ArcConfig(correction=False),
+    "correction only": ArcConfig(retention=False),
     "last stage only": ArcConfig(arc_last=True),
 }
 print("\ncomponent breakdown (average accuracy):")

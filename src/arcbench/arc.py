@@ -8,13 +8,13 @@ batch exactly once and never revisits a sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
-from .otd import RECORD_DTYPE, OtdDecision, Thresholds, classify_sample, misclassified
+from .otd import RECORD_DTYPE, OtdDecision, check_thresholds, classify_sample, misclassified
 
 W_MODES = ("ratio", "raw")
 RETENTION_LOSSES = ("both", "ce", "em")
@@ -22,24 +22,27 @@ RETENTION_LOSSES = ("both", "ce", "em")
 
 @dataclass(frozen=True)
 class ArcConfig:
-    """Settings for the test-time pipeline.
+    """Settings for the test-time pipeline, one field per ``arc.*`` key.
 
-    ``temperature`` flattens earlier tasks' score prefixes; 1.0 disables the
-    scaling (ablation mode), the standard setting is > 1. ``arc_last``
-    restricts retention/correction to the final stage.
+    ``beta`` gates retention and ``gamma`` gates correction (see
+    otd.classify_sample). ``temperature`` flattens earlier tasks' score
+    prefixes; 1.0 disables the scaling (ablation mode), the standard setting
+    is > 1. ``arc_last`` restricts retention/correction to the final stage.
     """
 
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    beta: float = 0.8
+    gamma: float = 0.8
     temperature: float = 2.0
     lr: float = 0.1
-    retention_enabled: bool = True
-    correction_enabled: bool = True
+    retention: bool = True
+    correction: bool = True
     batch_size: int = 64
     arc_last: bool = False
     w_mode: str = "ratio"
     retention_loss: str = "both"
 
     def __post_init__(self):
+        check_thresholds(self.beta, self.gamma)
         if not self.temperature >= 1.0:
             raise ValueError(f"temperature must be >= 1, got {self.temperature}")
         if not 0 < self.lr < np.inf:
@@ -54,20 +57,20 @@ class ArcConfig:
             )
 
     def trajectory(self) -> dict:
-        """The fields, by name, that decide how the head moves over a stream.
+        """The fields, by name, that decide how the head moves over a stage's stream.
 
-        Retention alone moves the head, on the rows with c >= beta; gamma,
-        w_mode, temperature and correction never feed back into it.
+        Retention alone moves the head, on the rows with c >= beta, and
+        arc_last decides at which stages it runs; gamma, w_mode, temperature
+        and correction never feed back into it.
         """
-        return {"thresholds.beta": self.thresholds.beta, "retention_loss": self.retention_loss,
-                "lr": self.lr, "batch_size": self.batch_size,
-                "retention_enabled": self.retention_enabled}
+        return {name: getattr(self, name)
+                for name in ("beta", "retention_loss", "lr", "batch_size", "retention", "arc_last")}
 
     def for_stage(self, is_final_stage: bool) -> "ArcConfig":
         """Stage-effective config: with arc_last, only the final stage adapts."""
         if not self.arc_last or is_final_stage:
             return self
-        return replace(self, retention_enabled=False, correction_enabled=False)
+        return replace(self, retention=False, correction=False)
 
 
 def tss(z: np.ndarray, t: int, s: int, temperature: float) -> np.ndarray:
@@ -202,8 +205,8 @@ def arc_evaluate(
 
     # nothing is suspect at t = 1; later, a current-predicted row is some config's
     # suspect iff its statistic is at most the largest gamma of that w_mode
-    correcting = [cfg for cfg in cfgs if cfg.correction_enabled] if t >= 2 else []
-    max_gamma = {mode: max(cfg.thresholds.gamma for cfg in correcting if cfg.w_mode == mode)
+    correcting = [cfg for cfg in cfgs if cfg.correction] if t >= 2 else []
+    max_gamma = {mode: max(cfg.gamma for cfg in correcting if cfg.w_mode == mode)
                  for mode in {cfg.w_mode for cfg in correcting}}
     tables: list[np.ndarray] = []
     suspect_logits: list[np.ndarray] = []
@@ -214,9 +217,9 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        table = classify_sample(z, t, s, first.thresholds, first.w_mode)
+        table = classify_sample(z, t, s, first.beta, first.gamma, first.w_mode)
         flagged = table["decision"] == OtdDecision.PAST_CORRECT
-        if first.retention_enabled and flagged.any():
+        if first.retention and flagged.any():
             head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], first)
             if ok:
                 head = head2
@@ -238,8 +241,8 @@ def arc_evaluate(
         corrected = {temperature: adaptive_correction(z, t, s, temperature)[1]
                      for temperature in dict.fromkeys(cfg.temperature for cfg in correcting)}
         for v, cfg in enumerate(cfgs):
-            if cfg.correction_enabled:
-                mine = misclassified(records, t, s, cfg.thresholds.gamma, cfg.w_mode)
+            if cfg.correction:
+                mine = misclassified(records, t, s, cfg.gamma, cfg.w_mode)
                 final[v, mine] = corrected[cfg.temperature][mine[union]]
     records.final_class = final[0]
     return ArcEvalResult(records, final, head, updates, warnings)

@@ -38,7 +38,7 @@ from .harness import (
     pipeline_traces,
     run_stream,
 )
-from .otd import RECORD_DTYPE, Thresholds
+from .otd import RECORD_DTYPE
 
 OUTPUT_DIR_ENV = "ARCBENCH_OUTPUT_DIR"
 
@@ -86,13 +86,13 @@ SCHEMA: dict[str, tuple] = {
     "train.weight_decay": (float, TrainConfig.weight_decay, "per-step weight decay"),
     "train.replay_per_class": (int, TrainConfig.replay_per_class,
                                "replay exemplars per past class (0 = memory-free)"),
-    "arc.beta": (float, Thresholds.beta, "retention confidence threshold"),
-    "arc.gamma": (float, Thresholds.gamma, "correction ratio threshold"),
+    "arc.beta": (float, ArcConfig.beta, "retention confidence threshold"),
+    "arc.gamma": (float, ArcConfig.gamma, "correction ratio threshold"),
     "arc.temperature": (float, ArcConfig.temperature,
                         "task-score temperature (1 disables scaling)"),
     "arc.lr": (float, ArcConfig.lr, "retention learning rate"),
-    "arc.retention": (_parse_bool, ArcConfig.retention_enabled, "enable test-time retention"),
-    "arc.correction": (_parse_bool, ArcConfig.correction_enabled, "enable test-time correction"),
+    "arc.retention": (_parse_bool, ArcConfig.retention, "enable test-time retention"),
+    "arc.correction": (_parse_bool, ArcConfig.correction, "enable test-time correction"),
     "arc.batch_size": (int, ArcConfig.batch_size, "online evaluation batch size"),
     "arc.arc_last": (_parse_bool, ArcConfig.arc_last, "adapt only after the final task"),
     "arc.w_mode": (str, ArcConfig.w_mode, "misclassification statistic: ratio | raw"),
@@ -171,10 +171,6 @@ def _by_field(cls, values: dict, prefix: str, **given):
                **given)
 
 
-def _with_beta(arc: ArcConfig, beta: float) -> ArcConfig:
-    return replace(arc, thresholds=replace(arc.thresholds, beta=beta))
-
-
 def _with_temperature(arc: ArcConfig, setting: str) -> ArcConfig:
     """"on" keeps arc.temperature; "off" is 1, which disables the scaling."""
     if setting not in ("on", "off"):
@@ -188,9 +184,8 @@ ABLATE_AXES = {
     "ablate.losses": lambda arc, loss: replace(arc, retention_loss=loss),
     "ablate.temperatures": _with_temperature,
     "ablate.w_modes": lambda arc, w_mode: replace(arc, w_mode=w_mode),
-    "ablate.betas": _with_beta,
-    "ablate.gammas": lambda arc, gamma: replace(
-        arc, thresholds=replace(arc.thresholds, gamma=gamma)),
+    "ablate.betas": lambda arc, beta: replace(arc, beta=beta),
+    "ablate.gammas": lambda arc, gamma: replace(arc, gamma=gamma),
 }
 ABLATE_COLUMNS = ["loss", "temperature", "w_mode", "beta", "gamma"]
 
@@ -224,19 +219,9 @@ class RunConfig:
         with _named("train."):
             self.train = _by_field(TrainConfig, v, "train")
         with _named("arc."):
-            self.arc = ArcConfig(
-                thresholds=Thresholds(v["arc.beta"], v["arc.gamma"]),
-                temperature=v["arc.temperature"],
-                lr=v["arc.lr"],
-                retention_enabled=v["arc.retention"],
-                correction_enabled=v["arc.correction"],
-                batch_size=v["arc.batch_size"],
-                arc_last=v["arc.arc_last"],
-                w_mode=v["arc.w_mode"],
-                retention_loss=v["arc.retention_loss"],
-            )
+            self.arc = _by_field(ArcConfig, v, "arc")
         # each value of a list axis once, on the arc config
-        for key, set_axis in {"otd.betas": _with_beta, **ABLATE_AXES}.items():
+        for key, set_axis in {"otd.betas": ABLATE_AXES["ablate.betas"], **ABLATE_AXES}.items():
             with _named(f"{key}: "):
                 for value in v[key]:
                     set_axis(self.arc, value)
@@ -393,7 +378,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
                 zip(result.task1_labels, result.task1_predictions)
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
-        otd_rows.append(_otd_row(seed, cfg.arc.thresholds.beta, result.arc_traces))
+        otd_rows.append(_otd_row(seed, cfg.arc.beta, result.arc_traces))
         record_text.append(_record_text(seed, result.arc_traces))
 
     files = {
@@ -462,7 +447,7 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
         stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
         betas = cfg.values["otd.betas"]
-        cfgs = [_with_beta(cfg.arc, beta) for beta in betas]
+        cfgs = [replace(cfg.arc, beta=beta) for beta in betas]
         for beta, traces in zip(betas, pipeline_traces(stream, cfg.train, cfgs, seed)):
             otd_rows.append(_otd_row(seed, beta, traces))
             record_text.append(_record_text(seed, traces, beta=beta))

@@ -437,7 +437,10 @@ def pipeline_traces(
 ) -> list[list[StageTrace]]:
     """Every stage's pipeline trace for each config, from one training run:
     list c is run_stream's arc_traces for cfgs[c]. Each config is evaluated
-    on its own, so each keeps its own record table."""
+    on its own, so each keeps its own record table. No configs, no training."""
+    if not cfgs:
+        return []
+
     def evaluate(t: int, head: LinearHead) -> list[StageTrace]:
         return [_stage_trace(stream, head, t, [cfg], seed) for cfg in cfgs]
 

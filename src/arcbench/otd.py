@@ -1,16 +1,15 @@
 """Out-of-task detection from the head's own confidence quantities.
 
 At stage t with step s, a test sample predicted into a past task's class
-range with high max-softmax confidence is taken to be a correctly classified
-past-task sample; one predicted into the current task's range whose
-confidence is low relative to its confidence over past classes alone is
-taken to be a misclassified past-task sample. Everything else passes through.
+range with max-softmax confidence at least beta is taken to be a correctly
+classified past-task sample; one predicted into the current task's range
+whose confidence relative to its confidence over past classes alone is at
+most gamma is taken to be a misclassified past-task sample. Everything else
+passes through. beta and gamma are ArcConfig fields, passed here as floats.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,22 +23,17 @@ class OtdDecision(Enum):
     PASSTHROUGH = "passthrough"
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Detection thresholds: beta gates retention, gamma gates correction.
+def check_thresholds(beta: float, gamma: float) -> None:
+    """Reject a beta outside [0, 1] or a negative gamma; NaN is neither.
 
-    beta = 0 flags every past-predicted sample; gamma = inf flags every
-    current-predicted one (both are useful diagnostic extremes).
+    beta gates retention and gamma gates correction. beta = 0 flags every
+    past-predicted sample and gamma = inf every current-predicted one (both
+    are useful diagnostic extremes).
     """
-
-    beta: float = 0.8
-    gamma: float = 0.8
-
-    def __post_init__(self):
-        if math.isnan(self.beta) or not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if math.isnan(self.gamma) or self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
 
 
 # one row per test sample, written by classify_sample; the pipeline sets
@@ -91,7 +85,7 @@ def misclassified(records: np.ndarray, t: int, s: int, gamma: float,
     return (t >= 2) & (records["initial_class"] >= s * (t - 1)) & (stat <= gamma)
 
 
-def classify_sample(z: np.ndarray, t: int, s: int, thresholds: Thresholds,
+def classify_sample(z: np.ndarray, t: int, s: int, beta: float, gamma: float,
                     w_mode: str = "ratio") -> np.recarray:
     """Sort a batch of test samples, logits (n, s*t), into detection branches.
 
@@ -101,6 +95,7 @@ def classify_sample(z: np.ndarray, t: int, s: int, thresholds: Thresholds,
     PAST_MISCLASSIFIED; anything else is PASSTHROUGH. At t = 1 every class is
     current, so every sample passes through.
     """
+    check_thresholds(beta, gamma)
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != s * t:
         raise ValueError(f"expected (n, {s * t}) logits, got shape {z.shape}")
@@ -113,8 +108,8 @@ def classify_sample(z: np.ndarray, t: int, s: int, thresholds: Thresholds,
         if t >= 2:
             records["masked_confidence"] = masked_confidence(z, t, s)
             records["ratio"] = records["confidence"] / records["masked_confidence"]
-    correct = (records["initial_class"] < s * (t - 1)) & (records["confidence"] >= thresholds.beta)
-    wrong = misclassified(records, t, s, thresholds.gamma, w_mode)
+    correct = (records["initial_class"] < s * (t - 1)) & (records["confidence"] >= beta)
+    wrong = misclassified(records, t, s, gamma, w_mode)
     records["decision"][correct] = OtdDecision.PAST_CORRECT
     records["decision"][wrong] = OtdDecision.PAST_MISCLASSIFIED
     return records.view(np.recarray)

@@ -5,7 +5,9 @@ is the default synthetic stream (10 tasks x 10 classes, D=64, noise 0.6,
 memory-free) over seeds 0..4 with the default training and pipeline
 configuration (beta=0.8, gamma=0.8, temperature=2). Criterion 10 is the
 memory-based setting of ``configs/memory_based.cfg`` (noise 1.4, two replay
-exemplars per past class) over seeds 0..2.
+exemplars per past class) over seeds 0..2. Criterion 11 is the memory-free
+operating point of ``configs/memory_free.cfg`` (weight decay 5e-5), where the
+bias shows without saturating, over seeds 0..2.
 """
 
 import csv
@@ -26,14 +28,17 @@ from arcbench.core import (
     softmax,
 )
 from arcbench.data import SyntheticSpec, generate_synthetic
-from arcbench.harness import RMatrix, average_accuracy, forgetting, linear_probe_experiment, otd_validation, run_stream
-from arcbench.otd import Thresholds, confidence
+from arcbench.harness import (RMatrix, _probe_accuracy, average_accuracy, forgetting,
+                              linear_probe_experiment, otd_validation, run_stream)
+from arcbench.otd import confidence
 
 import test_properties as props
 from oracles import cross_entropy, entropy, fd_gradient, mp_tss, relative_error
 
 SEEDS = (0, 1, 2, 3, 4)
-MEMORY_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "memory_based.cfg")
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+MEMORY_CONFIG = os.path.join(CONFIGS, "memory_based.cfg")
+MEMORY_FREE_CONFIG = os.path.join(CONFIGS, "memory_free.cfg")
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -54,7 +59,7 @@ def benchmark_runs():
 @pytest.fixture(scope="module")
 def beta_zero_runs():
     runs = {}
-    cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.8))
+    cfg = ArcConfig(beta=0.0, gamma=0.8)
     for seed in SEEDS:
         stream = generate_synthetic(SyntheticSpec(seed=seed))
         runs[seed] = run_stream(stream, TrainConfig(), cfg, seed)
@@ -198,7 +203,7 @@ def test_criterion_8_invariant_suite(tmp_path):
         for _ in range(20):
             z = 2.5 * case_rng.standard_normal(s * t)
             props.check_first_stage_passthrough(z)
-            props.check_branch_ranges(z, t, s, Thresholds(0.6, 0.9))
+            props.check_branch_ranges(z, t, s, 0.6, 0.9)
             props.check_threshold_monotonicity(z, t, s)
             props.check_masked_confidence_prefix_only(z, t, s, case_rng)
             props.check_extreme_thresholds(z, t, s)
@@ -258,3 +263,27 @@ def test_criterion_10_memory_based(tmp_path):
                        f"{base.average_accuracy:.4f}, forgetting {arc.forgetting:.4f} < "
                        f"{base.forgetting:.4f}")
     report(10, "memory-based improvement", ok, "; ".join(details))
+
+
+def test_criterion_11_memory_free_operating_point(tmp_path):
+    # the file read as `arcbench run --config` reads it
+    cfg = RunConfig(_effective_config(read_config_file(MEMORY_FREE_CONFIG),
+                                      {"run.output_dir": str(tmp_path / "unused")}))
+    ok = cfg.train.replay_per_class == 0
+    details = [f"memory-free, weight decay {cfg.train.weight_decay:g}"]
+    for seed in (0, 1, 2):
+        stream = cfg.stream_for_seed(seed)
+        result = run_stream(stream, cfg.train, cfg.arc, seed)
+        arc, base = result.metrics_with_arc, result.metrics_without_arc
+        # the probe row (stage n, task 1): task 1's own probe against the final shared head
+        task1 = result.r_without_arc.entry(stream.layout.num_tasks, 1)
+        gap = _probe_accuracy(stream, cfg.train, seed, 1) - task1
+        gain, kept = arc.average_accuracy - base.average_accuracy, base.forgetting - arc.forgetting
+        ok &= gain > 0 and kept > 0 and 0 < task1 < 1 and 0 < gap < 1
+        details.append(f"seed {seed}: accuracy {arc.average_accuracy:.4f} - "
+                       f"{base.average_accuracy:.4f} = {gain:+.4f} > 0, forgetting "
+                       f"{base.forgetting:.4f} - {arc.forgetting:.4f} = {kept:+.4f} > 0, "
+                       f"final task-1 accuracy {task1:.4f} in (0, 1) by "
+                       f"{min(task1, 1 - task1):.4f}, probe gap {gap:.4f} in (0, 1) by "
+                       f"{min(gap, 1 - gap):.4f}")
+    report(11, "memory-free operating point", ok, "; ".join(details))

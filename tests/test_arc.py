@@ -15,7 +15,7 @@ from arcbench.core import (
     sgd_step,
     softmax,
 )
-from arcbench.otd import OtdDecision, Thresholds, confidence
+from arcbench.otd import OtdDecision, confidence
 
 from oracles import cross_entropy, entropy, mp_tss
 
@@ -182,7 +182,7 @@ class TestArcEvaluate:
     def test_disabled_pipeline_is_plain_argmax(self):
         rng = np.random.default_rng(41)
         head, batches, x, _ = toy_eval_setup(rng)
-        cfg = ArcConfig(retention_enabled=False, correction_enabled=False)
+        cfg = ArcConfig(retention=False, correction=False)
         result = arc_evaluate(head, batches, t=2, s=2, cfgs=[cfg])
         final = np.array([r.final_class for r in result.records])
         assert np.array_equal(final, forward(head, x).argmax(axis=1))
@@ -193,7 +193,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(43)
         head, batches, x, _ = toy_eval_setup(rng, t=1, s=4)
         result = arc_evaluate(head, batches, t=1, s=4,
-                              cfgs=[ArcConfig(thresholds=Thresholds(0.0, np.inf))])
+                              cfgs=[ArcConfig(beta=0.0, gamma=np.inf)])
         assert all(r.decision is OtdDecision.PASSTHROUGH for r in result.records)
         assert np.array_equal(result.head.weights, head.weights)
         assert result.retention_updates == 0
@@ -201,7 +201,7 @@ class TestArcEvaluate:
     def test_deterministic_records(self):
         rng = np.random.default_rng(47)
         head, batches, _, _ = toy_eval_setup(rng)
-        cfg = ArcConfig(thresholds=Thresholds(0.5, 0.9))
+        cfg = ArcConfig(beta=0.5, gamma=0.9)
         a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
         b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
         assert len(a.records) == len(b.records)
@@ -212,7 +212,7 @@ class TestArcEvaluate:
     def test_one_update_per_batch_with_flagged_samples(self):
         rng = np.random.default_rng(53)
         head, batches, _, _ = toy_eval_setup(rng, n=64)
-        cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))  # flag all past-predicted
+        cfg = ArcConfig(beta=0.0, gamma=0.0)  # flag all past-predicted
         result = arc_evaluate(head, batches, 2, 2, [cfg])
         per_batch = [
             any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i : i + 16])
@@ -224,7 +224,7 @@ class TestArcEvaluate:
     def test_record_table_columns(self):
         rng = np.random.default_rng(57)
         head, batches, _, _ = toy_eval_setup(rng)
-        cfg = ArcConfig(thresholds=Thresholds(0.0, np.inf))
+        cfg = ArcConfig(beta=0.0, gamma=np.inf)
         none = arc_evaluate(head, [], 2, 2, [cfg])
         assert len(none.records) == 0 and none.retention_updates == 0
         with_empty = [batches[0], np.empty((0, head.dim)), *batches[1:]]
@@ -248,7 +248,7 @@ class TestArcEvaluate:
         head, batches, _, _ = toy_eval_setup(rng)
         snapshot_w = head.weights.copy()
         snapshot_b = head.bias.copy()
-        arc_evaluate(head, batches, 2, 2, [ArcConfig(thresholds=Thresholds(0.0, 2.0))])
+        arc_evaluate(head, batches, 2, 2, [ArcConfig(beta=0.0, gamma=2.0)])
         assert np.array_equal(head.weights, snapshot_w)
         assert np.array_equal(head.bias, snapshot_b)
 
@@ -265,7 +265,7 @@ class TestArcEvaluate:
         # the gradient sums 32 rows of |dz| * 1e308 and overflows
         head = LinearHead(np.array([[1e-308, 1e-308], [0.0, 0.0]]), np.zeros(2), 2)
         x = np.full((32, 2), 1e308)
-        cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))
+        cfg = ArcConfig(beta=0.0, gamma=0.0)
         with np.errstate(over="ignore"):
             result = arc_evaluate(head, [x], t=2, s=1, cfgs=[cfg])
         assert result.retention_updates == 0
@@ -279,11 +279,12 @@ class TestArcEvaluate:
         ]
 
     @pytest.mark.parametrize("field, change", [
-        ("thresholds.beta", {"thresholds": Thresholds(0.5, 0.8)}),
+        ("beta", {"beta": 0.5}),
         ("retention_loss", {"retention_loss": "em"}),
         ("lr", {"lr": 0.2}),
         ("batch_size", {"batch_size": 32}),
-        ("retention_enabled", {"retention_enabled": False}),
+        ("retention", {"retention": False}),
+        ("arc_last", {"arc_last": True}),
     ])
     def test_group_must_share_trajectory(self, field, change):
         rng = np.random.default_rng(67)
@@ -294,8 +295,7 @@ class TestArcEvaluate:
     def test_group_rows_equal_single_configs(self):
         rng = np.random.default_rng(71)
         head, batches, _, _ = toy_eval_setup(rng, n=80)
-        group = [ArcConfig(thresholds=Thresholds(0.5, gamma), w_mode=w, temperature=temp,
-                           correction_enabled=correct)
+        group = [ArcConfig(beta=0.5, gamma=gamma, w_mode=w, temperature=temp, correction=correct)
                  for gamma in (0.6, 1.2, np.inf) for w in ("ratio", "raw")
                  for temp in (1.0, 2.0) for correct in (True, False)]
         result = arc_evaluate(head, batches, 2, 2, group)
@@ -328,8 +328,8 @@ class TestArcConfig:
     def test_arc_last_disables_early_stages(self):
         cfg = ArcConfig(arc_last=True)
         early = cfg.for_stage(is_final_stage=False)
-        assert not early.retention_enabled and not early.correction_enabled
+        assert not early.retention and not early.correction
         final = cfg.for_stage(is_final_stage=True)
-        assert final.retention_enabled and final.correction_enabled
+        assert final.retention and final.correction
         plain = ArcConfig()
         assert plain.for_stage(False) is plain

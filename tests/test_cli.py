@@ -5,7 +5,7 @@ import os
 import platform
 import re
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -383,6 +383,17 @@ class TestCmdValidateOtd:
         assert "otd.betas" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_betas_writes_headers_without_training(self, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no beta to evaluate")
+
+        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
+        out = tmp_path / "bundle"
+        assert run_cli(["validate-otd", *TINY, "--otd.betas", "",
+                        "--run.output_dir", str(out)]) == 0
+        for name in ("otd_validation.csv", "arc_records.csv"):
+            assert len(read_rows(out / name)) == 1  # the header alone
+
 
 class TestTrainingErrors:
     @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
@@ -535,12 +546,12 @@ KEY_FIELDS = {
     "train.batch_size": ("8", "train.batch_size"),
     "train.weight_decay": ("0.01", "train.weight_decay"),
     "train.replay_per_class": ("2", "train.replay_per_class"),
-    "arc.beta": ("0.5", "arc.thresholds.beta"),
-    "arc.gamma": ("1.5", "arc.thresholds.gamma"),
+    "arc.beta": ("0.5", "arc.beta"),
+    "arc.gamma": ("1.5", "arc.gamma"),
     "arc.temperature": ("3", "arc.temperature"),
     "arc.lr": ("0.2", "arc.lr"),
-    "arc.retention": ("false", "arc.retention_enabled"),
-    "arc.correction": ("false", "arc.correction_enabled"),
+    "arc.retention": ("false", "arc.retention"),
+    "arc.correction": ("false", "arc.correction"),
     "arc.batch_size": ("16", "arc.batch_size"),
     "arc.arc_last": ("true", "arc.arc_last"),
     "arc.w_mode": ("raw", "arc.w_mode"),
@@ -549,20 +560,9 @@ KEY_FIELDS = {
 
 
 def config_fields(cfg: RunConfig) -> dict:
-    """Every leaf field of cfg.train, cfg.arc and cfg.spec, by dotted path."""
-    leaves = {}
-
-    def walk(path, obj):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if is_dataclass(value):
-                walk(f"{path}.{f.name}", value)
-            else:
-                leaves[f"{path}.{f.name}"] = value
-
-    for name in ("train", "arc", "spec"):
-        walk(name, getattr(cfg, name))
-    return leaves
+    """Every field of cfg.train, cfg.arc and cfg.spec, by dotted path."""
+    return {f"{name}.{f.name}": getattr(getattr(cfg, name), f.name)
+            for name in ("train", "arc", "spec") for f in fields(getattr(cfg, name))}
 
 
 class TestConfigBoundary:

@@ -12,7 +12,6 @@ from arcbench.arc import ArcConfig
 from arcbench.core import TaskLayout, TrainConfig, forward, new_head
 from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench import core, data, harness
-from arcbench.otd import Thresholds
 from arcbench.harness import (
     PROBE_TAG,
     RMatrix,
@@ -151,7 +150,7 @@ class TestRunStream:
         assert np.array_equal(again.r_with_arc.values, small_run.r_with_arc.values, equal_nan=True)
 
     def test_arc_off_equivalence(self, small_stream):
-        cfg = ArcConfig(retention_enabled=False, correction_enabled=False, batch_size=8)
+        cfg = ArcConfig(retention=False, correction=False, batch_size=8)
         res = run_stream(small_stream, FAST_TRAIN, cfg, seed=5)
         assert np.allclose(res.r_with_arc.values, res.r_without_arc.values, equal_nan=True)
 
@@ -175,8 +174,7 @@ class TestRunStream:
         assert small_run.bias_histogram.sum() == wrong
 
     def test_arc_last_only_adapts_final_stage(self, small_stream):
-        cfg = ArcConfig(arc_last=True, batch_size=8,
-                        thresholds=Thresholds(0.0, 10.0))
+        cfg = ArcConfig(arc_last=True, batch_size=8, beta=0.0, gamma=10.0)
         res = run_stream(small_stream, FAST_TRAIN, cfg, seed=5)
         for trace in res.arc_traces[:-1]:
             assert trace.retention_updates == 0
@@ -458,8 +456,7 @@ class TestOtdValidation:
         assert report.samples == 3
 
     def test_empty_flags(self, small_stream):
-        cfg = ArcConfig(batch_size=8,
-                        thresholds=Thresholds(1.0, 0.0))
+        cfg = ArcConfig(batch_size=8, beta=1.0, gamma=0.0)
         res = run_stream(small_stream, FAST_TRAIN, cfg, seed=5)
         report = otd_validation(res.arc_traces)
         if report.flagged1 == 0:
@@ -638,7 +635,7 @@ class TestAblationGrid:
         assert ablation_grid(small_stream, FAST_TRAIN, [], seed=5) == []
 
     def test_one_report_per_variant(self, small_stream):
-        cfgs = [ArcConfig(batch_size=8, thresholds=Thresholds(b, 0.8))
+        cfgs = [ArcConfig(batch_size=8, beta=b, gamma=0.8)
                 for b in (0.6, 0.7, 0.8, 0.9)]
         reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
         assert len(reports) == 4
@@ -648,17 +645,19 @@ class TestAblationGrid:
         report, = ablation_grid(small_stream, FAST_TRAIN, [ArcConfig(batch_size=8)], seed=5)
         assert report == small_run.metrics_with_arc
 
-    @pytest.mark.parametrize("base", [
-        ArcConfig(batch_size=8),
-        ArcConfig(batch_size=8, arc_last=True),
-        ArcConfig(batch_size=8, correction_enabled=False),
-    ], ids=["default", "arc_last", "no_correction"])
-    def test_grouped_grid_equals_one_config_at_a_time(self, small_stream, base):
+    @pytest.mark.parametrize("base, arc_lasts", [
+        (ArcConfig(batch_size=8), (False,)),
+        (ArcConfig(batch_size=8), (True,)),
+        (ArcConfig(batch_size=8, correction=False), (False,)),
+        (ArcConfig(batch_size=8), (False, True)),
+    ], ids=["default", "arc_last", "no_correction", "mixed_arc_last"])
+    def test_grouped_grid_equals_one_config_at_a_time(self, small_stream, base, arc_lasts):
         cfgs = [
             replace(base, retention_loss=loss, temperature=temperature, w_mode=w,
-                    thresholds=Thresholds(beta, gamma))
+                    beta=beta, gamma=gamma, arc_last=arc_last)
             for loss in ("ce", "em", "both") for temperature in (2.0, 1.0)
             for w in ("ratio", "raw") for beta in (0.0, 0.9) for gamma in (0.7, 1.0)
+            for arc_last in arc_lasts
         ]
         cfgs.insert(7, cfgs[20])  # a duplicate keeps its place
         reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from arcbench.arc import ArcConfig
 from arcbench.core import softmax
 from arcbench.otd import (
     OtdDecision,
-    Thresholds,
     classify_sample,
     confidence,
     masked_confidence,
@@ -61,13 +61,13 @@ class TestMaskedConfidence:
 
 class TestClassifySample:
     def test_confident_past_prediction_flagged(self):
-        (rec,) = classify_sample(np.array([[5.0, 0.0]]), t=2, s=1, thresholds=Thresholds(beta=0.8))
+        (rec,) = classify_sample(np.array([[5.0, 0.0]]), t=2, s=1, beta=0.8, gamma=0.8)
         assert rec.decision is OtdDecision.PAST_CORRECT
         assert rec.initial_class == 0
         assert rec.confidence == pytest.approx(1 / (1 + math.exp(-5)), abs=1e-15)
 
     def test_weak_current_prediction_flagged(self):
-        (rec,) = classify_sample(np.array([[0.0, 0.1]]), t=2, s=1, thresholds=Thresholds(gamma=0.8))
+        (rec,) = classify_sample(np.array([[0.0, 0.1]]), t=2, s=1, beta=0.8, gamma=0.8)
         assert rec.decision is OtdDecision.PAST_MISCLASSIFIED
         assert rec.initial_class == 1
         assert rec.masked_confidence == 1.0
@@ -77,7 +77,7 @@ class TestClassifySample:
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.standard_normal((1, 6))
-            (rec,) = classify_sample(z, t=1, s=6, thresholds=Thresholds(0.0, np.inf))
+            (rec,) = classify_sample(z, t=1, s=6, beta=0.0, gamma=np.inf)
             assert rec.decision is OtdDecision.PASSTHROUGH
             assert np.isnan(rec.masked_confidence)
             assert np.isnan(rec.ratio)
@@ -85,37 +85,40 @@ class TestClassifySample:
     def test_raw_confidence_mode_uses_c(self):
         # Near-uniform logits: c ~ 0.36 is low but w = c / c_hat ~ 0.71 is not.
         z = np.array([[0.0, 0.0, 0.1]])
-        th = Thresholds(beta=0.99, gamma=0.6)
-        (rec,) = classify_sample(z, t=3, s=1, thresholds=th)
+        (rec,) = classify_sample(z, t=3, s=1, beta=0.99, gamma=0.6)
         assert rec.decision is OtdDecision.PASSTHROUGH  # w > gamma
-        (rec_raw,) = classify_sample(z, t=3, s=1, thresholds=th, w_mode="raw")
+        (rec_raw,) = classify_sample(z, t=3, s=1, beta=0.99, gamma=0.6, w_mode="raw")
         assert rec_raw.decision is OtdDecision.PAST_MISCLASSIFIED  # c <= gamma
         assert rec.ratio == pytest.approx(rec.confidence / rec.masked_confidence)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            classify_sample(np.zeros((1, 5)), t=2, s=3, thresholds=Thresholds())
+            classify_sample(np.zeros((1, 5)), t=2, s=3, beta=0.8, gamma=0.8)
 
 
 class TestThresholds:
     def test_validation(self):
-        Thresholds(beta=0.0, gamma=np.inf)  # diagnostic extremes allowed
-        with pytest.raises(ValueError):
-            Thresholds(beta=1.5)
-        with pytest.raises(ValueError):
-            Thresholds(gamma=-0.1)
-        with pytest.raises(ValueError):
-            Thresholds(beta=float("nan"))
+        """ArcConfig and classify_sample, the two takers of beta and gamma,
+        accept and reject the same values."""
+        z = np.zeros((1, 2))
+        for check in (lambda beta, gamma: ArcConfig(beta=beta, gamma=gamma),
+                      lambda beta, gamma: classify_sample(z, 2, 1, beta, gamma)):
+            check(0.0, np.inf)  # diagnostic extremes allowed
+            with pytest.raises(ValueError, match=r"beta must be in \[0, 1\], got 1.5"):
+                check(1.5, 0.8)
+            with pytest.raises(ValueError, match=r"gamma must be >= 0, got -0.1"):
+                check(0.8, -0.1)
+            with pytest.raises(ValueError, match=r"beta must be in \[0, 1\], got nan"):
+                check(float("nan"), 0.8)
 
 
 class TestBranchStructure:
     def test_decisions_partition_by_predicted_range(self):
         rng = np.random.default_rng(42)
         t, s = 4, 3
-        th = Thresholds(beta=0.5, gamma=0.9)
         for _ in range(200):
             z = 2.0 * rng.standard_normal((1, s * t))
-            (rec,) = classify_sample(z, t, s, th)
+            (rec,) = classify_sample(z, t, s, beta=0.5, gamma=0.9)
             if rec.decision is OtdDecision.PAST_CORRECT:
                 assert rec.initial_class < s * (t - 1)
             if rec.decision is OtdDecision.PAST_MISCLASSIFIED:
@@ -126,7 +129,7 @@ class TestBranchStructure:
         t, s = 3, 4
         for _ in range(100):
             z = 3.0 * rng.standard_normal((1, s * t))
-            (rec,) = classify_sample(z, t, s, Thresholds())
+            (rec,) = classify_sample(z, t, s, 0.8, 0.8)
             assert rec.confidence >= 1.0 / (s * t)
             assert rec.masked_confidence >= 1.0 / (s * (t - 1))
             assert rec.ratio > 0

@@ -32,7 +32,6 @@ from arcbench.harness import run_stream, train_sequence
 from arcbench.otd import (
     RECORD_DTYPE,
     OtdDecision,
-    Thresholds,
     classify_sample,
     masked_confidence,
     misclassified,
@@ -170,18 +169,18 @@ def logit_batches(draw, max_t=4):
 
 
 @given(logit_batches(),
-       st.sampled_from([Thresholds(0.8, 0.8), Thresholds(0.5, 0.9), Thresholds(0.0, np.inf)]),
+       st.sampled_from([(0.8, 0.8), (0.5, 0.9), (0.0, np.inf)]),
        st.sampled_from(W_MODES))
 @settings(deadline=None, max_examples=150)
 def test_batch_detection_equals_row_by_row(batch, thresholds, w_mode):
     t, s, z = batch
-    records = classify_sample(z, t, s, thresholds, w_mode)
+    records = classify_sample(z, t, s, *thresholds, w_mode)
     assert records.dtype.names == RECORD_DTYPE.names and records.shape == (len(z),)
     # masked_confidence and ratio are NaN at t = 1 and positive and finite after
     for name in ("masked_confidence", "ratio"):
         assert np.isnan(records[name]).all() if t == 1 else (records[name] > 0).all()
     for i in range(len(z)):
-        row = classify_sample(z[i:i + 1], t, s, thresholds, w_mode)
+        row = classify_sample(z[i:i + 1], t, s, *thresholds, w_mode)
         assert row.decision[0] is records.decision[i]
         for name in RECORD_DTYPE.names:
             if name != "decision":  # bit equality, NaN included
@@ -189,30 +188,30 @@ def test_batch_detection_equals_row_by_row(batch, thresholds, w_mode):
 
 
 @given(logit_batches(max_t=5),
-       st.sampled_from([Thresholds(0.8, 0.8), Thresholds(0.0, 0.5), Thresholds(0.5, 1.0),
-                        Thresholds(0.0, np.inf)]),
+       st.sampled_from([(0.8, 0.8), (0.0, 0.5), (0.5, 1.0), (0.0, np.inf)]),
        st.sampled_from(W_MODES))
 @settings(deadline=None, max_examples=150)
 def test_misclassified_is_the_past_misclassified_branch(batch, thresholds, w_mode):
     t, s, z = batch
-    records = classify_sample(z, t, s, thresholds, w_mode)
-    assert np.array_equal(misclassified(records, t, s, thresholds.gamma, w_mode),
+    beta, gamma = thresholds
+    records = classify_sample(z, t, s, beta, gamma, w_mode)
+    assert np.array_equal(misclassified(records, t, s, gamma, w_mode),
                           records.decision == OtdDecision.PAST_MISCLASSIFIED)
 
 
-def _detect(z, t, s, thresholds):
+def _detect(z, t, s, beta, gamma):
     """One sample's logits (s*t,) through classify_sample as a one-row batch."""
-    (rec,) = classify_sample(z[None], t, s, thresholds)
+    (rec,) = classify_sample(z[None], t, s, beta, gamma)
     return rec
 
 
 def check_first_stage_passthrough(z):
-    rec = _detect(z, t=1, s=len(z), thresholds=Thresholds(0.0, np.inf))
+    rec = _detect(z, t=1, s=len(z), beta=0.0, gamma=np.inf)
     assert rec.decision is OtdDecision.PASSTHROUGH
 
 
-def check_branch_ranges(z, t, s, thresholds):
-    rec = _detect(z, t, s, thresholds)
+def check_branch_ranges(z, t, s, beta, gamma):
+    rec = _detect(z, t, s, beta, gamma)
     past = rec.initial_class < s * (t - 1)
     if rec.decision is OtdDecision.PAST_CORRECT:
         assert past
@@ -222,12 +221,12 @@ def check_branch_ranges(z, t, s, thresholds):
 
 def check_threshold_monotonicity(z, t, s):
     for lo, hi in ((0.2, 0.7), (0.5, 0.95)):
-        d_lo = _detect(z, t, s, Thresholds(beta=lo, gamma=0.8)).decision
-        d_hi = _detect(z, t, s, Thresholds(beta=hi, gamma=0.8)).decision
+        d_lo = _detect(z, t, s, beta=lo, gamma=0.8).decision
+        d_hi = _detect(z, t, s, beta=hi, gamma=0.8).decision
         if d_hi is OtdDecision.PAST_CORRECT:
             assert d_lo is OtdDecision.PAST_CORRECT
-        g_lo = _detect(z, t, s, Thresholds(beta=0.8, gamma=lo)).decision
-        g_hi = _detect(z, t, s, Thresholds(beta=0.8, gamma=hi)).decision
+        g_lo = _detect(z, t, s, beta=0.8, gamma=lo).decision
+        g_hi = _detect(z, t, s, beta=0.8, gamma=hi).decision
         if g_lo is OtdDecision.PAST_MISCLASSIFIED:
             assert g_hi is OtdDecision.PAST_MISCLASSIFIED
 
@@ -241,10 +240,10 @@ def check_masked_confidence_prefix_only(z, t, s, rng):
 
 def check_extreme_thresholds(z, t, s):
     predicted = int(np.argmax(z))
-    d_beta0 = _detect(z, t, s, Thresholds(beta=0.0, gamma=0.8)).decision
+    d_beta0 = _detect(z, t, s, beta=0.0, gamma=0.8).decision
     if predicted < s * (t - 1):
         assert d_beta0 is OtdDecision.PAST_CORRECT
-    d_ginf = _detect(z, t, s, Thresholds(beta=0.8, gamma=np.inf)).decision
+    d_ginf = _detect(z, t, s, beta=0.8, gamma=np.inf).decision
     if t >= 2 and predicted >= s * (t - 1):
         assert d_ginf is OtdDecision.PAST_MISCLASSIFIED
 
@@ -261,7 +260,7 @@ def test_branch_structure_and_monotonicity(seed):
     t, s = int(rng.integers(2, 5)), int(rng.integers(1, 4))
     for _ in range(40):
         z = 2.5 * rng.standard_normal(s * t)
-        check_branch_ranges(z, t, s, Thresholds(0.6, 0.9))
+        check_branch_ranges(z, t, s, 0.6, 0.9)
         check_threshold_monotonicity(z, t, s)
         check_masked_confidence_prefix_only(z, t, s, rng)
         check_extreme_thresholds(z, t, s)
@@ -290,9 +289,8 @@ def check_tss_temperature_one(z, t, s):
 
 
 def check_decision_shift_invariance(z, t, s, shift):
-    th = Thresholds(0.8, 0.8)
-    d0 = _detect(z, t, s, th).decision
-    d1 = _detect(z + shift, t, s, th).decision
+    d0 = _detect(z, t, s, 0.8, 0.8).decision
+    d1 = _detect(z + shift, t, s, 0.8, 0.8).decision
     assert d0 is d1
     if d0 is OtdDecision.PAST_MISCLASSIFIED:
         _, cls0, _ = adaptive_correction(z, t, s, 2.0)
@@ -317,7 +315,7 @@ def check_one_update_per_batch(rng):
     labels = rng.integers(0, s * t, 48)
     x = means[labels] + 0.4 * rng.standard_normal((48, 5))
     batches = [x[i: i + 12] for i in range(0, 48, 12)]
-    cfg = ArcConfig(thresholds=Thresholds(beta=0.0, gamma=0.0))
+    cfg = ArcConfig(beta=0.0, gamma=0.0)
     result = arc_evaluate(head, batches, t, s, [cfg])
     expected = sum(
         any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i: i + 12])
@@ -401,7 +399,7 @@ def check_run_invariants(stream, train_cfg, seed):
         assert np.array_equal(trained.bias, kept.bias)
     # pipeline-off equivalence
     off = run_stream(stream, train_cfg,
-                     ArcConfig(retention_enabled=False, correction_enabled=False,
+                     ArcConfig(retention=False, correction=False,
                                batch_size=8), seed)
     assert np.allclose(off.r_with_arc.values, off.r_without_arc.values, equal_nan=True)
     return res
