@@ -212,6 +212,31 @@ class TestCmdRun:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert f"data.path sha256 = {digest}\n" in (out / "metadata.txt").read_text()
 
+    @pytest.mark.parametrize("command", ["run", "probe", "validate-otd"])
+    def test_embeddings_bundle_equals_generated_bundle(self, tmp_path, command):
+        """The same stream through the EMB1 loader and through the generator:
+        every CSV byte for byte."""
+        data = {"num_tasks": 2, "step": 2, "dim": 8, "train_per_class": 10,
+                "test_per_class": 8}
+        path = tmp_path / "toy.emb1"
+        write_embeddings(generate_synthetic(SyntheticSpec(**data, seed=4)), str(path))
+        common = [command, "--run.seeds", "4", "--train.epochs", "4", "--train.lr", "1.0",
+                  "--arc.batch_size", "8"]
+        sources = {
+            "embeddings": ["--data.source", "embeddings", "--data.path", str(path)],
+            "synthetic": ["--data.source", "synthetic",
+                          *(arg for key, value in data.items()
+                            for arg in (f"--data.{key}", str(value)))],
+        }
+        csvs = {}
+        for source, flags in sources.items():
+            out = tmp_path / source
+            assert run_cli([*common, *flags, "--run.output_dir", str(out)]) == 0
+            csvs[source] = {name: (out / name).read_bytes()
+                            for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+        assert csvs["embeddings"]
+        assert csvs["embeddings"] == csvs["synthetic"]
+
     def test_metadata_provenance(self, tmp_path):
         out = tmp_path / "bundle"
         assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 0

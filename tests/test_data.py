@@ -8,6 +8,7 @@ import pytest
 
 from arcbench import data
 from arcbench.core import TrainConfig, fit_task, forward, new_head
+from arcbench.harness import train_sequence
 from arcbench.data import (
     EmbeddingFormatError,
     SyntheticSpec,
@@ -95,6 +96,23 @@ class TestEmbeddingRoundTrip:
         write_embeddings(stream, str(path))
         for _ in chunk_sizes(SMALL.dim):
             assert streams_equal(stream, load_embeddings(str(path)))
+
+    def test_float64_stream_writes_loads_and_runs(self, tmp_path):
+        stream = generate_synthetic(SMALL)
+        wide = TaskStream(SMALL.layout, *(
+            [TaskData(d.task, d.features.astype(np.float64), d.labels) for d in split]
+            for split in (stream.train, stream.test)))
+        path, wide_path = tmp_path / "stream.emb1", tmp_path / "wide.emb1"
+        write_embeddings(stream, str(path))
+        write_embeddings(wide, str(wide_path))
+        assert wide_path.read_bytes() == path.read_bytes()
+        loaded = load_embeddings(str(wide_path))
+        assert streams_equal(wide, loaded)
+        cfg = TrainConfig(epochs=3, lr=0.5, batch_size=8)
+        for a, b in zip(train_sequence(wide, cfg, seed=7), train_sequence(loaded, cfg, seed=7),
+                        strict=True):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
 
     def test_records_in_any_order(self, tmp_path, chunk_sizes):
         # 32 records, not a multiple of a 3-record chunk

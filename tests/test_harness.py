@@ -421,6 +421,44 @@ def assert_same_traces(got, expected):
             assert np.array_equal(a.records[name], column, equal_nan=column.dtype.kind == "f")
 
 
+def with_features(stream, dtype):
+    """The stream with every feature array cast to dtype."""
+    def cast(split):
+        return [data.TaskData(d.task, d.features.astype(dtype), d.labels) for d in split]
+
+    return data.TaskStream(stream.layout, cast(stream.train), cast(stream.test))
+
+
+class TestFeaturePrecision:
+    @pytest.mark.parametrize("in_child", [pytest.param(True, marks=needs_fork), False],
+                             ids=["child", "in_process"])
+    @pytest.mark.parametrize("replay", [0, 2])
+    def test_float32_stream_gives_the_float64_results(self, small_stream, monkeypatch,
+                                                      in_child, replay):
+        """Generated features are float32 values, so their float64 widening is
+        exact, and every numeric entry point widens its input: the two streams
+        give the same bits everywhere."""
+        monkeypatch.setattr(harness, "trains_in_child", lambda: in_child)
+        cfg = replace(FAST_TRAIN, replay_per_class=replay)
+        runs, probes = {}, {}
+        for dtype in (np.float32, np.float64):
+            stream = with_features(small_stream, dtype)
+            runs[dtype] = run_stream(stream, cfg, ArcConfig(batch_size=8), seed=5)
+            probes[dtype] = linear_probe_experiment(stream, cfg, seed=5)
+        narrow, wide = runs[np.float32], runs[np.float64]
+        assert_same_heads(narrow.stage_heads, wide.stage_heads)
+        for name in ("r_with_arc", "r_without_arc"):
+            assert np.array_equal(getattr(narrow, name).values, getattr(wide, name).values,
+                                  equal_nan=True)
+        assert (narrow.metrics_with_arc, narrow.metrics_without_arc) == (
+            wide.metrics_with_arc, wide.metrics_without_arc)
+        assert np.array_equal(narrow.bias_histogram, wide.bias_histogram)
+        assert np.array_equal(narrow.task1_predictions, wide.task1_predictions)
+        assert_same_traces(narrow.arc_traces, wide.arc_traces)
+        assert probes[np.float32] == probes[np.float64]
+        assert len(probes[np.float32]) == 3  # stages 2 and 3 score past tasks
+
+
 class TestOtdValidation:
     def test_no_traces_reports_absent_precisions(self):
         report = otd_validation([])
