@@ -1,8 +1,9 @@
 """Dense numerics for an incrementally expanding linear classification head.
 
 The head is the only trainable object in the package: features are frozen
-vectors, and everything here is float64 numpy acting on a caller-owned
-``LinearHead``. All update operations are functional (they return a new head).
+vectors, and everything here is float64 numpy (inputs are widened at entry)
+acting on a caller-owned ``LinearHead``. All update operations are
+functional (they return a new head).
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ EMB1 file format (little-endian, no padding):
             split u8 (0 = train, 1 = test), dim x float32 features
 Records may come in any order; each task's train and test split keeps file
 order. Trailing bytes after the last record, non-finite features, and a task
-with no train or no test records are errors. Features are widened to float64
-in memory; the generator rounds through float32 so that a write/load round
-trip is bit-exact. The loader reads the file twice, a bounded chunk at a time,
-so its peak memory is the float64 stream plus one chunk.
+with no train or no test records are errors. Features stay float32 in memory,
+as generated and as loaded, so a write/load round trip is bit-exact; a stream
+of any float dtype is accepted, and every numeric entry point widens its own
+input to float64. The loader reads the file twice, a bounded chunk at a time,
+so its peak memory is the float32 stream plus one chunk.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class SyntheticSpec:
 
 @dataclass
 class TaskData:
-    """Labeled feature set for one task: features (n, D), global labels (n,)."""
+    """Labeled feature set for one task: features (n, D), float32 as generated
+    and loaded (any float dtype works: every entry point widens), labels (n,)."""
 
     task: int
     features: np.ndarray
@@ -145,8 +147,8 @@ def _draw_class(spec: SyntheticSpec, task: int, cls: int, split: str, count: int
     mean = spec.mean_scale * substream(spec.seed, task, cls, _MEANS_CODE).standard_normal(spec.dim)
     rng = substream(spec.seed, task, cls, _SPLIT_CODES[split])
     x = mean + spec.noise_sigma * rng.standard_normal((count, spec.dim))
-    # round through the on-disk precision so write/load is bit-exact
-    return x.astype(np.float32).astype(np.float64)
+    # float32, the on-disk precision, so write/load is bit-exact; users widen
+    return x.astype(np.float32)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TaskStream:
@@ -212,8 +214,9 @@ def load_embeddings(path: str) -> TaskStream:
     reader would raise first. Records may come in any order; each split keeps
     file order. Two passes, each a bounded chunk at a time: the first reads task,
     label and split, checks them and hashes the file (the stream's sha256), the
-    second widens each record's features into its row of one float64 array, so
-    the peak is that array plus one chunk."""
+    second copies each record's float32 features into its row of one array, so
+    the peak is that array plus one chunk. The numeric entry points widen the
+    rows they get to float64."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -264,10 +267,10 @@ def load_embeddings(path: str) -> TaskStream:
         sizes = np.bincount(bucket)  # no minlength: a header may declare 2^32 tasks
         order = np.argsort(bucket, kind="stable")
         row = np.argsort(order)  # record i's row of features
-        features = np.empty((fit, dim))
+        features = np.empty((fit, dim), np.float32)
         fh.seek(_HEADER.size)
         for start, records in _chunks(fh, record, fit):
-            # checked before widening, so no value reaches the stream unchecked
+            # checked before the copy, so no value reaches the stream unchecked
             bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
             if len(bad):
                 r = start + int(bad[0])
