@@ -147,7 +147,7 @@ def _draw_class(spec: SyntheticSpec, task: int, cls: int, split: str, count: int
     mean = spec.mean_scale * substream(spec.seed, task, cls, _MEANS_CODE).standard_normal(spec.dim)
     rng = substream(spec.seed, task, cls, _SPLIT_CODES[split])
     x = mean + spec.noise_sigma * rng.standard_normal((count, spec.dim))
-    # float32, the on-disk precision, so write/load is bit-exact; users widen
+    # float32, the on-disk precision: write/load is bit-exact; entry points widen
     return x.astype(np.float32)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from arcbench import data
 from arcbench.core import TrainConfig, fit_task, forward, new_head
-from arcbench.harness import train_sequence
 from arcbench.data import (
     EmbeddingFormatError,
     SyntheticSpec,
@@ -19,6 +18,7 @@ from arcbench.data import (
     streams_equal,
     write_embeddings,
 )
+from arcbench.harness import train_sequence
 
 from oracles import task_of_class
 
