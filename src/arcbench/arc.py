@@ -141,7 +141,7 @@ def adaptive_retention(
 
     include_ce = cfg.retention_loss in ("both", "ce")
     include_em = cfg.retention_loss in ("both", "em")
-    dw, db, _ = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
+    dw, db = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
     try:
         with np.errstate(over="raise", invalid="raise"):
             updated = sgd_step(head, dw, db, cfg.lr)

@@ -277,7 +277,12 @@ def _metadata(command: str, cfg: RunConfig) -> str:
              f"python version = {platform.python_version()}",
              f"platform = {platform.platform()}"]
     if cfg.values["data.source"] == "embeddings":
-        lines.append(f"data.path sha256 = {cfg._embeddings.sha256}")  # hashed as it loaded
+        stream = cfg._embeddings  # the data.* generator keys below do not apply to it
+        lines.append(f"data.path sha256 = {stream.sha256}")  # hashed as it loaded
+        lines.append(f"data.path layout = num_tasks {stream.layout.num_tasks}, "
+                     f"step {stream.layout.step}, dim {stream.dim}, "
+                     f"train records {sum(map(len, stream.train))}, "
+                     f"test records {sum(map(len, stream.test))}")
     for key in sorted(SCHEMA):
         value = cfg.values[key]
         if isinstance(value, list):

@@ -108,34 +108,35 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def loss_gradient(
     z: np.ndarray, x: np.ndarray, labels: np.ndarray, include_ce: bool, include_em: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Analytic gradient of the test-time objective, averaged over a batch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of the softmax loss, averaged over a batch.
 
     Takes logits z (n, K) = x W^T + b for features x (n, D) and one label
     per row. Each row's objective is cross-entropy against its label plus
-    the entropy of its predicted distribution; either term can be switched
-    off for ablations. With p = softmax(z) for a row:
+    the entropy of its predicted distribution, either term switchable: the
+    training objective is cross-entropy alone (fit_task adds weight decay
+    outside), the retention objective both terms or either (ablations).
+    With p = softmax(z) for a row:
 
         d(CE)/dz = p - onehot(label)
         d(EM)/dz_i = -p_i * (log p_i - sum_j p_j log p_j)
 
-    Returns (dW, db, loss) averaged over the n rows: with dz the (n, K)
-    stack of each row's dL/dz, dW = dz^T x / n and db = sum(dz) / n.
+    Returns (dW, db) averaged over the n rows: with dz the (n, K) stack of
+    each row's dL/dz, scaled by 1/n first, dW = (dz / n)^T x and
+    db = sum(dz / n).
     """
     n = z.shape[0]
     p = softmax(z)
-    logp = np.log(np.clip(p, EPS_LOG, None))
     dz = np.zeros_like(p)
-    loss = 0.0
     if include_ce:
-        loss += -logp[np.arange(n), labels].sum()
         dz += p
         dz[np.arange(n), labels] -= 1.0
     if include_em:
+        logp = np.log(np.clip(p, EPS_LOG, None))
         ent = -(p * logp).sum(axis=1)
-        loss += ent.sum()
         dz += -p * (logp + ent[:, None])
-    return (dz.T @ x) / n, dz.sum(axis=0) / n, float(loss / n)
+    dz /= n
+    return dz.T @ x, dz.sum(axis=0)
 
 
 def sgd_step(head: LinearHead, dw: np.ndarray, db: np.ndarray, lr: float) -> LinearHead:
@@ -221,7 +222,6 @@ def fit_task(
         raise ValueError("labels outside the head's visible classes")
 
     rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
-    head = head.copy()
     n = x.shape[0]
     try:  # an overflowing step, or a head too large for its logits
         with np.errstate(over="raise", invalid="raise"):
@@ -232,13 +232,11 @@ def fit_task(
                     batch = x[idx]
                     # plain matmul here: training is a hot loop and nothing
                     # downstream depends on its reduction order
-                    dz = softmax(batch @ head.weights.T + head.bias)
-                    dz[np.arange(len(idx)), y[idx]] -= 1.0
-                    dz /= len(idx)
-                    dw = dz.T @ batch
+                    dw, db = loss_gradient(batch @ head.weights.T + head.bias, batch, y[idx],
+                                           True, False)
                     if cfg.weight_decay:
                         dw += cfg.weight_decay * head.weights
-                    head = sgd_step(head, dw, dz.sum(axis=0), cfg.lr)
+                    head = sgd_step(head, dw, db, cfg.lr)
     except FloatingPointError:
         raise ValueError(f"training overflows at learning rate {cfg.lr:g}, "
                          f"weight decay {cfg.weight_decay:g}") from None

@@ -11,7 +11,9 @@ EMB1 file format (little-endian, no padding):
             split u8 (0 = train, 1 = test), dim x float32 features
 Records may come in any order; each task's train and test split keeps file
 order. Trailing bytes after the last record, non-finite features, and a task
-with no train or no test records are errors. Features stay float32 in memory,
+with no train or no test records are errors. TaskStream.validate rejects
+non-finite features in any stream, and write_embeddings a value that float32
+cannot hold, before it opens the file. Features stay float32 in memory,
 as generated and as loaded, so a write/load round trip is bit-exact; a stream
 of any float dtype is accepted, and every numeric entry point widens its own
 input to float64. The loader reads the file twice, a bounded chunk at a time,
@@ -107,15 +109,19 @@ class TaskStream:
         return self.train[0].features.shape[1]
 
     def validate(self) -> None:
+        """Raise ValueError on a stream the package cannot use; generating,
+        loading, writing and training each call this."""
         if len(self.train) != self.layout.num_tasks or len(self.test) != self.layout.num_tasks:
             raise ValueError("stream must have one train and one test set per task")
         dim = self.dim
-        for split in (self.train, self.test):
+        for name, split in zip(_SPLIT_NAMES, (self.train, self.test)):
             for task_index, data in enumerate(split, start=1):
                 if data.task != task_index:
                     raise ValueError("task datasets out of order")
                 if data.features.ndim != 2 or data.features.shape[1] != dim:
                     raise ValueError("feature dimensions not uniform")
+                if not np.isfinite(data.features).all():
+                    raise ValueError(f"task {task_index} {name} split has non-finite features")
                 if len(data.labels) != len(data):
                     raise ValueError("labels must be one per feature row")
                 ok = self.layout.class_range(task_index)
@@ -190,8 +196,15 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
         for split_code, data in ((0, stream.train[task - 1]), (1, stream.test[task - 1])):
             rows = records[start : start + len(data)]
             rows["task"], rows["split"] = task, split_code
-            rows["label"], rows["features"] = data.labels, data.features
+            rows["label"] = data.labels
+            with np.errstate(over="ignore"):  # checked after the loop
+                rows["features"] = data.features
             start += len(data)
+    bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
+    if len(bad):  # a float64 value beyond float32 range; no file is written
+        r = records[bad[0]]
+        raise ValueError(f"record {bad[0]} (task {r['task']}, {_SPLIT_NAMES[r['split']]} split) "
+                         "has features beyond float32 range")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, dim, layout.num_tasks, layout.step, count))
         fh.write(records.tobytes())

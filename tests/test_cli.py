@@ -210,7 +210,11 @@ class TestCmdRun:
         assert code == 0
         assert (out / "metrics.csv").exists()
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert f"data.path sha256 = {digest}\n" in (out / "metadata.txt").read_text()
+        metadata = (out / "metadata.txt").read_text()
+        assert f"data.path sha256 = {digest}\n" in metadata
+        # the file's layout, not the generator keys' defaults (10 tasks, step 10, dim 64)
+        assert ("data.path layout = num_tasks 2, step 2, dim 8, train records 40, "
+                "test records 32\n") in metadata
 
     @pytest.mark.parametrize("command", ["run", "probe", "validate-otd"])
     def test_embeddings_bundle_equals_generated_bundle(self, tmp_path, command):

@@ -15,6 +15,7 @@ from arcbench.core import (
     sgd_step,
     softmax,
 )
+from arcbench.seeding import substream
 
 from oracles import cross_entropy, entropy, fd_gradient, mp_matvec, relative_error, task_of_class
 
@@ -88,24 +89,27 @@ class TestLosses:
 
 
 class TestRetentionGradient:
+    """loss_gradient, the one softmax-loss gradient: with the entropy term
+    off it is also training's gradient (TestFitTask pins that bit for bit)."""
+
     def test_uniform_logits_reduce_to_cross_entropy_gradient(self):
         # The entropy term is stationary at the uniform distribution, so the
         # combined gradient collapses to (p - onehot) x^T up to float roundoff.
         head = LinearHead(np.zeros((5, 3)), np.zeros(5), 1)
         x = np.array([0.3, -1.2, 2.0])
         z, rows, label = forward(head, x[None]), x[None], np.array([2])
-        dw, db, _ = loss_gradient(z, rows, label, True, True)
-        dw_ce, db_ce, _ = loss_gradient(z, rows, label, True, False)
+        dw, db = loss_gradient(z, rows, label, True, True)
+        dw_ce, db_ce = loss_gradient(z, rows, label, True, False)
         assert np.allclose(dw, dw_ce, rtol=0, atol=1e-14)
         assert np.allclose(db, db_ce, rtol=0, atol=1e-14)
-        dw_em, db_em, _ = loss_gradient(z, rows, label, False, True)
+        dw_em, db_em = loss_gradient(z, rows, label, False, True)
         assert np.max(np.abs(dw_em)) < 1e-14
         assert np.max(np.abs(db_em)) < 1e-14
 
     def test_one_hot_prediction_has_vanishing_gradient(self):
         head = LinearHead(np.zeros((4, 2)), np.array([60.0, 0.0, 0.0, 0.0]), 1)
         x = np.array([[0.5, 0.5]])
-        dw, db, _ = loss_gradient(forward(head, x), x, np.array([0]), True, True)
+        dw, db = loss_gradient(forward(head, x), x, np.array([0]), True, True)
         assert np.max(np.abs(dw)) < 1e-12
         assert np.max(np.abs(db)) < 1e-12
 
@@ -119,7 +123,7 @@ class TestRetentionGradient:
             p = softmax(forward(probe, x))
             return cross_entropy(p, 4) + entropy(p)
 
-        dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([4]), True, True)
+        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([4]), True, True)
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
@@ -140,8 +144,8 @@ class TestRetentionGradient:
                     total += entropy(p)
                 return total
 
-            dw, db, _ = loss_gradient(forward(head, x[None]), x[None], np.array([1]),
-                                      include_ce, include_em)
+            dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([1]),
+                                   include_ce, include_em)
             fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
             assert relative_error(dw, fd_dw) <= 1e-5
             assert relative_error(db, fd_db) <= 1e-5
@@ -166,11 +170,10 @@ class TestRetentionGradient:
                     total += entropy(p)
             return total / n
 
-        dw, db, value = loss_gradient(forward(head, x), x, labels, include_ce, include_em)
+        dw, db = loss_gradient(forward(head, x), x, labels, include_ce, include_em)
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
-        assert abs(value - loss(head.weights, head.bias)) <= 1e-12
 
 
 class TestSgdStep:
@@ -258,6 +261,24 @@ class TestFitTask:
         b = fit_task(new_head(3, 4), x, y, cfg, seed=(1, 2))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+    def test_step_is_loss_gradient_plus_decay(self):
+        """One epoch in one batch of n = 40 (not a power of two, so where the
+        1/n scaling happens shows in the last bit): the shared gradient on
+        training's matmul logits, plus decay, then one SGD step."""
+        rng = np.random.default_rng(12)
+        head = random_head(rng, k=3, d=5)
+        x = rng.standard_normal((40, 5))
+        y = rng.integers(0, 3, 40)
+        cfg = TrainConfig(epochs=1, batch_size=64, lr=0.3, weight_decay=1e-2)
+        order = substream(9).permutation(40)
+        rows = x[order]
+        dw, db = loss_gradient(rows @ head.weights.T + head.bias, rows, y[order], True, False)
+        dw += cfg.weight_decay * head.weights
+        expected = sgd_step(head, dw, db, cfg.lr)
+        out = fit_task(head, x, y, cfg, seed=9)
+        assert np.array_equal(out.weights, expected.weights)
+        assert np.array_equal(out.bias, expected.bias)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arcbench import data
+from arcbench import data, harness
+from arcbench.arc import ArcConfig
 from arcbench.core import TrainConfig, fit_task, forward, new_head
 from arcbench.data import (
     EmbeddingFormatError,
@@ -18,7 +19,7 @@ from arcbench.data import (
     streams_equal,
     write_embeddings,
 )
-from arcbench.harness import train_sequence
+from arcbench.harness import run_stream, train_sequence
 
 from oracles import task_of_class
 
@@ -344,3 +345,31 @@ class TestEmbeddingValidation:
         stream.train[0].labels[0] = 5  # task 2's class inside task 1's data
         with pytest.raises(ValueError, match="class range"):
             stream.validate()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_non_finite_stream_rejected_at_the_boundary(self, tmp_path, monkeypatch, split):
+        stream = generate_synthetic(SMALL)
+        getattr(stream, split)[1].features[2, 1] = np.nan
+        message = f"^task 2 {split} split has non-finite features$"
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "fit_task", no_training)
+        with pytest.raises(ValueError, match=message):
+            run_stream(stream, TrainConfig(epochs=1), ArcConfig(), seed=0)
+        path = tmp_path / "nan.emb1"
+        with pytest.raises(ValueError, match=message):
+            write_embeddings(stream, str(path))
+        assert not path.exists()
+
+    def test_float64_beyond_float32_range_not_written(self, tmp_path):
+        stream = generate_synthetic(SMALL)
+        wide = stream.test[0].features.astype(np.float64)
+        wide[3, 0] = 1e39  # finite as float64, inf as float32
+        stream.test[0].features = wide
+        path = tmp_path / "wide.emb1"
+        with pytest.raises(ValueError, match=r"^record 18 \(task 1, test split\) has features "
+                                             r"beyond float32 range$"):
+            write_embeddings(stream, str(path))
+        assert not path.exists()

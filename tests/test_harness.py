@@ -535,19 +535,22 @@ class TestLinearProbe:
         b = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         assert a == b
 
-    def test_each_probe_fitted_once_at_its_key(self, small_stream, monkeypatch):
-        probe_seeds = []
+    def test_each_probe_fitted_once_at_its_key(self, small_stream, monkeypatch, tmp_path):
+        # a file, not a list: the training child may claim a stage and fit its probe
+        log = tmp_path / "probe_seeds.log"
         fit = harness.fit_task
 
         def fit_task(*args, seed):
             if seed[2] == PROBE_TAG:
-                probe_seeds.append(seed)
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{seed}\n")
             return fit(*args, seed=seed)
 
         monkeypatch.setattr(harness, "fit_task", fit_task)
         rows = linear_probe_experiment(small_stream, FAST_TRAIN, seed=5)
         n, step = SMALL_SPEC.num_tasks, SMALL_SPEC.step
-        assert probe_seeds == [(5, 0, PROBE_TAG, i) for i in range(1, n)]
+        probe_seeds = sorted(log.read_text(encoding="utf-8").splitlines())
+        assert probe_seeds == [str((5, 0, PROBE_TAG, i)) for i in range(1, n)]
         for i in range(1, n):
             train, test = small_stream.train[i - 1], small_stream.test[i - 1]
             base = step * (i - 1)
