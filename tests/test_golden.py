@@ -1,4 +1,4 @@
-"""Golden sha256 of every CSV in four default report bundles and of each demo's stdout.
+"""Golden sha256 of every CSV in the default report bundles and of each demo's stdout.
 
 The manifest pins the exact bytes of the default bundles and of what every
 script in ``demos/`` prints, so a refactor that claims "same numbers" is
@@ -32,6 +32,7 @@ DEMOS = os.path.join(HERE, os.pardir, "demos")
 
 COMMANDS = {
     "run": ["run", "--run.seeds", "0"],
+    "run-two-seeds": ["run", "--run.seeds", "0,1"],
     "ablate-raw-w": ["ablate", "--ablate.losses", "both", "--ablate.temperatures", "on,off",
                      "--ablate.w_modes", "raw", "--ablate.betas", "0.5",
                      "--ablate.gammas", "0.9"],
