@@ -17,6 +17,7 @@ import platform
 import shutil
 import sys
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
@@ -301,17 +302,39 @@ def _check_output_dir(output_dir: str) -> None:
         raise ConfigError(f"run.output_dir already exists and is not empty: {output_dir}")
 
 
-def write_bundle(output_dir: str, files: dict[str, str]) -> None:
-    """Write all report files to a temp directory, then promote atomically."""
+class Chunks:
+    """One report file's text as the chunks that make it up. Each pass calls
+    ``make`` afresh, so a chunk is rendered only when it is written and can be
+    dropped once written; ``encode`` joins a whole pass (perfbench's traced
+    write counts a bundle's bytes with it)."""
+
+    def __init__(self, make: Callable[[], Iterable[str]]):
+        self.make = make
+
+    @classmethod
+    def of(cls, text: str) -> Chunks:
+        """Text already rendered, as one chunk."""
+        return cls(lambda: (text,))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.make())
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return "".join(self).encode(encoding)
+
+
+def write_bundle(output_dir: str, files: dict[str, Iterable[str]]) -> None:
+    """Write each file's chunks, as they come, to a temp directory, then
+    promote the directory atomically; a chunk that raises leaves nothing."""
     output_dir = os.path.abspath(output_dir)
     parent = os.path.dirname(output_dir)
     os.makedirs(parent, exist_ok=True)
     _check_output_dir(output_dir)  # again: it may have appeared while the command ran
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
-        for name, text in files.items():
-            with open(os.path.join(tmp, name), "wb") as fh:
-                fh.write(text.encode("utf-8"))
+        for name, chunks in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
         if os.path.isdir(output_dir):
             os.rmdir(output_dir)
         os.rename(tmp, output_dir)
@@ -361,13 +384,29 @@ SCORE_COLUMNS = _columns(MetricsReport)[2:]
 OTD_HEADER = ["seed", "beta", *_columns(OtdValidationReport)]
 
 
+def _records(header: list[str], runs: list[tuple[int, float | None, list[StageTrace]]]) -> Chunks:
+    """arc_records.csv: the header, then one chunk per stage trace of each
+    (seed, beta, traces) run, so at most one stage's rows are text at once."""
+    def chunks():
+        yield render_csv(header, [])
+        for seed, beta, traces in runs:
+            for trace in traces:
+                yield _record_text(seed, [trace], beta)
+    return Chunks(chunks)
+
+
+def _whole(texts: dict[str, str]) -> dict[str, Chunks]:
+    """Report files already rendered, one chunk each."""
+    return {name: Chunks.of(text) for name, text in texts.items()}
+
+
 def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
     return [seed, beta, *astuple(otd_validation(traces))]
 
 
-def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
+def cmd_run(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
     reports: list[MetricsReport] = []
-    r_rows, bias_rows, otd_rows, pred_rows, record_text = [], [], [], [], []
+    r_rows, bias_rows, otd_rows, pred_rows, record_runs = [], [], [], [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         result = run_stream(stream, cfg.train, cfg.arc, seed)
@@ -384,9 +423,9 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
         otd_rows.append(_otd_row(seed, cfg.arc.beta, result.arc_traces))
-        record_text.append(_record_text(seed, result.arc_traces))
+        record_runs.append((seed, None, result.arc_traces))
 
-    files = {
+    files = _whole({
         "metadata.txt": _metadata("run", cfg),
         "metrics.csv": render_csv(_columns(MetricsReport), _metrics_rows(reports)),
         "r_matrices.csv": render_csv(["seed", "pipeline", "stage", "task", "accuracy"], r_rows),
@@ -394,8 +433,8 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
                                                   pred_rows),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(["seed", *RECORD_COLUMNS], []) + "".join(record_text),
-    }
+    })
+    files["arc_records.csv"] = _records(["seed", *RECORD_COLUMNS], record_runs)
     arc_reports = [m for m in reports if m.pipeline == "arc"]
     base_reports = [m for m in reports if m.pipeline == "baseline"]
     summary = (
@@ -406,16 +445,16 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str], str]:
     return files, summary
 
 
-def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
+def cmd_probe(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         for row in linear_probe_experiment(stream, cfg.train, seed):
             rows.append([seed, *astuple(row)])
-    files = {
+    files = _whole({
         "metadata.txt": _metadata("probe", cfg),
         "probe.csv": render_csv(["seed", *_columns(ProbeRow)], rows),
-    }
+    })
     return files, f"probe rows: {len(rows)}"
 
 
@@ -431,7 +470,7 @@ def _ablation_cells(cfg: RunConfig) -> list[tuple[tuple, ArcConfig]]:
     return sorted(cells, key=lambda pair: row_key(*pair[0]))
 
 
-def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
+def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
     cells = _ablation_cells(cfg)
     rows = []
     for seed in cfg.seeds:
@@ -439,15 +478,15 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
         reports = ablation_grid(stream, cfg.train, [arc for _, arc in cells], seed)
         for (cell, _), report in zip(cells, reports):
             rows.append([seed, *cell, *(getattr(report, c) for c in SCORE_COLUMNS)])
-    files = {
+    files = _whole({
         "metadata.txt": _metadata("ablate", cfg),
         "ablation.csv": render_csv(["seed", *ABLATE_COLUMNS, *SCORE_COLUMNS], rows),
-    }
+    })
     return files, f"variants: {len(cells)}, rows: {len(rows)}"
 
 
-def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    otd_rows, record_text = [], []
+def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
+    otd_rows, record_runs = [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         # training never sees beta: train once, then run the pipeline per beta
@@ -455,13 +494,12 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str], str]:
         cfgs = [replace(cfg.arc, beta=beta) for beta in betas]
         for beta, traces in zip(betas, pipeline_traces(stream, cfg.train, cfgs, seed)):
             otd_rows.append(_otd_row(seed, beta, traces))
-            record_text.append(_record_text(seed, traces, beta=beta))
-    files = {
+            record_runs.append((seed, beta, traces))
+    files = _whole({
         "metadata.txt": _metadata("validate-otd", cfg),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-        "arc_records.csv": render_csv(["seed", "beta", *RECORD_COLUMNS], [])
-        + "".join(record_text),
-    }
+    })
+    files["arc_records.csv"] = _records(["seed", "beta", *RECORD_COLUMNS], record_runs)
     return files, f"rows: {len(otd_rows)}"
 
 

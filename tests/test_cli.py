@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from arcbench.arc import RECORD_DTYPE, ArcConfig
 from arcbench.cli import (
     RECORD_COLUMNS,
     SCHEMA,
+    Chunks,
     ConfigError,
     RunConfig,
     _effective_config,
@@ -22,6 +24,7 @@ from arcbench.cli import (
     main,
     read_config_file,
     render_csv,
+    write_bundle,
 )
 from arcbench.core import TrainConfig
 from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
@@ -261,6 +264,60 @@ class TestCmdRun:
                         "--run.output_dir", str(tmp_path / "bundle")])
         assert code == 1
         assert "task 2 has an empty test split" in capsys.readouterr().err
+
+
+class TestWriteBundle:
+    class Broken(Exception):
+        pass
+
+    def test_chunk_error_mid_write_leaves_nothing(self, tmp_path):
+        def chunks():
+            yield "a,b\n"
+            raise self.Broken("rendering failed")
+
+        out = tmp_path / "bundle"
+        files = {"metadata.txt": Chunks.of("done\n"), "records.csv": Chunks(chunks)}
+        with pytest.raises(self.Broken, match="rendering failed"):
+            write_bundle(str(out), files)
+        assert os.listdir(tmp_path) == []  # no bundle and no .bundle-* directory
+
+    def test_record_error_mid_run_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        record_text, calls = cli._record_text, []
+
+        def fail_at_stage_2(seed, traces, beta=None):
+            calls.append(traces[0].stage)
+            if traces[0].stage == 2:
+                raise ValueError("stage 2 records failed")
+            return record_text(seed, traces, beta)
+
+        monkeypatch.setattr(cli, "_record_text", fail_at_stage_2)
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: stage 2 records failed\n"
+        assert calls == [1, 2]  # one trace's rows at a time, rendered as they are written
+        assert os.listdir(tmp_path) == []
+
+    def test_write_holds_less_than_the_records_it_writes(self, tmp_path, monkeypatch):
+        """Peak traced memory while the bundle is written, above what was
+        live before: one stage's rows at a time, never the whole file."""
+        write, grown = cli.write_bundle, []
+
+        def measured(output_dir, files):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write(output_dir, files)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(cli, "write_bundle", measured)
+        out = tmp_path / "bundle"
+        tracemalloc.start()
+        try:
+            code = run_cli(["run", *TINY, "--data.num_tasks", "5", "--run.seeds", "0,1,2,3,4,5",
+                            "--run.output_dir", str(out)])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert grown[0] < (out / "arc_records.csv").stat().st_size
 
 
 class TestCmdProbe:
