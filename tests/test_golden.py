@@ -29,10 +29,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST = os.path.join(HERE, "golden_hashes.json")
 SRC = os.path.join(HERE, os.pardir, "src")
 DEMOS = os.path.join(HERE, os.pardir, "demos")
+CONFIGS = os.path.abspath(os.path.join(HERE, os.pardir, "configs"))
 
 COMMANDS = {
     "run": ["run", "--run.seeds", "0"],
     "run-two-seeds": ["run", "--run.seeds", "0,1"],
+    "run-memory-based": ["run", "--config", os.path.join(CONFIGS, "memory_based.cfg")],
+    "run-arc-last": ["run", "--arc.arc_last", "true"],
     "ablate-raw-w": ["ablate", "--ablate.losses", "both", "--ablate.temperatures", "on,off",
                      "--ablate.w_modes", "raw", "--ablate.betas", "0.5",
                      "--ablate.gammas", "0.9"],
