@@ -28,7 +28,7 @@ from arcbench.cli import (
 )
 from arcbench.core import TrainConfig
 from arcbench.data import SyntheticSpec, generate_synthetic, write_embeddings
-from arcbench.harness import StageTrace, trains_in_child
+from arcbench.harness import StageTrace, run_stream, trains_in_child
 from arcbench.otd import OtdDecision
 
 from stage_schedules import late_claims, log_stages
@@ -823,3 +823,41 @@ class TestRecordText:
         rendered = render_csv(header, rows)
         assert rendered.count(",,") == 6  # the stage-1 rows, both cells empty
         assert render_csv(header, []) + _record_text(seed, traces, beta=beta) == rendered
+
+    def test_bundle_cells_by_column_name(self, tmp_path):
+        """Each arc_records.csv cell sits under the header that names it: every
+        column after seed, read by name, equals that field of run_stream's traces."""
+        out = tmp_path / "bundle"
+        assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 0
+        with open(out / "arc_records.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["seed", *RECORD_COLUMNS]
+            rows = list(reader)
+        flags = {key.removeprefix("--"): value for key, value in zip(TINY[::2], TINY[1::2])}
+        flags["run.output_dir"] = str(tmp_path / "unused")
+        cfg = RunConfig(_effective_config({}, flags))
+        traces = run_stream(cfg.stream_for_seed(0), cfg.train, cfg.arc, 0).arc_traces
+        expected = []
+        for trace in traces:
+            rec = trace.records
+            for position in range(len(rec)):
+                expected.append({
+                    "stage": trace.stage, "position": position,
+                    "true_task": trace.true_tasks[position],
+                    "true_label": trace.true_labels[position],
+                    **{name: rec[name][position] for name in RECORD_DTYPE.names},
+                })
+        assert len(rows) == len(expected) > 0
+        assert rows[-1]["masked_confidence"] != ""  # the last stage defines every cell
+        for row, want in zip(rows, expected):
+            assert row["seed"] == "0"
+            for name in ("stage", "position", "true_task", "true_label",
+                         "initial_class", "final_class"):
+                assert int(row[name]) == want[name], name
+            assert row["decision"] == want["decision"].value
+            assert row["retention_applied"] == ("1" if want["retention_applied"] else "0")
+            for name in ("confidence", "masked_confidence", "ratio"):
+                if np.isnan(want[name]):
+                    assert row[name] == "", name
+                else:
+                    assert float(row[name]) == want[name], name
