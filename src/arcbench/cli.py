@@ -311,11 +311,6 @@ class Chunks:
     def __init__(self, make: Callable[[], Iterable[str]]):
         self.make = make
 
-    @classmethod
-    def of(cls, text: str) -> Chunks:
-        """Text already rendered, as one chunk."""
-        return cls(lambda: (text,))
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.make())
 
@@ -323,18 +318,18 @@ class Chunks:
         return "".join(self).encode(encoding)
 
 
-def write_bundle(output_dir: str, files: dict[str, Iterable[str]]) -> None:
-    """Write each file's chunks, as they come, to a temp directory, then
-    promote the directory atomically; a chunk that raises leaves nothing."""
+def write_bundle(output_dir: str, files: dict[str, str | Chunks]) -> None:
+    """Write each file, whole text or chunks as they come, to a temp directory,
+    then promote the directory atomically; a chunk that raises leaves nothing."""
     output_dir = os.path.abspath(output_dir)
     parent = os.path.dirname(output_dir)
     os.makedirs(parent, exist_ok=True)
     _check_output_dir(output_dir)  # again: it may have appeared while the command ran
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
-        for name, chunks in files.items():
+        for name, content in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(chunks)
+                fh.writelines([content] if isinstance(content, str) else content)
         if os.path.isdir(output_dir):
             os.rmdir(output_dir)
         os.rename(tmp, output_dir)
@@ -356,24 +351,24 @@ def _metrics_rows(reports: list[MetricsReport]) -> list:
     return rows
 
 
-def _record_text(seed: int, traces: list[StageTrace], beta: float | None = None) -> str:
-    """arc_records.csv rows as render_csv would give them, one f-string per row:
-    no cell is ever quoted (numbers, empty for an undefined NaN, decision names)."""
+def _record_text(seed: int, trace: StageTrace, beta: float | None = None) -> str:
+    """One stage trace's arc_records.csv rows as render_csv would give them, one
+    f-string per row: no cell is ever quoted (numbers, empty for an undefined
+    NaN, decision names)."""
     lead = f"{seed}," if beta is None else f"{seed},{beta:.17g},"
+    rec = trace.records
+    columns = (trace.true_tasks, trace.true_labels, rec.initial_class, rec.final_class,
+               rec.decision, rec.retention_applied, rec.confidence,
+               rec.masked_confidence, rec.ratio)
     lines = []
-    for trace in traces:
-        rec = trace.records
-        columns = (trace.true_tasks, trace.true_labels, rec.initial_class, rec.final_class,
-                   rec.decision, rec.retention_applied, rec.confidence,
-                   rec.masked_confidence, rec.ratio)
-        for position, row in enumerate(zip(*(column.tolist() for column in columns))):
-            task, label, initial, final, decision, applied, c, masked, ratio = row
-            masked = "" if masked != masked else f"{masked:.17g}"
-            ratio = "" if ratio != ratio else f"{ratio:.17g}"
-            lines.append(
-                f"{lead}{trace.stage},{position},{task},{label},{initial},{final},"
-                f"{decision.value},{1 if applied else 0},{c:.17g},{masked},{ratio}\n"
-            )
+    for position, row in enumerate(zip(*(column.tolist() for column in columns))):
+        task, label, initial, final, decision, applied, c, masked, ratio = row
+        masked = "" if masked != masked else f"{masked:.17g}"
+        ratio = "" if ratio != ratio else f"{ratio:.17g}"
+        lines.append(
+            f"{lead}{trace.stage},{position},{task},{label},{initial},{final},"
+            f"{decision.value},{1 if applied else 0},{c:.17g},{masked},{ratio}\n"
+        )
     return "".join(lines)
 
 
@@ -391,20 +386,15 @@ def _records(header: list[str], runs: list[tuple[int, float | None, list[StageTr
         yield render_csv(header, [])
         for seed, beta, traces in runs:
             for trace in traces:
-                yield _record_text(seed, [trace], beta)
+                yield _record_text(seed, trace, beta)
     return Chunks(chunks)
-
-
-def _whole(texts: dict[str, str]) -> dict[str, Chunks]:
-    """Report files already rendered, one chunk each."""
-    return {name: Chunks.of(text) for name, text in texts.items()}
 
 
 def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
     return [seed, beta, *astuple(otd_validation(traces))]
 
 
-def cmd_run(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
+def cmd_run(cfg: RunConfig) -> tuple[dict[str, str | Chunks], str]:
     reports: list[MetricsReport] = []
     r_rows, bias_rows, otd_rows, pred_rows, record_runs = [], [], [], [], []
     for seed in cfg.seeds:
@@ -425,37 +415,30 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
         otd_rows.append(_otd_row(seed, cfg.arc.beta, result.arc_traces))
         record_runs.append((seed, None, result.arc_traces))
 
-    files = _whole({
-        "metadata.txt": _metadata("run", cfg),
-        "metrics.csv": render_csv(_columns(MetricsReport), _metrics_rows(reports)),
+    metrics_rows = _metrics_rows(reports)
+    files = {
+        "metrics.csv": render_csv(_columns(MetricsReport), metrics_rows),
         "r_matrices.csv": render_csv(["seed", "pipeline", "stage", "task", "accuracy"], r_rows),
         "bias_histogram.csv": render_csv(["seed", "task", "count"], bias_rows),
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
                                                   pred_rows),
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-    })
-    files["arc_records.csv"] = _records(["seed", *RECORD_COLUMNS], record_runs)
-    arc_reports = [m for m in reports if m.pipeline == "arc"]
-    base_reports = [m for m in reports if m.pipeline == "baseline"]
-    summary = (
-        f"seeds: {len(cfg.seeds)}\n"
-        f"mean average_accuracy arc={np.mean([m.average_accuracy for m in arc_reports]):.4f} "
-        f"baseline={np.mean([m.average_accuracy for m in base_reports]):.4f}"
-    )
+        "arc_records.csv": _records(["seed", *RECORD_COLUMNS], record_runs),
+    }
+    means = {row[1]: row[2] for row in metrics_rows if row[0] == "mean"}
+    summary = (f"seeds: {len(cfg.seeds)}\n"
+               f"mean average_accuracy arc={means['arc']:.4f} baseline={means['baseline']:.4f}")
     return files, summary
 
 
-def cmd_probe(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
+def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         for row in linear_probe_experiment(stream, cfg.train, seed):
             rows.append([seed, *astuple(row)])
-    files = _whole({
-        "metadata.txt": _metadata("probe", cfg),
-        "probe.csv": render_csv(["seed", *_columns(ProbeRow)], rows),
-    })
-    return files, f"probe rows: {len(rows)}"
+    return ({"probe.csv": render_csv(["seed", *_columns(ProbeRow)], rows)},
+            f"probe rows: {len(rows)}")
 
 
 def _ablation_cells(cfg: RunConfig) -> list[tuple[tuple, ArcConfig]]:
@@ -470,7 +453,7 @@ def _ablation_cells(cfg: RunConfig) -> list[tuple[tuple, ArcConfig]]:
     return sorted(cells, key=lambda pair: row_key(*pair[0]))
 
 
-def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
+def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
     cells = _ablation_cells(cfg)
     rows = []
     for seed in cfg.seeds:
@@ -478,14 +461,11 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
         reports = ablation_grid(stream, cfg.train, [arc for _, arc in cells], seed)
         for (cell, _), report in zip(cells, reports):
             rows.append([seed, *cell, *(getattr(report, c) for c in SCORE_COLUMNS)])
-    files = _whole({
-        "metadata.txt": _metadata("ablate", cfg),
-        "ablation.csv": render_csv(["seed", *ABLATE_COLUMNS, *SCORE_COLUMNS], rows),
-    })
-    return files, f"variants: {len(cells)}, rows: {len(rows)}"
+    return ({"ablation.csv": render_csv(["seed", *ABLATE_COLUMNS, *SCORE_COLUMNS], rows)},
+            f"variants: {len(cells)}, rows: {len(rows)}")
 
 
-def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
+def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, str | Chunks], str]:
     otd_rows, record_runs = [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
@@ -495,11 +475,10 @@ def cmd_validate_otd(cfg: RunConfig) -> tuple[dict[str, Chunks], str]:
         for beta, traces in zip(betas, pipeline_traces(stream, cfg.train, cfgs, seed)):
             otd_rows.append(_otd_row(seed, beta, traces))
             record_runs.append((seed, beta, traces))
-    files = _whole({
-        "metadata.txt": _metadata("validate-otd", cfg),
+    files = {
         "otd_validation.csv": render_csv(OTD_HEADER, otd_rows),
-    })
-    files["arc_records.csv"] = _records(["seed", "beta", *RECORD_COLUMNS], record_runs)
+        "arc_records.csv": _records(["seed", "beta", *RECORD_COLUMNS], record_runs),
+    }
     return files, f"rows: {len(otd_rows)}"
 
 
@@ -540,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
                        if key in SCHEMA and value is not None}
         cfg = RunConfig(_effective_config(file_values, flag_values))
         files, summary = COMMANDS[args.command][0](cfg)
-        write_bundle(cfg.output_dir, files)
+        write_bundle(cfg.output_dir, {"metadata.txt": _metadata(args.command, cfg), **files})
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

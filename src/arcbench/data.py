@@ -208,7 +208,7 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
                          "has features beyond float32 range")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, dim, layout.num_tasks, layout.step, count))
-        fh.write(records.tobytes())
+        fh.write(memoryview(records).cast("B"))  # the array's own bytes, not a copy
 
 
 def _chunks(fh, dtype: np.dtype, count: int):
@@ -224,9 +224,12 @@ def _chunks(fh, dtype: np.dtype, count: int):
 
 
 def load_embeddings(path: str) -> TaskStream:
-    """Parse an EMB1 file into a TaskStream, raising the error a record-by-record
-    reader would raise first. Records may come in any order; each split keeps
-    file order. Two passes, each a bounded chunk at a time: the first reads task,
+    """Parse an EMB1 file into a TaskStream. Records may come in any order;
+    each split keeps file order. Of several faults, the first of these is raised:
+    a header error; a bad task, split or label (at the first bad record in file
+    order, checked in that order within it); truncation; trailing bytes;
+    non-finite features (at the first such record in file order); an empty
+    split. Two passes, each a bounded chunk at a time: the first reads task,
     label and split, checks them and hashes the file (the stream's sha256), the
     second copies each record's float32 features into its row of one array, so
     the peak is that array plus one chunk. The numeric entry points widen the

@@ -276,7 +276,7 @@ class TestWriteBundle:
             raise self.Broken("rendering failed")
 
         out = tmp_path / "bundle"
-        files = {"metadata.txt": Chunks.of("done\n"), "records.csv": Chunks(chunks)}
+        files = {"metadata.txt": "done\n", "records.csv": Chunks(chunks)}
         with pytest.raises(self.Broken, match="rendering failed"):
             write_bundle(str(out), files)
         assert os.listdir(tmp_path) == []  # no bundle and no .bundle-* directory
@@ -284,11 +284,11 @@ class TestWriteBundle:
     def test_record_error_mid_run_leaves_nothing(self, tmp_path, capsys, monkeypatch):
         record_text, calls = cli._record_text, []
 
-        def fail_at_stage_2(seed, traces, beta=None):
-            calls.append(traces[0].stage)
-            if traces[0].stage == 2:
+        def fail_at_stage_2(seed, trace, beta=None):
+            calls.append(trace.stage)
+            if trace.stage == 2:
                 raise ValueError("stage 2 records failed")
-            return record_text(seed, traces, beta)
+            return record_text(seed, trace, beta)
 
         monkeypatch.setattr(cli, "_record_text", fail_at_stage_2)
         out = tmp_path / "bundle"
@@ -822,7 +822,8 @@ class TestRecordText:
         header = [*(["seed"] if beta is None else ["seed", "beta"]), *RECORD_COLUMNS]
         rendered = render_csv(header, rows)
         assert rendered.count(",,") == 6  # the stage-1 rows, both cells empty
-        assert render_csv(header, []) + _record_text(seed, traces, beta=beta) == rendered
+        text = "".join(_record_text(seed, trace, beta=beta) for trace in traces)
+        assert render_csv(header, []) + text == rendered
 
     def test_bundle_cells_by_column_name(self, tmp_path):
         """Each arc_records.csv cell sits under the header that names it: every

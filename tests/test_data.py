@@ -184,6 +184,19 @@ class TestEmbeddingRoundTrip:
         # the float32 stream's bytes and a chunk; a float64 copy would be 2x
         assert peak <= 1.15 * 3000 * spec.dim * 4
 
+    def test_write_holds_the_records_once(self, tmp_path):
+        stream = generate_synthetic(SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100,
+                                                  test_per_class=100, seed=0))  # 3000 records
+        path = tmp_path / "wide.emb1"
+        tracemalloc.start()
+        try:
+            write_embeddings(stream, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the packed records and the finiteness mask; a bytes copy of the records would be 2x
+        assert peak < 1.5 * path.stat().st_size
+
     def test_canonical_encoding(self, tmp_path):
         stream = generate_synthetic(SMALL)
         a, b = tmp_path / "a.emb1", tmp_path / "b.emb1"
