@@ -24,6 +24,8 @@ from arcbench.harness import run_stream, train_sequence
 from oracles import task_of_class
 
 SMALL = SyntheticSpec(num_tasks=2, step=3, dim=4, train_per_class=5, test_per_class=4, seed=7)
+WIDE = SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100, test_per_class=100,
+                     seed=0)  # 3000 records
 
 
 @pytest.fixture
@@ -170,10 +172,8 @@ class TestEmbeddingRoundTrip:
         assert streams_equal(load_embeddings(str(path)), stream)  # the digest is not compared
 
     def test_peak_memory_is_the_stream_plus_one_chunk(self, tmp_path, monkeypatch):
-        spec = SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100,
-                             test_per_class=100, seed=0)  # 3000 records
         path = tmp_path / "wide.emb1"
-        write_embeddings(generate_synthetic(spec), str(path))
+        write_embeddings(generate_synthetic(WIDE), str(path))
         monkeypatch.setattr(data, "_CHUNK_BYTES", 64 << 10)
         tracemalloc.start()
         try:
@@ -182,11 +182,10 @@ class TestEmbeddingRoundTrip:
         finally:
             tracemalloc.stop()
         # the float32 stream's bytes and a chunk; a float64 copy would be 2x
-        assert peak <= 1.15 * 3000 * spec.dim * 4
+        assert peak <= 1.15 * 3000 * WIDE.dim * 4
 
     def test_write_holds_the_records_once(self, tmp_path):
-        stream = generate_synthetic(SyntheticSpec(num_tasks=3, step=5, dim=256, train_per_class=100,
-                                                  test_per_class=100, seed=0))  # 3000 records
+        stream = generate_synthetic(WIDE)
         path = tmp_path / "wide.emb1"
         tracemalloc.start()
         try:
