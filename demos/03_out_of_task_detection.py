@@ -26,7 +26,8 @@ t, s = spec.num_tasks, spec.step
 
 x = np.vstack([d.features for d in stream.test])
 labels = np.concatenate([d.labels for d in stream.test])
-tasks = np.concatenate([np.full(len(d.labels), d.task) for d in stream.test])
+tasks = np.concatenate([np.full(len(d.labels), task)
+                        for task, d in enumerate(stream.test, start=1)])
 z = forward(head, x)
 
 print("a few samples through the detector (beta=0.8, gamma=0.8):")

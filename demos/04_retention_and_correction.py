@@ -5,11 +5,13 @@ online pipeline (single-gradient-step retention on confidently recognized
 past samples, task-score correction of suspected misclassifications). The
 gap in average accuracy and forgetting is the pipeline's contribution.
 
-This one runs the full default benchmark (10 tasks x 10 classes), so it
-takes ~30 s.
+This one runs the full default benchmark (10 tasks x 10 classes), then
+the component breakdown as one ablation grid over the same stream: two
+training runs in all.
 """
 
-from arcbench import ArcConfig, SyntheticSpec, TrainConfig, generate_synthetic, run_stream
+from arcbench import (ArcConfig, SyntheticSpec, TrainConfig, ablation_grid, generate_synthetic,
+                      run_stream)
 
 spec = SyntheticSpec(seed=3)
 stream = generate_synthetic(spec)
@@ -42,7 +44,7 @@ variants = {
     "last stage only": ArcConfig(arc_last=True),
 }
 print("\ncomponent breakdown (average accuracy):")
-for name, cfg in variants.items():
-    res = run_stream(stream, TrainConfig(), cfg, seed=3)
-    delta = res.metrics_with_arc.average_accuracy - base.average_accuracy
-    print(f"  {name}: {res.metrics_with_arc.average_accuracy:.4f} ({delta:+.4f})")
+reports = ablation_grid(stream, TrainConfig(), list(variants.values()), seed=3)
+for name, report in zip(variants, reports):
+    delta = report.average_accuracy - base.average_accuracy
+    print(f"  {name}: {report.average_accuracy:.4f} ({delta:+.4f})")

@@ -409,7 +409,7 @@ def cmd_run(cfg: RunConfig) -> tuple[dict[str, str | Chunks], str]:
             for task, count in enumerate(result.bias_histogram, start=1):
                 bias_rows.append([seed, task, int(count)])
             for sample, (label, pred) in enumerate(
-                zip(result.task1_labels, result.task1_predictions)
+                zip(stream.test[0].labels, result.task1_predictions)
             ):
                 pred_rows.append([seed, sample, int(label), int(pred)])
         otd_rows.append(_otd_row(seed, cfg.arc.beta, result.arc_traces))

@@ -84,9 +84,9 @@ class SyntheticSpec:
 @dataclass
 class TaskData:
     """Labeled feature set for one task: features (n, D), float32 as generated
-    and loaded (any float dtype works: every entry point widens), labels (n,)."""
+    and loaded (any float dtype works: every entry point widens), labels (n,).
+    Its task is its position in TaskStream.train or TaskStream.test."""
 
-    task: int
     features: np.ndarray
     labels: np.ndarray
 
@@ -117,8 +117,6 @@ class TaskStream:
         dim = self.dim
         for name, split in zip(_SPLIT_NAMES, (self.train, self.test)):
             for task_index, data in enumerate(split, start=1):
-                if data.task != task_index:
-                    raise ValueError("task datasets out of order")
                 if data.features.ndim != 2 or data.features.shape[1] != dim:
                     raise ValueError("feature dimensions not uniform")
                 if not np.isfinite(data.features).all():
@@ -141,8 +139,6 @@ def streams_equal(a: TaskStream, b: TaskStream) -> bool:
         if len(split_a) != len(split_b):
             return False
         for da, db in zip(split_a, split_b):
-            if da.task != db.task:
-                return False
             if not np.array_equal(da.features, db.features):
                 return False
             if not np.array_equal(da.labels, db.labels):
@@ -175,7 +171,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TaskStream:
                 raise ValueError(f"mean_scale {spec.mean_scale:g} and noise_sigma "
                                  f"{spec.noise_sigma:g} give features beyond float32 range")
             labels = np.repeat(np.array(classes, dtype=np.int64), per_class)
-            bucket.append(TaskData(task, feats, labels))
+            bucket.append(TaskData(feats, labels))
     stream = TaskStream(layout, train, test)
     stream.validate()
     return stream
@@ -299,6 +295,6 @@ def load_embeddings(path: str) -> TaskStream:
     if b < 2 * num_tasks:
         raise EmbeddingFormatError(f"task {b // 2 + 1} has an empty {_SPLIT_NAMES[b % 2]} split")
     cuts = np.cumsum(sizes)[:-1]
-    data = [TaskData(b // 2 + 1, x, y) for b, (x, y) in enumerate(
-        zip(np.split(features, cuts), np.split(label[order].astype(np.int64), cuts)))]
+    data = [TaskData(x, y) for x, y in
+            zip(np.split(features, cuts), np.split(label[order].astype(np.int64), cuts))]
     return TaskStream(layout, data[0::2], data[1::2], digest.hexdigest())

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .arc import ArcConfig, arc_evaluate
+from .arc import ArcConfig, ArcEvalResult, arc_evaluate
 from .core import LinearHead, TaskLayout, TrainConfig, expand_head, fit_task, forward, new_head
 from .data import TaskData, TaskStream
 from .otd import OtdDecision
@@ -121,20 +121,15 @@ class MetricsReport:
 
 @dataclass
 class StageTrace:
-    """Pipeline records for one stage's shuffled test stream, with ground truth.
-
-    ``records`` is arc_evaluate's table (otd.RECORD_DTYPE) for the group's
-    first config and ``final_classes`` holds every config's final classes, one
-    row per config; both are aligned with ``true_labels`` and ``true_tasks``.
-    """
+    """One config's pipeline records for one stage's shuffled test stream, with
+    ground truth: ``records`` is arc_evaluate's table (otd.RECORD_DTYPE),
+    aligned with ``true_labels`` and ``true_tasks``."""
 
     stage: int
     records: np.recarray
-    final_classes: np.ndarray
     true_labels: np.ndarray
     true_tasks: np.ndarray
     retention_updates: int
-    warnings: list[str]
 
 
 @dataclass
@@ -166,7 +161,6 @@ class ProbeRow:
 
 @dataclass
 class RunResult:
-    seed: int
     r_with_arc: RMatrix
     r_without_arc: RMatrix
     metrics_with_arc: MetricsReport
@@ -174,8 +168,7 @@ class RunResult:
     stage_heads: list[LinearHead]
     arc_traces: list[StageTrace]
     bias_histogram: np.ndarray | None  # None for single-task streams
-    task1_predictions: np.ndarray | None
-    task1_labels: np.ndarray | None
+    task1_predictions: np.ndarray | None  # against stream.test[0].labels
 
 
 def _train_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iterator[LinearHead]:
@@ -345,36 +338,43 @@ def map_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int,
     return heads, [done[t] for t in range(1, n + 1)]
 
 
-def _stage_trace(
-    stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig], seed: int
-) -> StageTrace:
-    """Evaluate tasks 1..t as one shuffled online stream through the pipeline.
-
-    ``cfgs`` is a group of configs sharing one head trajectory (see
-    arc_evaluate). The evaluation starts from head t and its updates are
-    discarded with it, so they never leak across stages.
-    """
-    cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in cfgs]
-    x = np.vstack([stream.test[i - 1].features for i in range(1, t + 1)])
-    y = np.concatenate([stream.test[i - 1].labels for i in range(1, t + 1)])
-    tasks = np.concatenate(
-        [np.full(len(stream.test[i - 1]), i, dtype=np.int64) for i in range(1, t + 1)]
-    )
+def _stage_stream(stream: TaskStream, t: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Tasks 1..t's test sets as one shuffled online stream: (features,
+    labels, tasks), one row per sample. Every config of the stage reads it."""
+    tests = stream.test[:t]
+    x = np.vstack([data.features for data in tests])
+    y = np.concatenate([data.labels for data in tests])
+    tasks = np.repeat(np.arange(1, t + 1), [len(data) for data in tests])
     perm = substream(seed, t, EVAL_TAG).permutation(len(y))
-    x, y, tasks = x[perm], y[perm], tasks[perm]
+    return x[perm], y[perm], tasks[perm]
+
+
+def _run_pipeline(stream: TaskStream, head: LinearHead, t: int, x: np.ndarray,
+                  cfgs: list[ArcConfig]) -> ArcEvalResult:
+    """arc_evaluate over a stage's stream for a group of configs sharing one
+    head trajectory. The evaluation starts from head t and its updates are
+    discarded with it, so they never leak across stages."""
+    cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in cfgs]
     size = cfgs[0].batch_size
-    batches = [x[i : i + size] for i in range(0, len(y), size)]
-    result = arc_evaluate(head, batches, t, stream.layout.step, cfgs)
-    return StageTrace(t, result.records, result.final_classes, y, tasks,
-                      result.retention_updates, result.warnings)
+    batches = [x[i : i + size] for i in range(0, len(x), size)]
+    return arc_evaluate(head, batches, t, stream.layout.step, cfgs)
 
 
-def _task_accuracies(trace: StageTrace) -> np.ndarray:
-    """Pipeline accuracies of a trace, one row per config of its group and one
-    column per task 1..t: final classes against the ground truth."""
-    correct = trace.final_classes == trace.true_labels
-    return np.stack([correct[:, trace.true_tasks == i].mean(axis=1)
-                     for i in range(1, trace.stage + 1)], axis=1)
+def _stage_traces(stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig],
+                  seed: int) -> list[StageTrace]:
+    """Stage t's trace for each config, each evaluated on its own over the
+    stage's one stream; the traces share its ground-truth arrays."""
+    x, y, tasks = _stage_stream(stream, t, seed)
+    return [StageTrace(t, result.records, y, tasks, result.retention_updates)
+            for result in (_run_pipeline(stream, head, t, x, [cfg]) for cfg in cfgs)]
+
+
+def _task_accuracies(final: np.ndarray, labels: np.ndarray, tasks: np.ndarray,
+                     t: int) -> np.ndarray:
+    """Pipeline accuracies of final classes (..., samples) against the ground
+    truth, one entry per task 1..t on the last axis."""
+    correct = final == labels
+    return np.stack([correct[..., tasks == i].mean(axis=-1) for i in range(1, t + 1)], axis=-1)
 
 
 def _metrics(seed: int, pipeline: str, r: RMatrix) -> MetricsReport:
@@ -404,22 +404,21 @@ def run_stream(
     def evaluate(t: int, head: LinearHead):
         plain = [_plain_accuracy(head, test) for test in stream.test[:t]]
         task1_preds = plain[0][1] if n >= 2 and t == n else None
-        return (_stage_trace(stream, head, t, [arc_cfg], seed),
+        return (_stage_traces(stream, head, t, [arc_cfg], seed)[0],
                 [accuracy for accuracy, _ in plain], task1_preds)
 
     heads, stages = map_stages(stream, train_cfg, seed, evaluate)
     r_arc, r_plain = RMatrix.empty(n), RMatrix.empty(n)
     for t, (trace, plain, _) in enumerate(stages, start=1):
-        r_arc.set_row(t, _task_accuracies(trace)[0])
+        r_arc.set_row(t, _task_accuracies(trace.records.final_class, trace.true_labels,
+                                          trace.true_tasks, t))
         r_plain.set_row(t, plain)
     task1_preds = stages[-1][2]
-    bias = task1_labels = None
+    bias = None
     if task1_preds is not None:
-        task1_labels = stream.test[0].labels
-        bias = bias_histogram(task1_preds, task1_labels, layout, n)
+        bias = bias_histogram(task1_preds, stream.test[0].labels, layout, n)
 
     return RunResult(
-        seed=seed,
         r_with_arc=r_arc,
         r_without_arc=r_plain,
         metrics_with_arc=_metrics(seed, "arc", r_arc),
@@ -428,7 +427,6 @@ def run_stream(
         arc_traces=[trace for trace, _, _ in stages],
         bias_histogram=bias,
         task1_predictions=task1_preds,
-        task1_labels=task1_labels,
     )
 
 
@@ -442,7 +440,7 @@ def pipeline_traces(
         return []
 
     def evaluate(t: int, head: LinearHead) -> list[StageTrace]:
-        return [_stage_trace(stream, head, t, [cfg], seed) for cfg in cfgs]
+        return _stage_traces(stream, head, t, cfgs, seed)
 
     _, per_stage = map_stages(stream, train_cfg, seed, evaluate)
     return [list(traces) for traces in zip(*per_stage)]
@@ -526,8 +524,9 @@ def ablation_grid(
     members = list(groups.values())
 
     def evaluate(t: int, head: LinearHead) -> list[np.ndarray]:
-        return [_task_accuracies(_stage_trace(stream, head, t, [cfgs[i] for i in group], seed))
-                for group in members]
+        x, y, tasks = _stage_stream(stream, t, seed)
+        results = (_run_pipeline(stream, head, t, x, [cfgs[i] for i in group]) for group in members)
+        return [_task_accuracies(result.final_classes, y, tasks, t) for result in results]
 
     _, stages = map_stages(stream, train_cfg, seed, evaluate)
     matrices = [RMatrix.empty(n) for _ in cfgs]

@@ -802,8 +802,8 @@ class TestRecordText:
         records.confidence = rng.random(n)
         records.masked_confidence = np.nan if stage == 1 else rng.random(n)
         records.ratio = np.nan if stage == 1 else 1 / 3 + rng.random(n)
-        return StageTrace(stage, records, records.final_class[None, :],
-                          rng.integers(0, 40, n), rng.integers(1, stage + 1, n), 0, [])
+        return StageTrace(stage, records, rng.integers(0, 40, n),
+                          rng.integers(1, stage + 1, n), 0)
 
     @pytest.mark.parametrize("beta", [None, 0.8])
     def test_matches_render_csv(self, beta):

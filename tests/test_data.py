@@ -111,7 +111,7 @@ class TestEmbeddingRoundTrip:
     def test_float64_stream_writes_loads_and_runs(self, tmp_path):
         stream = generate_synthetic(SMALL)
         wide = TaskStream(SMALL.layout, *(
-            [TaskData(d.task, d.features.astype(np.float64), d.labels) for d in split]
+            [TaskData(d.features.astype(np.float64), d.labels) for d in split]
             for split in (stream.train, stream.test)))
         path, wide_path = tmp_path / "stream.emb1", tmp_path / "wide.emb1"
         write_embeddings(stream, str(path))
@@ -147,7 +147,7 @@ class TestEmbeddingRoundTrip:
             task, label, split = fields[i]
             rows[task, split].append((label, struct.unpack_from(f"<{spec.dim}f", records[i], 7)))
         expected = TaskStream(spec.layout, *(
-            [TaskData(t, np.array([f for _, f in rows[t, s]]), np.array([y for y, _ in rows[t, s]]))
+            [TaskData(np.array([f for _, f in rows[t, s]]), np.array([y for y, _ in rows[t, s]]))
              for t in (1, 2)] for s in (0, 1)))
         for order, want in ((interleaved, stream), (shuffled, expected)):
             path.write_bytes(blob[:26] + b"".join(records[i] for i in order))
@@ -356,6 +356,15 @@ class TestEmbeddingValidation:
         stream.train[0].labels = stream.train[0].labels.copy()
         stream.train[0].labels[0] = 5  # task 2's class inside task 1's data
         with pytest.raises(ValueError, match="class range"):
+            stream.validate()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_swapped_task_datasets_rejected(self, split):
+        # a dataset's task is its position: task 2's data in task 1's place
+        stream = generate_synthetic(SMALL)
+        datasets = getattr(stream, split)
+        datasets[0], datasets[1] = datasets[1], datasets[0]
+        with pytest.raises(ValueError, match=r"^labels outside task 1's class range$"):
             stream.validate()
 
     @pytest.mark.parametrize("split", ["train", "test"])

@@ -390,7 +390,7 @@ def check_run_invariants(stream, train_cfg, seed):
     drops = [res.r_with_arc.entry(i, i) - res.r_with_arc.entry(n, i) for i in range(1, n)]
     assert abs(res.metrics_with_arc.forgetting - sum(drops) / (n - 1)) <= 1e-12
     # histogram conservation
-    wrong = np.sum(res.task1_predictions != res.task1_labels)
+    wrong = np.sum(res.task1_predictions != stream.test[0].labels)
     assert res.bias_histogram.sum() == wrong
     # evaluation isolation: training alone reproduces the stage heads bit for bit
     heads = train_sequence(stream, train_cfg, seed)
