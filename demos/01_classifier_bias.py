@@ -30,8 +30,7 @@ for stage, head in enumerate(heads, start=1):
     print(f"  stage {stage}: {acc:.3f}")
 
 predicted = forward(heads[-1], first.features).argmax(axis=1)
-counts = bias_histogram(predicted, first.labels, stream.layout,
-                        visible_tasks=spec.num_tasks)
+counts = bias_histogram(predicted, first.labels, stream.layout)
 print(f"\n{counts.sum()} wrong predictions, bucketed by the task owning the "
       "predicted class:")
 for task, count in enumerate(counts, start=1):

@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
-from .otd import RECORD_DTYPE, OtdDecision, check_thresholds, classify_sample, misclassified
+from .otd import (RECORD_DTYPE, W_MODES, OtdDecision, check_thresholds, classify_sample,
+                  misclassified)
 
-W_MODES = ("ratio", "raw")
 RETENTION_LOSSES = ("both", "ce", "em")
 
 
@@ -172,7 +172,6 @@ class ArcEvalResult:
 def arc_evaluate(
     head: LinearHead,
     batches: Iterable[np.ndarray],
-    t: int,
     s: int,
     cfgs: Sequence[ArcConfig],
 ) -> ArcEvalResult:
@@ -198,14 +197,13 @@ def arc_evaluate(
         for (name, a), b in zip(first.trajectory().items(), cfg.trajectory().values()):
             if a != b:
                 raise ValueError(f"configs of one group must agree on {name}: {a!r} vs {b!r}")
-    if head.visible_tasks != t:
-        raise ValueError(f"head sees {head.visible_tasks} tasks, expected {t}")
-    if head.num_classes != s * t:
-        raise ValueError("head width inconsistent with s * t")
+    t, extra = divmod(head.num_classes, s)  # a head of s * t classes serves stage t
+    if extra or not t:
+        raise ValueError(f"head width {head.num_classes} is not a positive multiple of {s}")
 
-    # nothing is suspect at t = 1; later, a current-predicted row is some config's
-    # suspect iff its statistic is at most the largest gamma of that w_mode
-    correcting = [cfg for cfg in cfgs if cfg.correction] if t >= 2 else []
+    # a current-predicted row is some config's suspect iff its statistic is at
+    # most the largest gamma of that w_mode (otd flags nothing at t = 1)
+    correcting = [cfg for cfg in cfgs if cfg.correction]
     max_gamma = {mode: max(cfg.gamma for cfg in correcting if cfg.w_mode == mode)
                  for mode in {cfg.w_mode for cfg in correcting}}
     tables: list[np.ndarray] = []

@@ -46,13 +46,12 @@ class TaskLayout:
 class LinearHead:
     """Expandable linear classifier: logits = weights @ x + bias.
 
-    ``weights`` is (K, D) and ``bias`` is (K,) where K = step * visible_tasks.
-    Rows for a class keep their index across expansions.
+    ``weights`` is (K, D) and ``bias`` is (K,) where K = step * t for a head
+    that sees tasks 1..t. Rows for a class keep their index across expansions.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    visible_tasks: int
 
     @property
     def num_classes(self) -> int:
@@ -63,14 +62,14 @@ class LinearHead:
         return self.weights.shape[1]
 
     def copy(self) -> "LinearHead":
-        return LinearHead(self.weights.copy(), self.bias.copy(), self.visible_tasks)
+        return LinearHead(self.weights.copy(), self.bias.copy())
 
 
 def new_head(dim: int, step: int) -> LinearHead:
     """Zero-initialized head seeing only the first task."""
     if dim < 1 or step < 1:
         raise ValueError("dim and step must be >= 1")
-    return LinearHead(np.zeros((step, dim)), np.zeros(step), 1)
+    return LinearHead(np.zeros((step, dim)), np.zeros(step))
 
 
 def forward(head: LinearHead, x: np.ndarray) -> np.ndarray:
@@ -149,7 +148,7 @@ def sgd_step(head: LinearHead, dw: np.ndarray, db: np.ndarray, lr: float) -> Lin
         raise ValueError("non-finite gradient")
     if not np.isfinite(lr):
         raise ValueError("non-finite learning rate")
-    return LinearHead(head.weights - lr * dw, head.bias - lr * db, head.visible_tasks)
+    return LinearHead(head.weights - lr * dw, head.bias - lr * db)
 
 
 def expand_head(head: LinearHead, layout: TaskLayout) -> LinearHead:
@@ -158,13 +157,13 @@ def expand_head(head: LinearHead, layout: TaskLayout) -> LinearHead:
     Zero init makes expansion logit-preserving: old classes keep bit-identical
     rows, new classes score exactly 0 until trained.
     """
-    if head.num_classes != layout.step * head.visible_tasks:
+    if head.num_classes % layout.step:
         raise ValueError("head shape inconsistent with layout")
-    if head.visible_tasks >= layout.num_tasks:
+    if head.num_classes >= layout.num_classes:
         raise ValueError(f"cannot expand past {layout.num_tasks} tasks")
     weights = np.vstack([head.weights, np.zeros((layout.step, head.dim))])
     bias = np.concatenate([head.bias, np.zeros(layout.step)])
-    return LinearHead(weights, bias, head.visible_tasks + 1)
+    return LinearHead(weights, bias)
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,7 @@ def forgetting(r: RMatrix) -> float:
     return float(np.mean(drops))
 
 
-def bias_histogram(
-    predicted: np.ndarray, labels: np.ndarray, layout: TaskLayout, visible_tasks: int
-) -> np.ndarray:
+def bias_histogram(predicted: np.ndarray, labels: np.ndarray, layout: TaskLayout) -> np.ndarray:
     """Bucket each wrong prediction by the task owning its predicted class.
 
     Input arrays are one entry per evaluated sample (typically the first
@@ -99,14 +97,14 @@ def bias_histogram(
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if visible_tasks < 2:
-        raise ValueError("bias histogram needs at least two visible tasks")
+    if layout.num_tasks < 2:
+        raise ValueError("bias histogram needs at least two tasks")
     if predicted.shape != labels.shape:
         raise ValueError("predicted and labels must align")
-    if len(predicted) and (predicted.min() < 0 or predicted.max() >= layout.step * visible_tasks):
-        raise ValueError("predicted classes outside the visible range")
+    if len(predicted) and (predicted.min() < 0 or predicted.max() >= layout.num_classes):
+        raise ValueError("predicted classes outside the layout")
     wrong = predicted != labels
-    return np.bincount(predicted[wrong] // layout.step, minlength=visible_tasks)
+    return np.bincount(predicted[wrong] // layout.step, minlength=layout.num_tasks)
 
 
 @dataclass
@@ -357,7 +355,7 @@ def _run_pipeline(stream: TaskStream, head: LinearHead, t: int, x: np.ndarray,
     cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in cfgs]
     size = cfgs[0].batch_size
     batches = [x[i : i + size] for i in range(0, len(x), size)]
-    return arc_evaluate(head, batches, t, stream.layout.step, cfgs)
+    return arc_evaluate(head, batches, stream.layout.step, cfgs)
 
 
 def _stage_traces(stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig],
@@ -416,7 +414,7 @@ def run_stream(
     task1_preds = stages[-1][2]
     bias = None
     if task1_preds is not None:
-        bias = bias_histogram(task1_preds, stream.test[0].labels, layout, n)
+        bias = bias_histogram(task1_preds, stream.test[0].labels, layout)
 
     return RunResult(
         r_with_arc=r_arc,

@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import softmax
 
+W_MODES = ("ratio", "raw")  # the statistic misclassified compares with gamma
+
 
 class OtdDecision(Enum):
     PAST_CORRECT = "past_correct"
@@ -81,6 +83,8 @@ def misclassified(records: np.ndarray, t: int, s: int, gamma: float,
     statistic, the ratio w (``w_mode="ratio"``) or the confidence c
     (``"raw"``, an ablation switch), is <= gamma.
     """
+    if w_mode not in W_MODES:
+        raise ValueError(f"w_mode must be one of {W_MODES}, got {w_mode!r}")
     stat = records["confidence" if w_mode == "raw" else "ratio"]
     return (t >= 2) & (records["initial_class"] >= s * (t - 1)) & (stat <= gamma)
 

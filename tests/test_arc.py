@@ -96,7 +96,7 @@ class TestAdaptiveCorrection:
 
 class TestAdaptiveRetention:
     def test_converged_batch_barely_moves(self):
-        head = LinearHead(np.zeros((3, 2)), np.array([50.0, 0.0, 0.0]), 1)
+        head = LinearHead(np.zeros((3, 2)), np.array([50.0, 0.0, 0.0]))
         x = np.random.default_rng(0).standard_normal((4, 2)) * 0.1
         z = forward(head, x)
         preds = z.argmax(axis=1)
@@ -108,7 +108,7 @@ class TestAdaptiveRetention:
 
     def test_single_sample_matches_manual_composition(self):
         rng = np.random.default_rng(21)
-        head = LinearHead(rng.standard_normal((4, 3)), rng.standard_normal(4), 1)
+        head = LinearHead(rng.standard_normal((4, 3)), rng.standard_normal(4))
         x = rng.standard_normal(3)
         label = int(forward(head, x).argmax())
         cfg = ArcConfig(lr=0.05)
@@ -125,7 +125,7 @@ class TestAdaptiveRetention:
         rng = np.random.default_rng(31)
         s, t, d = 4, 2, 8
         means = rng.standard_normal((s * t, d)) * 2.0
-        head = LinearHead(means.copy(), np.zeros(s * t), t)
+        head = LinearHead(means.copy(), np.zeros(s * t))
         head.bias[s:] += 2.0  # inflate current-task rows: the bias under test
         past_x = means[rng.integers(0, s, 64)] + 0.3 * rng.standard_normal((64, d))
         preds = forward(head, past_x).argmax(axis=1)
@@ -151,7 +151,7 @@ class TestAdaptiveRetention:
         (2, 1.0),   # finite logits of +-1.5e308, whose softmax overflows
     ])
     def test_overflowing_step_is_skipped(self, dim, scale):
-        head = LinearHead(np.zeros((2, dim)), np.zeros(2), 1)
+        head = LinearHead(np.zeros((2, dim)), np.zeros(2))
         x = np.full((1, dim), scale)
         updated, repreds, ok = adaptive_retention(head, x, forward(head, x), ArcConfig(lr=1e308))
         assert not ok
@@ -159,7 +159,7 @@ class TestAdaptiveRetention:
         assert repreds.tolist() == [0]
 
     def test_empty_batch_is_identity(self):
-        head = LinearHead(np.ones((2, 2)), np.zeros(2), 1)
+        head = LinearHead(np.ones((2, 2)), np.zeros(2))
         updated, repreds, ok = adaptive_retention(
             head, np.zeros((0, 2)), np.zeros((0, 2)), ArcConfig()
         )
@@ -171,7 +171,7 @@ class TestAdaptiveRetention:
 def toy_eval_setup(rng, t=2, s=2, d=4, n=40):
     """Head whose rows are class means, plus a mixed test batch stream."""
     means = 3.0 * rng.standard_normal((s * t, d))
-    head = LinearHead(means.copy(), np.zeros(s * t), t)
+    head = LinearHead(means.copy(), np.zeros(s * t))
     labels = rng.integers(0, s * t, n)
     x = means[labels] + 0.5 * rng.standard_normal((n, d))
     batches = [x[i : i + 16] for i in range(0, n, 16)]
@@ -183,7 +183,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(41)
         head, batches, x, _ = toy_eval_setup(rng)
         cfg = ArcConfig(retention=False, correction=False)
-        result = arc_evaluate(head, batches, t=2, s=2, cfgs=[cfg])
+        result = arc_evaluate(head, batches, s=2, cfgs=[cfg])
         final = np.array([r.final_class for r in result.records])
         assert np.array_equal(final, forward(head, x).argmax(axis=1))
         assert np.array_equal(result.head.weights, head.weights)
@@ -192,7 +192,7 @@ class TestArcEvaluate:
     def test_first_stage_is_inert(self):
         rng = np.random.default_rng(43)
         head, batches, x, _ = toy_eval_setup(rng, t=1, s=4)
-        result = arc_evaluate(head, batches, t=1, s=4,
+        result = arc_evaluate(head, batches, s=4,
                               cfgs=[ArcConfig(beta=0.0, gamma=np.inf)])
         assert all(r.decision is OtdDecision.PASSTHROUGH for r in result.records)
         assert np.array_equal(result.head.weights, head.weights)
@@ -202,8 +202,8 @@ class TestArcEvaluate:
         rng = np.random.default_rng(47)
         head, batches, _, _ = toy_eval_setup(rng)
         cfg = ArcConfig(beta=0.5, gamma=0.9)
-        a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
-        b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, 2, [cfg])
+        a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, [cfg])
+        b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, [cfg])
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb
@@ -213,7 +213,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(53)
         head, batches, _, _ = toy_eval_setup(rng, n=64)
         cfg = ArcConfig(beta=0.0, gamma=0.0)  # flag all past-predicted
-        result = arc_evaluate(head, batches, 2, 2, [cfg])
+        result = arc_evaluate(head, batches, 2, [cfg])
         per_batch = [
             any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i : i + 16])
             for i in range(0, 64, 16)
@@ -225,11 +225,11 @@ class TestArcEvaluate:
         rng = np.random.default_rng(57)
         head, batches, _, _ = toy_eval_setup(rng)
         cfg = ArcConfig(beta=0.0, gamma=np.inf)
-        none = arc_evaluate(head, [], 2, 2, [cfg])
+        none = arc_evaluate(head, [], 2, [cfg])
         assert len(none.records) == 0 and none.retention_updates == 0
         with_empty = [batches[0], np.empty((0, head.dim)), *batches[1:]]
-        result = arc_evaluate(head, with_empty, 2, 2, [cfg])
-        plain = arc_evaluate(head, batches, 2, 2, [cfg])
+        result = arc_evaluate(head, with_empty, 2, [cfg])
+        plain = arc_evaluate(head, batches, 2, [cfg])
         # the empty batch is classified, flags nothing and takes no update
         assert result.retention_updates == plain.retention_updates == len(batches)
         assert np.array_equal(result.head.weights, plain.head.weights)
@@ -248,14 +248,14 @@ class TestArcEvaluate:
         head, batches, _, _ = toy_eval_setup(rng)
         snapshot_w = head.weights.copy()
         snapshot_b = head.bias.copy()
-        arc_evaluate(head, batches, 2, 2, [ArcConfig(beta=0.0, gamma=2.0)])
+        arc_evaluate(head, batches, 2, [ArcConfig(beta=0.0, gamma=2.0)])
         assert np.array_equal(head.weights, snapshot_w)
         assert np.array_equal(head.bias, snapshot_b)
 
     def test_final_differs_only_when_flagged(self):
         rng = np.random.default_rng(61)
         head, batches, _, _ = toy_eval_setup(rng, n=80)
-        result = arc_evaluate(head, batches, 2, 2, [ArcConfig()])
+        result = arc_evaluate(head, batches, 2, [ArcConfig()])
         for r in result.records:
             if r.decision is OtdDecision.PASSTHROUGH:
                 assert r.final_class == r.initial_class
@@ -263,11 +263,11 @@ class TestArcEvaluate:
     def test_non_finite_retention_step_is_skipped(self):
         # weights near 1e-308 keep the logits O(1) for features of 1e308, but
         # the gradient sums 32 rows of |dz| * 1e308 and overflows
-        head = LinearHead(np.array([[1e-308, 1e-308], [0.0, 0.0]]), np.zeros(2), 2)
+        head = LinearHead(np.array([[1e-308, 1e-308], [0.0, 0.0]]), np.zeros(2))
         x = np.full((32, 2), 1e308)
         cfg = ArcConfig(beta=0.0, gamma=0.0)
         with np.errstate(over="ignore"):
-            result = arc_evaluate(head, [x], t=2, s=1, cfgs=[cfg])
+            result = arc_evaluate(head, [x], s=1, cfgs=[cfg])
         assert result.retention_updates == 0
         assert result.head is head
         assert all(r.decision is OtdDecision.PAST_CORRECT for r in result.records)
@@ -290,7 +290,7 @@ class TestArcEvaluate:
         rng = np.random.default_rng(67)
         head, batches, _, _ = toy_eval_setup(rng)
         with pytest.raises(ValueError, match=f"agree on {field}:"):
-            arc_evaluate(head, batches, 2, 2, [ArcConfig(), ArcConfig(**change)])
+            arc_evaluate(head, batches, 2, [ArcConfig(), ArcConfig(**change)])
 
     def test_group_rows_equal_single_configs(self):
         rng = np.random.default_rng(71)
@@ -298,19 +298,25 @@ class TestArcEvaluate:
         group = [ArcConfig(beta=0.5, gamma=gamma, w_mode=w, temperature=temp, correction=correct)
                  for gamma in (0.6, 1.2, np.inf) for w in ("ratio", "raw")
                  for temp in (1.0, 2.0) for correct in (True, False)]
-        result = arc_evaluate(head, batches, 2, 2, group)
+        result = arc_evaluate(head, batches, 2, group)
         assert result.final_classes.shape == (len(group), len(result.records))
         for row, cfg in zip(result.final_classes, group):
-            alone = arc_evaluate(head, batches, 2, 2, [cfg])
+            alone = arc_evaluate(head, batches, 2, [cfg])
             assert np.array_equal(row, alone.records.final_class)
             assert np.array_equal(alone.head.weights, result.head.weights)
         assert np.array_equal(result.records.final_class, result.final_classes[0])
         assert len({tuple(row) for row in result.final_classes}) > 1
 
     def test_bad_batch_shape_rejected(self):
-        head = LinearHead(np.zeros((4, 3)), np.zeros(4), 2)
+        head = LinearHead(np.zeros((4, 3)), np.zeros(4))
         with pytest.raises(ValueError):
-            arc_evaluate(head, [np.zeros((5, 2))], 2, 2, [ArcConfig()])
+            arc_evaluate(head, [np.zeros((5, 2))], 2, [ArcConfig()])
+
+    @pytest.mark.parametrize("width", [5, 0])
+    def test_head_width_must_be_whole_tasks(self, width):
+        head = LinearHead(np.zeros((width, 3)), np.zeros(width))
+        with pytest.raises(ValueError, match=f"head width {width} "):
+            arc_evaluate(head, [np.zeros((4, 3))], 2, [ArcConfig()])
 
 
 class TestArcConfig:

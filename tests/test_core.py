@@ -21,16 +21,16 @@ from oracles import cross_entropy, entropy, fd_gradient, mp_matvec, relative_err
 
 
 def random_head(rng, k, d):
-    return LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
+    return LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
 
 
 class TestForward:
     def test_identity_weights(self):
-        head = LinearHead(np.eye(2), np.zeros(2), 1)
+        head = LinearHead(np.eye(2), np.zeros(2))
         assert np.array_equal(forward(head, np.array([3.0, -1.0])), [3.0, -1.0])
 
     def test_zero_weights_return_bias(self):
-        head = LinearHead(np.zeros((2, 3)), np.array([1.0, 2.0]), 1)
+        head = LinearHead(np.zeros((2, 3)), np.array([1.0, 2.0]))
         assert np.array_equal(forward(head, np.array([4.0, 5.0, 6.0])), [1.0, 2.0])
 
     def test_matches_high_precision_matvec(self):
@@ -95,7 +95,7 @@ class TestRetentionGradient:
     def test_uniform_logits_reduce_to_cross_entropy_gradient(self):
         # The entropy term is stationary at the uniform distribution, so the
         # combined gradient collapses to (p - onehot) x^T up to float roundoff.
-        head = LinearHead(np.zeros((5, 3)), np.zeros(5), 1)
+        head = LinearHead(np.zeros((5, 3)), np.zeros(5))
         x = np.array([0.3, -1.2, 2.0])
         z, rows, label = forward(head, x[None]), x[None], np.array([2])
         dw, db = loss_gradient(z, rows, label, True, True)
@@ -107,7 +107,7 @@ class TestRetentionGradient:
         assert np.max(np.abs(db_em)) < 1e-14
 
     def test_one_hot_prediction_has_vanishing_gradient(self):
-        head = LinearHead(np.zeros((4, 2)), np.array([60.0, 0.0, 0.0, 0.0]), 1)
+        head = LinearHead(np.zeros((4, 2)), np.array([60.0, 0.0, 0.0, 0.0]))
         x = np.array([[0.5, 0.5]])
         dw, db = loss_gradient(forward(head, x), x, np.array([0]), True, True)
         assert np.max(np.abs(dw)) < 1e-12
@@ -119,7 +119,7 @@ class TestRetentionGradient:
         x = rng.standard_normal(5)
 
         def loss(w, b):
-            probe = LinearHead(w, b, 1)
+            probe = LinearHead(w, b)
             p = softmax(forward(probe, x))
             return cross_entropy(p, 4) + entropy(p)
 
@@ -135,7 +135,7 @@ class TestRetentionGradient:
         for include_ce, include_em in ((True, False), (False, True)):
 
             def loss(w, b):
-                probe = LinearHead(w, b, 1)
+                probe = LinearHead(w, b)
                 p = softmax(forward(probe, x))
                 total = 0.0
                 if include_ce:
@@ -160,7 +160,7 @@ class TestRetentionGradient:
         include_ce, include_em = terms in ("both", "ce"), terms in ("both", "em")
 
         def loss(w, b):
-            probe = LinearHead(w, b, 1)
+            probe = LinearHead(w, b)
             total = 0.0
             for xi, yi in zip(x, labels):
                 p = softmax(forward(probe, xi))
@@ -208,7 +208,7 @@ class TestExpandHead:
     def test_existing_rows_preserved(self):
         rng = np.random.default_rng(3)
         layout = TaskLayout(num_tasks=2, step=5)
-        head = LinearHead(rng.standard_normal((5, 4)), rng.standard_normal(5), 1)
+        head = LinearHead(rng.standard_normal((5, 4)), rng.standard_normal(5))
         grown = expand_head(head, layout)
         assert grown.num_classes == 10
         assert np.array_equal(grown.weights[:5], head.weights)
@@ -223,10 +223,15 @@ class TestExpandHead:
         with pytest.raises(ValueError):
             expand_head(head, layout)
 
+    def test_width_not_whole_tasks_rejected(self):
+        head = LinearHead(np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="inconsistent"):
+            expand_head(head, TaskLayout(num_tasks=3, step=3))
+
     def test_new_rows_score_zero(self):
         rng = np.random.default_rng(4)
         layout = TaskLayout(num_tasks=2, step=3)
-        head = LinearHead(rng.standard_normal((3, 6)), rng.standard_normal(3), 1)
+        head = LinearHead(rng.standard_normal((3, 6)), rng.standard_normal(3))
         grown = expand_head(head, layout)
         z = forward(grown, rng.standard_normal(6))
         assert np.all(z[3:] == 0.0)

@@ -74,7 +74,6 @@ class TestGenerateSynthetic:
         x = np.vstack([d.features for d in stream.train])
         y = np.concatenate([d.labels for d in stream.train])
         head = new_head(64, spec.layout.num_classes)
-        head.visible_tasks = spec.num_tasks  # joint head over every class
         head = fit_task(head, x, y, TrainConfig(epochs=20, lr=0.1), seed=0)
         xt = np.vstack([d.features for d in stream.test])
         yt = np.concatenate([d.labels for d in stream.test])

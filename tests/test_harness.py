@@ -14,6 +14,7 @@ from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench import core, data, harness
 from arcbench.harness import (
     PROBE_TAG,
+    MetricsReport,
     RMatrix,
     ablation_grid,
     average_accuracy,
@@ -22,6 +23,7 @@ from arcbench.harness import (
     linear_probe_experiment,
     map_stages,
     otd_validation,
+    pipeline_traces,
     run_stream,
     train_sequence,
     trains_in_child,
@@ -105,25 +107,25 @@ class TestBiasHistogram:
 
     def test_all_correct_gives_zeros(self):
         labels = np.array([0, 1, 0])
-        counts = bias_histogram(labels.copy(), labels, self.LAYOUT, visible_tasks=3)
+        counts = bias_histogram(labels.copy(), labels, self.LAYOUT)
         assert np.array_equal(counts, [0, 0, 0])
 
     def test_maximal_bias(self):
         labels = np.array([0, 1, 1, 0])
         predicted = np.array([4, 5, 4, 0])  # three wrong, all in task 3's range
-        counts = bias_histogram(predicted, labels, self.LAYOUT, visible_tasks=3)
+        counts = bias_histogram(predicted, labels, self.LAYOUT)
         assert np.array_equal(counts, [0, 0, 3])
 
     def test_conservation(self):
         rng = np.random.default_rng(8)
         labels = rng.integers(0, 2, 50)
         predicted = rng.integers(0, 6, 50)
-        counts = bias_histogram(predicted, labels, self.LAYOUT, visible_tasks=3)
+        counts = bias_histogram(predicted, labels, self.LAYOUT)
         assert counts.sum() == np.sum(predicted != labels)
 
     def test_needs_two_tasks(self):
         with pytest.raises(ValueError):
-            bias_histogram(np.array([0]), np.array([0]), self.LAYOUT, visible_tasks=1)
+            bias_histogram(np.array([0]), np.array([0]), TaskLayout(num_tasks=1, step=2))
 
 
 class TestRunStream:
@@ -192,7 +194,6 @@ def assert_same_heads(got, expected):
     for a, b in zip(got, expected):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
-        assert a.visible_tasks == b.visible_tasks
 
 
 needs_fork = pytest.mark.skipif(not trains_in_child(),
@@ -232,7 +233,7 @@ class TestStageHeads:
 
     def test_results_in_stage_order(self, small_stream):
         def work(t, head):
-            return t, head.visible_tasks
+            return t, head.num_classes // SMALL_SPEC.step
 
         _, results = map_stages(small_stream, FAST_TRAIN, 5, work)
         assert results == [(1, 1), (2, 2), (3, 3)]
@@ -700,7 +701,14 @@ class TestAblationGrid:
         ]
         cfgs.insert(7, cfgs[20])  # a duplicate keeps its place
         reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
-        expected = [run_stream(small_stream, FAST_TRAIN, cfg, seed=5).metrics_with_arc
-                    for cfg in cfgs]
+        # each config evaluated on its own over the same training run's heads
+        expected = []
+        for traces in pipeline_traces(small_stream, FAST_TRAIN, cfgs, seed=5):
+            r = RMatrix.empty(small_stream.layout.num_tasks)
+            for trace in traces:
+                correct = trace.records.final_class == trace.true_labels
+                r.set_row(trace.stage, [correct[trace.true_tasks == i].mean()
+                                        for i in range(1, trace.stage + 1)])
+            expected.append(MetricsReport(5, "arc", average_accuracy(r), forgetting(r)))
         assert reports == expected
         assert len({report.average_accuracy for report in reports}) > 1

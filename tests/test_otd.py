@@ -10,6 +10,7 @@ from arcbench.otd import (
     classify_sample,
     confidence,
     masked_confidence,
+    misclassified,
 )
 
 from oracles import mp_softmax
@@ -94,6 +95,15 @@ class TestClassifySample:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             classify_sample(np.zeros((1, 5)), t=2, s=3, beta=0.8, gamma=0.8)
+
+    def test_misspelled_w_mode_rejected(self):
+        z = np.random.default_rng(2).standard_normal((8, 4))
+        table = classify_sample(z, t=2, s=2, beta=0.5, gamma=0.9)
+        message = r"w_mode must be one of \('ratio', 'raw'\), got 'RAW'"
+        with pytest.raises(ValueError, match=message):
+            misclassified(table, 2, 2, 0.9, "RAW")
+        with pytest.raises(ValueError, match="got 'bogus'"):
+            classify_sample(z, 2, 2, 0.5, 0.9, "bogus")
 
 
 class TestThresholds:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcbench.arc import (
-    W_MODES,
     ArcConfig,
     adaptive_correction,
     adaptive_retention,
@@ -31,6 +30,7 @@ from arcbench.data import SyntheticSpec, generate_synthetic, load_embeddings, st
 from arcbench.harness import run_stream, train_sequence
 from arcbench.otd import (
     RECORD_DTYPE,
+    W_MODES,
     OtdDecision,
     classify_sample,
     masked_confidence,
@@ -57,12 +57,12 @@ def check_prob_vector(z):
 
 
 def check_gradient_against_finite_differences(rng, k, d):
-    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
     x = rng.standard_normal(d)
     label = int(rng.integers(0, k))
 
     def loss(w, b):
-        p = softmax(forward(LinearHead(w, b, 1), x))
+        p = softmax(forward(LinearHead(w, b), x))
         return cross_entropy(p, label) + entropy(p)
 
     dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
@@ -72,7 +72,7 @@ def check_gradient_against_finite_differences(rng, k, d):
 
 
 def check_expansion_preserves_logits(rng, layout, d, n=1):
-    head = LinearHead(rng.standard_normal((layout.step, d)), rng.standard_normal(layout.step), 1)
+    head = LinearHead(rng.standard_normal((layout.step, d)), rng.standard_normal(layout.step))
     x = rng.standard_normal((n, d))
     before = forward(head, x)
     grown = expand_head(head, layout)
@@ -82,7 +82,7 @@ def check_expansion_preserves_logits(rng, layout, d, n=1):
 
 
 def check_sgd_step_reversible(rng, k, d):
-    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
     dw, db = rng.standard_normal((k, d)), rng.standard_normal(k)
     there = sgd_step(head, dw, db, lr=0.37)
     back = sgd_step(there, dw, db, lr=-0.37)
@@ -133,7 +133,7 @@ def test_forward_batch_size_invariance(d, k, data):
     n = data.draw(st.integers(1, 60), label="n")
     cuts = data.draw(st.lists(st.integers(0, n), max_size=5).map(sorted), label="cuts")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k), 1)
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
     x = rng.standard_normal((n, d))
     full = forward(head, x)
     split = np.vstack([forward(head, part) for part in np.split(x, cuts)])
@@ -299,7 +299,7 @@ def check_decision_shift_invariance(z, t, s, shift):
 
 
 def check_retention_leaves_features_alone(rng):
-    head = LinearHead(rng.standard_normal((6, 4)), rng.standard_normal(6), 2)
+    head = LinearHead(rng.standard_normal((6, 4)), rng.standard_normal(6))
     x = rng.standard_normal((10, 4))
     snapshot = x.copy()
     updated, _, _ = adaptive_retention(head, x, forward(head, x), ArcConfig())
@@ -311,12 +311,12 @@ def check_retention_leaves_features_alone(rng):
 def check_one_update_per_batch(rng):
     s, t = 2, 2
     means = 3.0 * rng.standard_normal((s * t, 5))
-    head = LinearHead(means.copy(), np.zeros(s * t), t)
+    head = LinearHead(means.copy(), np.zeros(s * t))
     labels = rng.integers(0, s * t, 48)
     x = means[labels] + 0.4 * rng.standard_normal((48, 5))
     batches = [x[i: i + 12] for i in range(0, 48, 12)]
     cfg = ArcConfig(beta=0.0, gamma=0.0)
-    result = arc_evaluate(head, batches, t, s, [cfg])
+    result = arc_evaluate(head, batches, s, [cfg])
     expected = sum(
         any(r.decision is OtdDecision.PAST_CORRECT for r in result.records[i: i + 12])
         for i in range(0, 48, 12)
