@@ -210,6 +210,8 @@ class RunConfig:
                 raise ConfigError("data.path is required when data.source=embeddings")
             if not os.path.isfile(v["data.path"]):
                 raise ConfigError(f"data.path does not exist: {v['data.path']!r}")
+        elif v["data.path"]:
+            raise ConfigError("data.path is set but data.source is synthetic")
         if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
         if any(seed < 0 for seed in v["run.seeds"]):

@@ -6,10 +6,10 @@ stage: plain argmax and the full test-time pipeline. Stage t is evaluated
 from head t alone, so every experiment is one map_stages call (which on
 Linux with a second CPU trains in a forked child and shares the stages
 between the two processes) and then assembles the per-stage results; probe
-t is fitted in stage t's work. Accuracies land in two lower-triangular
-matrices from which the summary metrics derive. Harness
-RNG substreams are keyed (seed, stage, tag[, extra]) with the tags below;
-probe keys use stage 0, which belongs to no stage.
+t is fitted in stage t's work. Each lower-triangular accuracy matrix is
+built in one call from the stages' rows; the summary metrics derive from it.
+Harness RNG substreams are keyed (seed, stage, tag[, extra]) with the tags
+below; probe keys use stage 0, which belongs to no stage.
 """
 
 from __future__ import annotations
@@ -37,46 +37,42 @@ PROBE_TAG = 14
 class RMatrix:
     """Lower-triangular accuracy matrix: entry (stage t, task i) for i <= t."""
 
-    values: np.ndarray  # (N, N), NaN where unfilled
+    values: np.ndarray  # (N, N), NaN above the diagonal
 
     @classmethod
-    def empty(cls, num_tasks: int) -> "RMatrix":
-        if num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        return cls(np.full((num_tasks, num_tasks), np.nan))
+    def from_rows(cls, rows) -> "RMatrix":
+        """Row t is stage t's accuracies on tasks 1..t, in task order."""
+        rows = [np.asarray(row, dtype=np.float64) for row in rows]
+        if not rows:
+            raise ValueError("no stage rows")
+        values = np.full((len(rows), len(rows)), np.nan)
+        for t, row in enumerate(rows, start=1):
+            if row.shape != (t,) or not np.all((row >= 0.0) & (row <= 1.0)):
+                raise ValueError(f"stage {t} row {row} is not {t} accuracies in [0, 1]")
+            values[t - 1, :t] = row
+        return cls(values)
 
     @property
     def num_tasks(self) -> int:
         return self.values.shape[0]
 
-    def set_entry(self, stage: int, task: int, accuracy: float) -> None:
+    def _check(self, stage: int, task: int) -> None:
         if not 1 <= task <= stage <= self.num_tasks:
-            raise ValueError(f"entry ({stage}, {task}) outside the lower triangle")
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy {accuracy} outside [0, 1]")
-        self.values[stage - 1, task - 1] = accuracy
-
-    def set_row(self, stage: int, accuracies) -> None:
-        """Entries (stage, 1), (stage, 2), ... from accuracies, in task order."""
-        for task, accuracy in enumerate(accuracies, start=1):
-            self.set_entry(stage, task, float(accuracy))
+            raise ValueError(f"entry ({stage}, {task}) outside the lower triangle "
+                             f"of {self.num_tasks} tasks")
 
     def entry(self, stage: int, task: int) -> float:
-        v = self.values[stage - 1, task - 1]
-        if np.isnan(v):
-            raise ValueError(f"entry ({stage}, {task}) not filled")
-        return float(v)
+        self._check(stage, task)
+        return float(self.values[stage - 1, task - 1])
 
     def row(self, stage: int) -> np.ndarray:
+        self._check(stage, 1)
         return self.values[stage - 1, :stage]
 
 
 def average_accuracy(r: RMatrix) -> float:
     """Mean of the final row: (1/T) * sum_i R[T][i]."""
-    final = r.row(r.num_tasks)
-    if np.any(np.isnan(final)):
-        raise ValueError("final row incomplete")
-    return float(np.mean(final))
+    return float(np.mean(r.row(r.num_tasks)))
 
 
 def forgetting(r: RMatrix) -> float:
@@ -202,12 +198,11 @@ def train_sequence(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> lis
     return list(_train_stages(stream, train_cfg, seed))
 
 
-def _plain_accuracy(head: LinearHead, data: TaskData, base: int = 0) -> tuple[float, np.ndarray]:
-    """Plain argmax over one labeled set, no pipeline: (accuracy, predicted
-    classes). A head whose class c is global class base + c scores against
-    labels - base."""
+def _plain_accuracy(head: LinearHead, data: TaskData, base: int = 0) -> float:
+    """Plain argmax accuracy over one labeled set, no pipeline. A head whose
+    class c is global class base + c scores against labels - base."""
     predicted = forward(head, data.features).argmax(axis=1)
-    return float(np.mean(predicted == data.labels - base)), predicted
+    return float(np.mean(predicted == data.labels - base))
 
 
 def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task: int) -> float:
@@ -219,7 +214,7 @@ def _probe_accuracy(stream: TaskStream, train_cfg: TrainConfig, seed: int, task:
     base = layout.step * (task - 1)
     probe = fit_task(new_head(stream.dim, layout.step), train.features,
                      train.labels - base, train_cfg, seed=(seed, 0, PROBE_TAG, task))
-    return _plain_accuracy(probe, stream.test[task - 1], base)[0]
+    return _plain_accuracy(probe, stream.test[task - 1], base)
 
 
 def trains_in_child() -> bool:
@@ -394,27 +389,24 @@ def run_stream(
 
     Each stage's plain accuracies and pipeline trace come from its own head
     (see map_stages), so pipeline-side head updates never leak across stages.
-    The bias histogram reads the final stage's plain predictions on task 1.
+    The bias histogram reads the final head's plain predictions on task 1.
     """
     layout = stream.layout
-    n = layout.num_tasks
 
-    def evaluate(t: int, head: LinearHead):
-        plain = [_plain_accuracy(head, test) for test in stream.test[:t]]
-        task1_preds = plain[0][1] if n >= 2 and t == n else None
+    def evaluate(t: int, head: LinearHead) -> tuple[StageTrace, list[float]]:
         return (_stage_traces(stream, head, t, [arc_cfg], seed)[0],
-                [accuracy for accuracy, _ in plain], task1_preds)
+                [_plain_accuracy(head, test) for test in stream.test[:t]])
 
     heads, stages = map_stages(stream, train_cfg, seed, evaluate)
-    r_arc, r_plain = RMatrix.empty(n), RMatrix.empty(n)
-    for t, (trace, plain, _) in enumerate(stages, start=1):
-        r_arc.set_row(t, _task_accuracies(trace.records.final_class, trace.true_labels,
-                                          trace.true_tasks, t))
-        r_plain.set_row(t, plain)
-    task1_preds = stages[-1][2]
-    bias = None
-    if task1_preds is not None:
-        bias = bias_histogram(task1_preds, stream.test[0].labels, layout)
+    traces, plain = zip(*stages)
+    r_arc = RMatrix.from_rows(_task_accuracies(trace.records.final_class, trace.true_labels,
+                                               trace.true_tasks, trace.stage) for trace in traces)
+    r_plain = RMatrix.from_rows(plain)
+    task1_preds = bias = None
+    if layout.num_tasks >= 2:
+        task1 = stream.test[0]
+        task1_preds = forward(heads[-1], task1.features).argmax(axis=1)
+        bias = bias_histogram(task1_preds, task1.labels, layout)
 
     return RunResult(
         r_with_arc=r_arc,
@@ -422,7 +414,7 @@ def run_stream(
         metrics_with_arc=_metrics(seed, "arc", r_arc),
         metrics_without_arc=_metrics(seed, "baseline", r_plain),
         stage_heads=heads,
-        arc_traces=[trace for trace, _, _ in stages],
+        arc_traces=list(traces),
         bias_histogram=bias,
         task1_predictions=task1_preds,
     )
@@ -491,7 +483,7 @@ def linear_probe_experiment(
     n = stream.layout.num_tasks
 
     def scores(t: int, head: LinearHead) -> tuple[list[float], float | None]:
-        shared = [_plain_accuracy(head, test)[0] for test in stream.test[:t - 1]]
+        shared = [_plain_accuracy(head, test) for test in stream.test[:t - 1]]
         return shared, _probe_accuracy(stream, train_cfg, seed, t) if t < n else None
 
     _, stages = map_stages(stream, train_cfg, seed, scores)
@@ -515,21 +507,18 @@ def ablation_grid(
     """
     if not cfgs:
         return []
-    n = stream.layout.num_tasks
     groups: dict[tuple, list[int]] = {}
     for index, cfg in enumerate(cfgs):
         groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
     members = list(groups.values())
+    order = np.argsort(np.concatenate(members))  # group order -> input order
 
-    def evaluate(t: int, head: LinearHead) -> list[np.ndarray]:
+    def evaluate(t: int, head: LinearHead) -> np.ndarray:
+        """Stage t's row of each config's matrix, one per config in input order."""
         x, y, tasks = _stage_stream(stream, t, seed)
         results = (_run_pipeline(stream, head, t, x, [cfgs[i] for i in group]) for group in members)
-        return [_task_accuracies(result.final_classes, y, tasks, t) for result in results]
+        return np.concatenate([_task_accuracies(result.final_classes, y, tasks, t)
+                               for result in results])[order]
 
     _, stages = map_stages(stream, train_cfg, seed, evaluate)
-    matrices = [RMatrix.empty(n) for _ in cfgs]
-    for t, per_group in enumerate(stages, start=1):
-        for group, accuracies in zip(members, per_group):
-            for i, row in zip(group, accuracies):
-                matrices[i].set_row(t, row)
-    return [_metrics(seed, "arc", r) for r in matrices]
+    return [_metrics(seed, "arc", RMatrix.from_rows(rows)) for rows in zip(*stages)]

@@ -116,11 +116,9 @@ def test_criterion_2_tss_oracle():
 
 
 def test_criterion_3_metric_arithmetic(benchmark_runs):
-    r = RMatrix.empty(3)
     diag = {1: 1.0, 2: 0.9, 3: 0.95}
-    for t in range(1, 4):
-        for i in range(1, t + 1):
-            r.set_entry(t, i, diag[i] if i == t else 0.5)
+    r = RMatrix.from_rows([[diag[i] if i == t else 0.5 for i in range(1, t + 1)]
+                           for t in range(1, 4)])
     for i, value in enumerate((0.6, 0.7, 0.95), start=1):
         r.values[2, i - 1] = value
     hand_ok = abs(average_accuracy(r) - 0.75) <= 1e-12 and abs(forgetting(r) - 0.3) <= 1e-12

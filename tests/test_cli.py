@@ -706,6 +706,7 @@ class TestConfigBoundary:
         ({"run.seeds": ""}, "run.seeds must list at least one seed"),
         ({"run.seeds": " , "}, "run.seeds must list at least one seed"),
         ({"run.seeds": "0,-1"}, "run.seeds must be nonnegative"),
+        ({"data.path": "/nonexistent"}, "data.path is set but data.source is synthetic"),
     ])
     def test_run_config_errors(self, flags, message):
         with pytest.raises(ConfigError, match=message):

@@ -5,11 +5,16 @@ script in ``demos/`` prints, so a refactor that claims "same numbers" is
 checked by this test rather than by hand. The einsum and BLAS reduction
 order may depend on the numpy build and the SIMD targets it dispatches to,
 so the manifest is keyed by both; on another key the test skips and names
-the difference. A change meant to move the numbers
-regenerates both parts of the manifest and states the change; the script
-prints each entry whose digest changed, as old -> new:
+the difference. Run as a script, it recomputes every digest and prints each
+entry that moved, as old -> new, or "no entry changed"; it exits 1 when any
+entry moved and leaves the manifest as it is:
 
     PYTHONPATH=src python tests/test_golden.py
+
+A change meant to move the numbers regenerates the manifest with --write
+(same report, exit 0) and states the change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import hashlib
@@ -141,7 +146,12 @@ def changed_entries(old: dict, new: dict) -> list[str]:
             if before.get(name) != after.get(name)]
 
 
-if __name__ == "__main__":
+def main_script(argv: list[str]) -> int:
+    """Report each moved entry; with --write, also replace the manifest."""
+    write = argv == ["--write"]
+    if argv and not write:
+        print("usage: python tests/test_golden.py [--write]", file=sys.stderr)
+        return 2
     try:
         with open(MANIFEST, encoding="utf-8") as fh:
             previous = json.load(fh)
@@ -150,8 +160,16 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         manifest = {"key": platform_key(), "sha256": bundle_digests(workdir),
                     "demos": demo_digests()}
-    with open(MANIFEST, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    print("\n".join(changed_entries(previous, manifest)) or "no entry changed")
-    print(f"wrote {MANIFEST}", file=sys.stderr)
+    changed = changed_entries(previous, manifest)
+    print("\n".join(changed) or "no entry changed")
+    if write:
+        with open(MANIFEST, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {MANIFEST}", file=sys.stderr)
+        return 0
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_script(sys.argv[1:]))

@@ -50,18 +50,11 @@ def small_run(small_stream):
 
 
 def build_r(final_row, diag=None):
+    """Final row as given; stage t < N is 0.5 on past tasks and diag[t-1] on its own."""
     n = len(final_row)
-    r = RMatrix.empty(n)
     diag = diag if diag is not None else [1.0] * n
-    for t in range(1, n + 1):
-        for i in range(1, t + 1):
-            if t == n:
-                r.set_entry(t, i, final_row[i - 1])
-            elif i == t:
-                r.set_entry(t, i, diag[i - 1])
-            else:
-                r.set_entry(t, i, 0.5)
-    return r
+    rows = [[0.5] * (t - 1) + [diag[t - 1]] for t in range(1, n)]
+    return RMatrix.from_rows([*rows, final_row])
 
 
 class TestMetrics:
@@ -73,33 +66,40 @@ class TestMetrics:
         assert average_accuracy(build_r([1.0, 1.0, 1.0])) == 1.0
         assert average_accuracy(build_r([0.0, 0.0])) == 0.0
 
-    def test_average_accuracy_incomplete_rejected(self):
-        r = RMatrix.empty(2)
-        r.set_entry(1, 1, 0.5)
-        with pytest.raises(ValueError):
-            average_accuracy(r)
-
     def test_forgetting_worked_examples(self):
-        r = RMatrix.empty(2)
-        r.set_entry(1, 1, 1.0)
-        r.set_entry(2, 1, 0.6)
-        r.set_entry(2, 2, 0.9)
+        r = RMatrix.from_rows([[1.0], [0.6, 0.9]])
         assert forgetting(r) == pytest.approx(0.4, abs=1e-12)
         r3 = build_r([0.6, 0.7, 0.95], diag=[1.0, 0.9, 0.95])
         assert forgetting(r3) == pytest.approx(0.3, abs=1e-12)
 
     def test_forgetting_constant_columns_is_zero(self):
-        r = RMatrix.empty(3)
-        for t in range(1, 4):
-            for i in range(1, t + 1):
-                r.set_entry(t, i, 0.8)
+        r = RMatrix.from_rows([[0.8] * t for t in range(1, 4)])
         assert forgetting(r) == 0.0
 
     def test_forgetting_single_task_rejected(self):
-        r = RMatrix.empty(1)
-        r.set_entry(1, 1, 1.0)
+        r = RMatrix.from_rows([[1.0]])
         with pytest.raises(ValueError):
             forgetting(r)
+
+
+class TestRMatrix:
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0], [0.5]], "stage 2 row .* is not 2 accuracies in"),
+        ([[1.0], [0.5, 1.5]], "stage 2 row .* is not 2 accuracies in"),
+        ([[np.nan]], "stage 1 row .* is not 1 accuracies in"),
+        ([], "no stage rows"),
+    ], ids=["short_row", "above_one", "nan", "empty"])
+    def test_bad_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            RMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r.entry(0, 0), lambda r: r.row(0), lambda r: r.entry(1, 2),
+        lambda r: r.entry(3, 1), lambda r: r.row(3),
+    ], ids=["entry_0_0", "row_0", "entry_above_diagonal", "entry_past_n", "row_past_n"])
+    def test_reads_outside_the_triangle_rejected(self, read):
+        with pytest.raises(ValueError, match="outside the lower triangle"):
+            read(RMatrix.from_rows([[1.0], [0.6, 0.9]]))
 
 
 class TestBiasHistogram:
@@ -704,11 +704,12 @@ class TestAblationGrid:
         # each config evaluated on its own over the same training run's heads
         expected = []
         for traces in pipeline_traces(small_stream, FAST_TRAIN, cfgs, seed=5):
-            r = RMatrix.empty(small_stream.layout.num_tasks)
+            rows = []
             for trace in traces:
                 correct = trace.records.final_class == trace.true_labels
-                r.set_row(trace.stage, [correct[trace.true_tasks == i].mean()
-                                        for i in range(1, trace.stage + 1)])
+                rows.append([correct[trace.true_tasks == i].mean()
+                             for i in range(1, trace.stage + 1)])
+            r = RMatrix.from_rows(rows)
             expected.append(MetricsReport(5, "arc", average_accuracy(r), forgetting(r)))
         assert reports == expected
         assert len({report.average_accuracy for report in reports}) > 1
