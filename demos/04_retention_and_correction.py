@@ -10,8 +10,8 @@ the component breakdown as one ablation grid over the same stream: two
 training runs in all.
 """
 
-from arcbench import (ArcConfig, SyntheticSpec, TrainConfig, ablation_grid, generate_synthetic,
-                      run_stream)
+from arcbench import (ArcConfig, SyntheticSpec, TrainConfig, ablation_grid, average_accuracy,
+                      forgetting, generate_synthetic, run_stream)
 
 spec = SyntheticSpec(seed=3)
 stream = generate_synthetic(spec)
@@ -30,11 +30,11 @@ show("baseline", result.r_without_arc)
 print()
 show("with test-time pipeline", result.r_with_arc)
 
-base, arc = result.metrics_without_arc, result.metrics_with_arc
-print(f"\naverage accuracy: {base.average_accuracy:.4f} -> {arc.average_accuracy:.4f} "
-      f"({arc.average_accuracy - base.average_accuracy:+.4f})")
-print(f"forgetting:       {base.forgetting:.4f} -> {arc.forgetting:.4f} "
-      f"({arc.forgetting - base.forgetting:+.4f})")
+base_acc, arc_acc = average_accuracy(result.r_without_arc), average_accuracy(result.r_with_arc)
+base_forget, arc_forget = forgetting(result.r_without_arc), forgetting(result.r_with_arc)
+print(f"\naverage accuracy: {base_acc:.4f} -> {arc_acc:.4f} ({arc_acc - base_acc:+.4f})")
+print(f"forgetting:       {base_forget:.4f} -> {arc_forget:.4f} "
+      f"({arc_forget - base_forget:+.4f})")
 updates = [trace.retention_updates for trace in result.arc_traces]
 print(f"retention updates per stage: {updates}")
 
@@ -44,7 +44,7 @@ variants = {
     "last stage only": ArcConfig(arc_last=True),
 }
 print("\ncomponent breakdown (average accuracy):")
-reports = ablation_grid(stream, TrainConfig(), list(variants.values()), seed=3)
-for name, report in zip(variants, reports):
-    delta = report.average_accuracy - base.average_accuracy
-    print(f"  {name}: {report.average_accuracy:.4f} ({delta:+.4f})")
+matrices = ablation_grid(stream, TrainConfig(), list(variants.values()), seed=3)
+for name, r in zip(variants, matrices):
+    acc = average_accuracy(r)
+    print(f"  {name}: {acc:.4f} ({acc - base_acc:+.4f})")

@@ -164,7 +164,6 @@ def _suspects(table: np.ndarray, t: int, s: int, gammas: dict) -> np.ndarray:
 class ArcEvalResult:
     records: np.recarray  # RECORD_DTYPE for the group's first config, in stream order
     final_classes: np.ndarray  # (configs, samples): each config's final class per sample
-    head: LinearHead
     retention_updates: int
     warnings: list[str]
 
@@ -243,4 +242,4 @@ def arc_evaluate(
                 mine = misclassified(records, t, s, cfg.gamma, cfg.w_mode)
                 final[v, mine] = corrected[cfg.temperature][mine[union]]
     records.final_class = final[0]
-    return ArcEvalResult(records, final, head, updates, warnings)
+    return ArcEvalResult(records, final, updates, warnings)

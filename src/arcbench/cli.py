@@ -29,11 +29,14 @@ from .arc import ArcConfig
 from .core import TrainConfig
 from .data import SyntheticSpec, TaskStream, generate_synthetic, load_embeddings
 from .harness import (
-    MetricsReport,
     OtdValidationReport,
     ProbeRow,
+    RMatrix,
     StageTrace,
     ablation_grid,
+    average_accuracy,
+    bias_histogram,
+    forgetting,
     linear_probe_experiment,
     otd_validation,
     pipeline_traces,
@@ -340,12 +343,19 @@ def write_bundle(output_dir: str, files: dict[str, str | Chunks]) -> None:
         raise
 
 
-def _metrics_rows(reports: list[MetricsReport]) -> list:
-    rows = [astuple(m) for m in sorted(reports, key=lambda m: (m.seed, m.pipeline))]
-    for pipeline in sorted({m.pipeline for m in reports}):
-        group = [m for m in reports if m.pipeline == pipeline]
-        accs = [m.average_accuracy for m in group]
-        forgets = [m.forgetting for m in group if m.forgetting is not None]
+def _scores(r: RMatrix) -> list:
+    """A matrix's SCORE_COLUMNS cells: forgetting is undefined for one task."""
+    return [average_accuracy(r), forgetting(r) if r.num_tasks >= 2 else None]
+
+
+def _metrics_rows(score_rows: list[list]) -> list:
+    """metrics.csv: the [seed, pipeline, *scores] rows sorted by (seed,
+    pipeline), then each pipeline's mean and std rows."""
+    rows = sorted(score_rows, key=lambda row: (row[0], row[1]))
+    for pipeline in sorted({row[1] for row in rows}):
+        group = [row for row in rows if row[1] == pipeline]
+        accs = [row[2] for row in group]
+        forgets = [row[3] for row in group if row[3] is not None]
         rows.append(["mean", pipeline, float(np.mean(accs)),
                      float(np.mean(forgets)) if forgets else None])
         rows.append(["std", pipeline, float(np.std(accs)),
@@ -376,8 +386,8 @@ def _record_text(seed: int, trace: StageTrace, beta: float | None = None) -> str
 
 # arc_records.csv after its seed (and beta) columns: _record_text's order
 RECORD_COLUMNS = ["stage", "position", "true_task", "true_label", *RECORD_DTYPE.names]
-# the score fields of a MetricsReport, after seed and pipeline
-SCORE_COLUMNS = _columns(MetricsReport)[2:]
+# the cells of _scores, after each row's seed and pipeline or ablate.* cell
+SCORE_COLUMNS = ["average_accuracy", "forgetting"]
 OTD_HEADER = ["seed", "beta", *_columns(OtdValidationReport)]
 
 
@@ -397,29 +407,27 @@ def _otd_row(seed: int, beta: float, traces: list[StageTrace]) -> list:
 
 
 def cmd_run(cfg: RunConfig) -> tuple[dict[str, str | Chunks], str]:
-    reports: list[MetricsReport] = []
-    r_rows, bias_rows, otd_rows, pred_rows, record_runs = [], [], [], [], []
+    score_rows, r_rows, bias_rows, otd_rows, pred_rows, record_runs = [], [], [], [], [], []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
         result = run_stream(stream, cfg.train, cfg.arc, seed)
-        reports.extend([result.metrics_with_arc, result.metrics_without_arc])
         for pipeline, r in (("arc", result.r_with_arc), ("baseline", result.r_without_arc)):
+            score_rows.append([seed, pipeline, *_scores(r)])
             for t in range(1, r.num_tasks + 1):
                 for i in range(1, t + 1):
                     r_rows.append([seed, pipeline, t, i, r.entry(t, i)])
-        if result.bias_histogram is not None:
-            for task, count in enumerate(result.bias_histogram, start=1):
+        predicted, labels = result.task1_predictions, stream.test[0].labels
+        if predicted is not None:
+            for task, count in enumerate(bias_histogram(predicted, labels, stream.layout), start=1):
                 bias_rows.append([seed, task, int(count)])
-            for sample, (label, pred) in enumerate(
-                zip(stream.test[0].labels, result.task1_predictions)
-            ):
+            for sample, (label, pred) in enumerate(zip(labels, predicted)):
                 pred_rows.append([seed, sample, int(label), int(pred)])
         otd_rows.append(_otd_row(seed, cfg.arc.beta, result.arc_traces))
         record_runs.append((seed, None, result.arc_traces))
 
-    metrics_rows = _metrics_rows(reports)
+    metrics_rows = _metrics_rows(score_rows)
     files = {
-        "metrics.csv": render_csv(_columns(MetricsReport), metrics_rows),
+        "metrics.csv": render_csv(["seed", "pipeline", *SCORE_COLUMNS], metrics_rows),
         "r_matrices.csv": render_csv(["seed", "pipeline", "stage", "task", "accuracy"], r_rows),
         "bias_histogram.csv": render_csv(["seed", "task", "count"], bias_rows),
         "task1_final_predictions.csv": render_csv(["seed", "sample", "true_label", "predicted"],
@@ -460,9 +468,9 @@ def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)
-        reports = ablation_grid(stream, cfg.train, [arc for _, arc in cells], seed)
-        for (cell, _), report in zip(cells, reports):
-            rows.append([seed, *cell, *(getattr(report, c) for c in SCORE_COLUMNS)])
+        matrices = ablation_grid(stream, cfg.train, [arc for _, arc in cells], seed)
+        for (cell, _), r in zip(cells, matrices):
+            rows.append([seed, *cell, *_scores(r)])
     return ({"ablation.csv": render_csv(["seed", *ABLATE_COLUMNS, *SCORE_COLUMNS], rows)},
             f"variants: {len(cells)}, rows: {len(rows)}")
 

@@ -7,7 +7,8 @@ from head t alone, so every experiment is one map_stages call (which on
 Linux with a second CPU trains in a forked child and shares the stages
 between the two processes) and then assembles the per-stage results; probe
 t is fitted in stage t's work. Each lower-triangular accuracy matrix is
-built in one call from the stages' rows; the summary metrics derive from it.
+built in one call from the stages' rows, and the matrices are the only scores
+an experiment returns: average accuracy and forgetting are functions of one.
 Harness RNG substreams are keyed (seed, stage, tag[, extra]) with the tags
 below; probe keys use stage 0, which belongs to no stage.
 """
@@ -104,16 +105,6 @@ def bias_histogram(predicted: np.ndarray, labels: np.ndarray, layout: TaskLayout
 
 
 @dataclass
-class MetricsReport:
-    """Summary of one evaluation pipeline over a full run."""
-
-    seed: int
-    pipeline: str  # "arc" or "baseline"
-    average_accuracy: float
-    forgetting: float | None  # None for single-task streams
-
-
-@dataclass
 class StageTrace:
     """One config's pipeline records for one stage's shuffled test stream, with
     ground truth: ``records`` is arc_evaluate's table (otd.RECORD_DTYPE),
@@ -157,12 +148,9 @@ class ProbeRow:
 class RunResult:
     r_with_arc: RMatrix
     r_without_arc: RMatrix
-    metrics_with_arc: MetricsReport
-    metrics_without_arc: MetricsReport
     stage_heads: list[LinearHead]
     arc_traces: list[StageTrace]
-    bias_histogram: np.ndarray | None  # None for single-task streams
-    task1_predictions: np.ndarray | None  # against stream.test[0].labels
+    task1_predictions: np.ndarray | None  # against stream.test[0].labels; None for one task
 
 
 def _train_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int) -> Iterator[LinearHead]:
@@ -370,15 +358,6 @@ def _task_accuracies(final: np.ndarray, labels: np.ndarray, tasks: np.ndarray,
     return np.stack([correct[..., tasks == i].mean(axis=-1) for i in range(1, t + 1)], axis=-1)
 
 
-def _metrics(seed: int, pipeline: str, r: RMatrix) -> MetricsReport:
-    return MetricsReport(
-        seed=seed,
-        pipeline=pipeline,
-        average_accuracy=average_accuracy(r),
-        forgetting=forgetting(r) if r.num_tasks >= 2 else None,
-    )
-
-
 def run_stream(
     stream: TaskStream,
     train_cfg: TrainConfig,
@@ -389,9 +368,9 @@ def run_stream(
 
     Each stage's plain accuracies and pipeline trace come from its own head
     (see map_stages), so pipeline-side head updates never leak across stages.
-    The bias histogram reads the final head's plain predictions on task 1.
+    Returns both accuracy matrices, every head and trace, and the final head's
+    plain predictions on task 1, which bias_histogram buckets.
     """
-    layout = stream.layout
 
     def evaluate(t: int, head: LinearHead) -> tuple[StageTrace, list[float]]:
         return (_stage_traces(stream, head, t, [arc_cfg], seed)[0],
@@ -401,23 +380,10 @@ def run_stream(
     traces, plain = zip(*stages)
     r_arc = RMatrix.from_rows(_task_accuracies(trace.records.final_class, trace.true_labels,
                                                trace.true_tasks, trace.stage) for trace in traces)
-    r_plain = RMatrix.from_rows(plain)
-    task1_preds = bias = None
-    if layout.num_tasks >= 2:
-        task1 = stream.test[0]
-        task1_preds = forward(heads[-1], task1.features).argmax(axis=1)
-        bias = bias_histogram(task1_preds, task1.labels, layout)
-
-    return RunResult(
-        r_with_arc=r_arc,
-        r_without_arc=r_plain,
-        metrics_with_arc=_metrics(seed, "arc", r_arc),
-        metrics_without_arc=_metrics(seed, "baseline", r_plain),
-        stage_heads=heads,
-        arc_traces=list(traces),
-        bias_histogram=bias,
-        task1_predictions=task1_preds,
-    )
+    task1_preds = None
+    if stream.layout.num_tasks >= 2:
+        task1_preds = forward(heads[-1], stream.test[0].features).argmax(axis=1)
+    return RunResult(r_arc, RMatrix.from_rows(plain), heads, list(traces), task1_preds)
 
 
 def pipeline_traces(
@@ -498,8 +464,8 @@ def ablation_grid(
     train_cfg: TrainConfig,
     cfgs: list[ArcConfig],
     seed: int,
-) -> list[MetricsReport]:
-    """One pipeline MetricsReport per config, in input order.
+) -> list[RMatrix]:
+    """Each config's pipeline accuracy matrix, in input order.
 
     Training is shared across all configs, and each stage's pipeline runs
     once per head trajectory: configs that agree on ArcConfig.trajectory are
@@ -521,4 +487,4 @@ def ablation_grid(
                                for result in results])[order]
 
     _, stages = map_stages(stream, train_cfg, seed, evaluate)
-    return [_metrics(seed, "arc", RMatrix.from_rows(rows)) for rows in zip(*stages)]
+    return [RMatrix.from_rows(rows) for rows in zip(*stages)]

@@ -29,7 +29,7 @@ from arcbench.core import (
 )
 from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench.harness import (RMatrix, _probe_accuracy, _stage_traces, average_accuracy,
-                              forgetting, otd_validation, run_stream)
+                              bias_histogram, forgetting, otd_validation, run_stream)
 from arcbench.otd import confidence
 
 import test_properties as props
@@ -45,6 +45,11 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} [{name}]: {status} ({detail})")
     assert ok, f"criterion {number} ({name}) failed: {detail}"
+
+
+def scores(result):
+    """((accuracy, forgetting) with the pipeline, the same without it)."""
+    return [(average_accuracy(r), forgetting(r)) for r in (result.r_with_arc, result.r_without_arc)]
 
 
 @pytest.fixture(scope="module")
@@ -125,18 +130,15 @@ def test_criterion_3_metric_arithmetic(benchmark_runs):
 
     reducer_worst = 0.0
     for result in benchmark_runs.values():
-        for metrics, matrix in (
-            (result.metrics_with_arc, result.r_with_arc),
-            (result.metrics_without_arc, result.r_without_arc),
-        ):
+        for matrix in (result.r_with_arc, result.r_without_arc):
             n = matrix.num_tasks
             final = [matrix.entry(n, i) for i in range(1, n + 1)]
             avg = sum(final) / n
             drops = [matrix.entry(i, i) - matrix.entry(n, i) for i in range(1, n)]
             forget = sum(drops) / (n - 1)
             reducer_worst = max(reducer_worst,
-                                abs(avg - metrics.average_accuracy),
-                                abs(forget - metrics.forgetting))
+                                abs(avg - average_accuracy(matrix)),
+                                abs(forget - forgetting(matrix)))
     ok = hand_ok and reducer_worst <= 1e-12
     report(3, "metric arithmetic", ok,
            f"worked example ok: {hand_ok}, reducer max deviation {reducer_worst:.3g} <= 1e-12")
@@ -144,8 +146,9 @@ def test_criterion_3_metric_arithmetic(benchmark_runs):
 
 def test_criterion_4_bias_reproduction(benchmark_runs):
     pooled = np.zeros(10, dtype=np.int64)
-    for result in benchmark_runs.values():
-        pooled += result.bias_histogram
+    for seed, result in benchmark_runs.items():
+        stream = generate_synthetic(SyntheticSpec(seed=seed))
+        pooled += bias_histogram(result.task1_predictions, stream.test[0].labels, stream.layout)
     fraction = pooled[-1] / pooled.sum()
     report(4, "bias reproduction", fraction >= 0.5,
            f"{pooled[-1]} of {pooled.sum()} wrong first-task predictions in the "
@@ -153,10 +156,11 @@ def test_criterion_4_bias_reproduction(benchmark_runs):
 
 
 def test_criterion_5_pipeline_improvement(benchmark_runs):
-    acc_arc = np.mean([r.metrics_with_arc.average_accuracy for r in benchmark_runs.values()])
-    acc_base = np.mean([r.metrics_without_arc.average_accuracy for r in benchmark_runs.values()])
-    f_arc = np.mean([r.metrics_with_arc.forgetting for r in benchmark_runs.values()])
-    f_base = np.mean([r.metrics_without_arc.forgetting for r in benchmark_runs.values()])
+    runs = benchmark_runs.values()
+    acc_arc = np.mean([average_accuracy(r.r_with_arc) for r in runs])
+    acc_base = np.mean([average_accuracy(r.r_without_arc) for r in runs])
+    f_arc = np.mean([forgetting(r.r_with_arc) for r in runs])
+    f_base = np.mean([forgetting(r.r_without_arc) for r in runs])
     ok = acc_arc > acc_base and f_arc < f_base
     report(5, "pipeline improvement", ok,
            f"accuracy {acc_arc:.4f} > {acc_base:.4f}, forgetting {f_arc:.4f} < {f_base:.4f}")
@@ -259,11 +263,10 @@ def test_criterion_10_memory_based(tmp_path):
     details = [f"replay {cfg.train.replay_per_class} per class, noise {cfg.spec.noise_sigma:g}"]
     for seed in (0, 1, 2):
         result = run_stream(cfg.stream_for_seed(seed), cfg.train, cfg.arc, seed)
-        arc, base = result.metrics_with_arc, result.metrics_without_arc
-        ok &= arc.average_accuracy > base.average_accuracy and arc.forgetting < base.forgetting
-        details.append(f"seed {seed}: accuracy {arc.average_accuracy:.4f} > "
-                       f"{base.average_accuracy:.4f}, forgetting {arc.forgetting:.4f} < "
-                       f"{base.forgetting:.4f}")
+        (arc_acc, arc_forget), (base_acc, base_forget) = scores(result)
+        ok &= arc_acc > base_acc and arc_forget < base_forget
+        details.append(f"seed {seed}: accuracy {arc_acc:.4f} > {base_acc:.4f}, "
+                       f"forgetting {arc_forget:.4f} < {base_forget:.4f}")
     report(10, "memory-based improvement", ok, "; ".join(details))
 
 
@@ -276,15 +279,14 @@ def test_criterion_11_memory_free_operating_point(tmp_path):
     for seed in (0, 1, 2):
         stream = cfg.stream_for_seed(seed)
         result = run_stream(stream, cfg.train, cfg.arc, seed)
-        arc, base = result.metrics_with_arc, result.metrics_without_arc
+        (arc_acc, arc_forget), (base_acc, base_forget) = scores(result)
         # the probe row (stage n, task 1): task 1's own probe against the final shared head
         task1 = result.r_without_arc.entry(stream.layout.num_tasks, 1)
         gap = _probe_accuracy(stream, cfg.train, seed, 1) - task1
-        gain, kept = arc.average_accuracy - base.average_accuracy, base.forgetting - arc.forgetting
+        gain, kept = arc_acc - base_acc, base_forget - arc_forget
         ok &= gain > 0 and kept > 0 and 0 < task1 < 1 and 0 < gap < 1
-        details.append(f"seed {seed}: accuracy {arc.average_accuracy:.4f} - "
-                       f"{base.average_accuracy:.4f} = {gain:+.4f} > 0, forgetting "
-                       f"{base.forgetting:.4f} - {arc.forgetting:.4f} = {kept:+.4f} > 0, "
+        details.append(f"seed {seed}: accuracy {arc_acc:.4f} - {base_acc:.4f} = {gain:+.4f} > 0, "
+                       f"forgetting {base_forget:.4f} - {arc_forget:.4f} = {kept:+.4f} > 0, "
                        f"final task-1 accuracy {task1:.4f} in (0, 1) by "
                        f"{min(task1, 1 - task1):.4f}, probe gap {gap:.4f} in (0, 1) by "
                        f"{min(gap, 1 - gap):.4f}")

@@ -178,6 +178,24 @@ def toy_eval_setup(rng, t=2, s=2, d=4, n=40):
     return head, batches, x, labels
 
 
+def replayed_head(head, batches, result, cfg):
+    """The head arc_evaluate ends with, rebuilt from its records. Each batch's
+    initial classes are the argmax of the head as of its arrival; where its
+    PAST_CORRECT rows say retention applied, adaptive_retention takes that
+    batch's step, and its re-predictions are their final classes."""
+    start = 0
+    for x in batches:
+        rec = result.records[start : start + len(x)]
+        start += len(x)
+        z = forward(head, x)
+        assert np.array_equal(z.argmax(axis=1), rec.initial_class)
+        flagged = rec.decision == OtdDecision.PAST_CORRECT
+        if rec.retention_applied.any():
+            head, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], cfg)
+            assert ok and np.array_equal(repreds, rec.final_class[flagged])
+    return head
+
+
 class TestArcEvaluate:
     def test_disabled_pipeline_is_plain_argmax(self):
         rng = np.random.default_rng(41)
@@ -186,16 +204,16 @@ class TestArcEvaluate:
         result = arc_evaluate(head, batches, s=2, cfgs=[cfg])
         final = np.array([r.final_class for r in result.records])
         assert np.array_equal(final, forward(head, x).argmax(axis=1))
-        assert np.array_equal(result.head.weights, head.weights)
+        assert replayed_head(head, batches, result, cfg) is head
         assert result.retention_updates == 0
 
     def test_first_stage_is_inert(self):
         rng = np.random.default_rng(43)
         head, batches, x, _ = toy_eval_setup(rng, t=1, s=4)
-        result = arc_evaluate(head, batches, s=4,
-                              cfgs=[ArcConfig(beta=0.0, gamma=np.inf)])
+        cfg = ArcConfig(beta=0.0, gamma=np.inf)
+        result = arc_evaluate(head, batches, s=4, cfgs=[cfg])
         assert all(r.decision is OtdDecision.PASSTHROUGH for r in result.records)
-        assert np.array_equal(result.head.weights, head.weights)
+        assert replayed_head(head, batches, result, cfg) is head
         assert result.retention_updates == 0
 
     def test_deterministic_records(self):
@@ -207,7 +225,8 @@ class TestArcEvaluate:
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb
-        assert np.array_equal(a.head.weights, b.head.weights)
+        assert np.array_equal(replayed_head(head, batches, a, cfg).weights,
+                              replayed_head(head, batches, b, cfg).weights)
 
     def test_one_update_per_batch_with_flagged_samples(self):
         rng = np.random.default_rng(53)
@@ -232,7 +251,8 @@ class TestArcEvaluate:
         plain = arc_evaluate(head, batches, 2, [cfg])
         # the empty batch is classified, flags nothing and takes no update
         assert result.retention_updates == plain.retention_updates == len(batches)
-        assert np.array_equal(result.head.weights, plain.head.weights)
+        assert np.array_equal(replayed_head(head, with_empty, result, cfg).weights,
+                              replayed_head(head, batches, plain, cfg).weights)
         names = ("initial_class", "final_class", "decision", "retention_applied",
                  "confidence", "masked_confidence", "ratio")
         for records in (none.records, result.records):
@@ -268,8 +288,9 @@ class TestArcEvaluate:
         cfg = ArcConfig(beta=0.0, gamma=0.0)
         with np.errstate(over="ignore"):
             result = arc_evaluate(head, [x], s=1, cfgs=[cfg])
+            assert adaptive_retention(head, x, forward(head, x), cfg)[2] is False
+            assert replayed_head(head, [x], result, cfg) is head
         assert result.retention_updates == 0
-        assert result.head is head
         assert all(r.decision is OtdDecision.PAST_CORRECT for r in result.records)
         for r in result.records:
             assert r.final_class == r.initial_class
@@ -300,10 +321,12 @@ class TestArcEvaluate:
                  for temp in (1.0, 2.0) for correct in (True, False)]
         result = arc_evaluate(head, batches, 2, group)
         assert result.final_classes.shape == (len(group), len(result.records))
+        group_head = replayed_head(head, batches, result, group[0])
         for row, cfg in zip(result.final_classes, group):
             alone = arc_evaluate(head, batches, 2, [cfg])
             assert np.array_equal(row, alone.records.final_class)
-            assert np.array_equal(alone.head.weights, result.head.weights)
+            assert np.array_equal(replayed_head(head, batches, alone, cfg).weights,
+                                  group_head.weights)
         assert np.array_equal(result.records.final_class, result.final_classes[0])
         assert len({tuple(row) for row in result.final_classes}) > 1
 

@@ -416,6 +416,26 @@ class TestCmdAblate:
         assert keys == sorted(keys)
 
 
+class TestSingleTask:
+    @pytest.mark.parametrize("command, name", [("run", "metrics.csv"), ("ablate", "ablation.csv")])
+    def test_forgetting_cells_empty(self, tmp_path, command, name):
+        """Forgetting is undefined for one task: every forgetting cell is empty,
+        the mean and std rows' too, and every accuracy cell is a number."""
+        out = tmp_path / "bundle"
+        assert run_cli([command, *TINY, "--data.num_tasks", "1", "--run.seeds", "0,1",
+                        "--ablate.betas", "0.6,0.9", "--ablate.gammas", "0.8",
+                        "--run.output_dir", str(out)]) == 0
+        header, *rows = read_rows(out / name)
+        acc, forget = header.index("average_accuracy"), header.index("forgetting")
+        if command == "run":
+            assert [row[0] for row in rows] == ["0", "0", "1", "1", "mean", "std", "mean", "std"]
+        else:
+            assert len(rows) == 2 * 3 * 2 * 2 * 2  # seeds x losses x temps x w-modes x betas
+        for row in rows:
+            assert row[forget] == ""
+            assert 0.0 <= float(row[acc]) <= 1.0
+
+
 class TestCmdValidateOtd:
     def test_rows_and_rederivation(self, tmp_path):
         out = tmp_path / "bundle"

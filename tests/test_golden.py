@@ -3,9 +3,11 @@
 The manifest pins the exact bytes of the default bundles and of what every
 script in ``demos/`` prints, so a refactor that claims "same numbers" is
 checked by this test rather than by hand. The einsum and BLAS reduction
-order may depend on the numpy build and the SIMD targets it dispatches to,
-so the manifest is keyed by both; on another key the test skips and names
-the difference. Run as a script, it recomputes every digest and prints each
+order may depend on the numpy build, the SIMD targets it dispatches to, and
+the BLAS and the kernel it picks for the CPU (OpenBLAS's core type: on an
+AVX-512 CPU, ``OPENBLAS_CORETYPE=Haswell`` moves the trained heads' last
+bits), so the manifest is keyed by all of them; on another key the test
+skips and names the difference. Run as a script, it recomputes every digest and prints each
 entry that moved, as old -> new, or "no entry changed"; it exits 1 when any
 entry moved and leaves the manifest as it is:
 
@@ -17,6 +19,8 @@ A change meant to move the numbers regenerates the manifest with --write
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -51,6 +55,30 @@ COMMANDS = {
 }
 
 
+def blas_name() -> str:
+    """numpy's BLAS as "name version", or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return "unknown"
+
+
+def blas_core() -> str:
+    """The kernel family OpenBLAS runs on this CPU (its core type), read from the
+    scipy-openblas library numpy loaded, or "unknown" for a BLAS that does not say."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in libs:
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def platform_key() -> dict:
     try:
         from numpy._core import _multiarray_umath as umath
@@ -58,7 +86,8 @@ def platform_key() -> dict:
         from numpy.core import _multiarray_umath as umath
     dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     return {"numpy": np.__version__, "machine": platform.machine(),
-            "simd": [*umath.__cpu_baseline__, *dispatched]}
+            "simd": [*umath.__cpu_baseline__, *dispatched],
+            "blas": blas_name(), "blas_core": blas_core()}
 
 
 def _sha256(path: str) -> str:

@@ -14,7 +14,6 @@ from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench import core, data, harness
 from arcbench.harness import (
     PROBE_TAG,
-    MetricsReport,
     RMatrix,
     ablation_grid,
     average_accuracy,
@@ -55,6 +54,15 @@ def build_r(final_row, diag=None):
     diag = diag if diag is not None else [1.0] * n
     rows = [[0.5] * (t - 1) + [diag[t - 1]] for t in range(1, n)]
     return RMatrix.from_rows([*rows, final_row])
+
+
+def scores(result):
+    """(average accuracy, forgetting) with and without the pipeline."""
+    return [(average_accuracy(r), forgetting(r)) for r in (result.r_with_arc, result.r_without_arc)]
+
+
+def task1_bias(stream, result):
+    return bias_histogram(result.task1_predictions, stream.test[0].labels, stream.layout)
 
 
 class TestMetrics:
@@ -134,8 +142,9 @@ class TestRunStream:
                              test_per_class=6, seed=1)
         res = run_stream(generate_synthetic(spec), FAST_TRAIN, ArcConfig(), seed=1)
         assert np.array_equal(res.r_with_arc.values, res.r_without_arc.values)
-        assert res.metrics_with_arc.forgetting is None
-        assert res.bias_histogram is None
+        with pytest.raises(ValueError, match="single task"):
+            forgetting(res.r_with_arc)
+        assert res.task1_predictions is None
 
     def test_r_matrix_fill(self, small_run):
         for r in (small_run.r_with_arc, small_run.r_without_arc):
@@ -147,8 +156,7 @@ class TestRunStream:
 
     def test_deterministic_reports(self, small_stream, small_run):
         again = run_stream(small_stream, FAST_TRAIN, ArcConfig(batch_size=8), seed=5)
-        assert again.metrics_with_arc == small_run.metrics_with_arc
-        assert again.metrics_without_arc == small_run.metrics_without_arc
+        assert scores(again) == scores(small_run)
         assert np.array_equal(again.r_with_arc.values, small_run.r_with_arc.values, equal_nan=True)
 
     def test_arc_off_equivalence(self, small_stream):
@@ -164,16 +172,17 @@ class TestRunStream:
             assert np.array_equal(trained.bias, evaluated.bias)
 
     def test_metrics_recomputable_from_r(self, small_run):
-        for metrics, r in (
-            (small_run.metrics_with_arc, small_run.r_with_arc),
-            (small_run.metrics_without_arc, small_run.r_without_arc),
-        ):
-            assert metrics.average_accuracy == pytest.approx(average_accuracy(r), abs=1e-12)
-            assert metrics.forgetting == pytest.approx(forgetting(r), abs=1e-12)
+        for r in (small_run.r_with_arc, small_run.r_without_arc):
+            n = r.num_tasks
+            assert average_accuracy(r) == pytest.approx(np.mean(r.values[n - 1]), abs=1e-12)
+            drops = [r.values[i, i] - r.values[n - 1, i] for i in range(n - 1)]
+            assert forgetting(r) == pytest.approx(np.mean(drops), abs=1e-12)
 
     def test_bias_histogram_conservation(self, small_stream, small_run):
-        wrong = np.sum(small_run.task1_predictions != small_stream.test[0].labels)
-        assert small_run.bias_histogram.sum() == wrong
+        labels = small_stream.test[0].labels
+        wrong = np.sum(small_run.task1_predictions != labels)
+        counts = bias_histogram(small_run.task1_predictions, labels, small_stream.layout)
+        assert counts.sum() == wrong
 
     def test_arc_last_only_adapts_final_stage(self, small_stream):
         cfg = ArcConfig(arc_last=True, batch_size=8, beta=0.0, gamma=10.0)
@@ -400,10 +409,9 @@ class TestStagesInChild:
         for name in ("r_with_arc", "r_without_arc"):
             assert np.array_equal(getattr(late, name).values, getattr(in_process, name).values,
                                   equal_nan=True)
-        assert (late.metrics_with_arc, late.metrics_without_arc) == (
-            in_process.metrics_with_arc, in_process.metrics_without_arc)
+        assert scores(late) == scores(in_process)
         assert_same_heads(late.stage_heads, in_process.stage_heads)
-        assert np.array_equal(late.bias_histogram, in_process.bias_histogram)
+        assert np.array_equal(task1_bias(small_stream, late), task1_bias(small_stream, in_process))
         assert np.array_equal(late.task1_predictions, in_process.task1_predictions)
         assert_same_traces(late.arc_traces, in_process.arc_traces)
 
@@ -450,9 +458,8 @@ class TestFeaturePrecision:
         for name in ("r_with_arc", "r_without_arc"):
             assert np.array_equal(getattr(narrow, name).values, getattr(wide, name).values,
                                   equal_nan=True)
-        assert (narrow.metrics_with_arc, narrow.metrics_without_arc) == (
-            wide.metrics_with_arc, wide.metrics_without_arc)
-        assert np.array_equal(narrow.bias_histogram, wide.bias_histogram)
+        assert scores(narrow) == scores(wide)
+        assert np.array_equal(task1_bias(small_stream, narrow), task1_bias(small_stream, wide))
         assert np.array_equal(narrow.task1_predictions, wide.task1_predictions)
         assert_same_traces(narrow.arc_traces, wide.arc_traces)
         assert probes[np.float32] == probes[np.float64]
@@ -677,13 +684,15 @@ class TestAblationGrid:
     def test_one_report_per_variant(self, small_stream):
         cfgs = [ArcConfig(batch_size=8, beta=b, gamma=0.8)
                 for b in (0.6, 0.7, 0.8, 0.9)]
-        reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
-        assert len(reports) == 4
-        assert [r.pipeline for r in reports] == ["arc"] * 4
+        matrices = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
+        assert len(matrices) == 4
+        for r in matrices:
+            assert isinstance(r, RMatrix)
+            assert r.num_tasks == SMALL_SPEC.num_tasks
 
     def test_identity_variant_matches_run_stream(self, small_stream, small_run):
-        report, = ablation_grid(small_stream, FAST_TRAIN, [ArcConfig(batch_size=8)], seed=5)
-        assert report == small_run.metrics_with_arc
+        r, = ablation_grid(small_stream, FAST_TRAIN, [ArcConfig(batch_size=8)], seed=5)
+        assert np.array_equal(r.values, small_run.r_with_arc.values, equal_nan=True)
 
     @pytest.mark.parametrize("base, arc_lasts", [
         (ArcConfig(batch_size=8), (False,)),
@@ -700,7 +709,7 @@ class TestAblationGrid:
             for arc_last in arc_lasts
         ]
         cfgs.insert(7, cfgs[20])  # a duplicate keeps its place
-        reports = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
+        matrices = ablation_grid(small_stream, FAST_TRAIN, cfgs, seed=5)
         # each config evaluated on its own over the same training run's heads
         expected = []
         for traces in pipeline_traces(small_stream, FAST_TRAIN, cfgs, seed=5):
@@ -709,7 +718,8 @@ class TestAblationGrid:
                 correct = trace.records.final_class == trace.true_labels
                 rows.append([correct[trace.true_tasks == i].mean()
                              for i in range(1, trace.stage + 1)])
-            r = RMatrix.from_rows(rows)
-            expected.append(MetricsReport(5, "arc", average_accuracy(r), forgetting(r)))
-        assert reports == expected
-        assert len({report.average_accuracy for report in reports}) > 1
+            expected.append(RMatrix.from_rows(rows))
+        assert len(matrices) == len(expected)
+        for got, want in zip(matrices, expected):
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert len({average_accuracy(r) for r in matrices}) > 1
