@@ -22,7 +22,7 @@ spec = SyntheticSpec(num_tasks=4, step=5, dim=48, train_per_class=60,
                      test_per_class=50, seed=2)
 stream = generate_synthetic(spec)
 head = train_sequence(stream, TrainConfig(), seed=2)[-1]
-t, s = spec.num_tasks, spec.step
+t, s = spec.num_tasks, spec.step  # the logits' width s*t names the stage t
 
 x = np.vstack([d.features for d in stream.test])
 labels = np.concatenate([d.labels for d in stream.test])
@@ -32,7 +32,7 @@ z = forward(head, x)
 
 print("a few samples through the detector (beta=0.8, gamma=0.8):")
 picked = [0, 40, 240, 700, 950]
-for i, rec in zip(picked, classify_sample(z[picked], t, s, 0.8, 0.8)):  # one record per sample
+for i, rec in zip(picked, classify_sample(z[picked], s, 0.8, 0.8)):  # one record per sample
     w = "-" if np.isnan(rec.ratio) else f"{rec.ratio:.2f}"
     print(f"  true task {tasks[i]}  predicted class {rec.initial_class:3d}  "
           f"c={rec.confidence:.2f}  w={w}  -> {rec.decision.value}")
@@ -40,7 +40,7 @@ for i, rec in zip(picked, classify_sample(z[picked], t, s, 0.8, 0.8)):  # one re
 print("\nbeta sweep: how many samples get the retention flag, and how pure they are")
 print("beta   flagged  truly past & correct  precision")
 for beta in (0.0, 0.5, 0.7, 0.8, 0.9):
-    records = classify_sample(z, t, s, beta, 0.8)  # the whole batch at once
+    records = classify_sample(z, s, beta, 0.8)  # the whole batch at once
     is_flagged = records.decision == OtdDecision.PAST_CORRECT
     flagged = int(is_flagged.sum())
     correct = int(np.sum(is_flagged & (tasks < t) & (records.initial_class == labels)))

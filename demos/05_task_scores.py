@@ -10,7 +10,7 @@ import numpy as np
 
 from arcbench import adaptive_correction, tss
 
-t, s = 4, 3
+s = 3  # classes per task; the scoring functions read t = 4 from the 12 logits' width
 
 # a task-1 sample the head drags toward the newest task: its true class (0)
 # leads inside task 1's block, but task 4's fresh rows shout louder overall
@@ -19,12 +19,13 @@ z = np.array([1.1, 0.2, -0.3,   # task 1
               0.0, 0.3, -0.1,   # task 3
               1.6, 1.2, 0.0])   # task 4 (current)
 print("raw argmax picks class", int(np.argmax(z)), "(a current-task class)")
+batch = z[None]  # both functions take a batch of logits rows; this one has one row
 
 for temperature in (1.0, 2.0, 4.0):
-    scores = tss(z, t, s, temperature)
+    (scores,) = tss(batch, s, temperature)
     rendered = " ".join(f"S{i + 1}={v:.3f}" for i, v in enumerate(scores))
     print(f"T={temperature}: {rendered} -> task {int(np.argmax(scores)) + 1}")
 
-task, cls, _ = adaptive_correction(z, t, s, temperature=2.0)
+(task,), (cls,), _ = adaptive_correction(batch, s, temperature=2.0)
 print(f"\ncorrection at T=2 reassigns the sample to task {task}, class {cls}")
 print("(the class is the raw-logit argmax inside the chosen task's block)")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
 from .otd import (RECORD_DTYPE, W_MODES, OtdDecision, check_thresholds, classify_sample,
-                  misclassified)
+                  logits_stage, misclassified)
 
 RETENTION_LOSSES = ("both", "ce", "em")
 
@@ -73,43 +73,41 @@ class ArcConfig:
         return replace(self, retention=False, correction=False)
 
 
-def tss(z: np.ndarray, t: int, s: int, temperature: float) -> np.ndarray:
-    """Per-task softmax scores S_1..S_t for logits (s*t,) or a batch (..., s*t).
+def tss(z: np.ndarray, s: int, temperature: float) -> np.ndarray:
+    """Per-task softmax scores S_1..S_t, shape (n, t), for a batch of logits (n, s*t).
 
     The score for task i is the max softmax probability over task i's class
     block, with the softmax taken over only the first s*i logits after
     dividing them by temperature**(t - i). Later tasks' logits never enter
-    earlier tasks' scores. The result has shape (..., t).
+    earlier tasks' scores.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim < 1 or z.shape[-1] != s * t:
-        raise ValueError(f"expected {s * t} logits per row, got shape {z.shape}")
+    z, t = logits_stage(z, s)
     if not temperature >= 1.0:
         raise ValueError(f"temperature must be >= 1, got {temperature}")
-    scores = np.empty(z.shape[:-1] + (t,))
+    scores = np.empty((len(z), t))
     for i in range(1, t + 1):
         try:
             scale = float(temperature) ** (t - i)
         except OverflowError:  # beyond float range: the T -> inf limit, a flat prefix
             scale = np.inf
-        p = softmax(z[..., : s * i] / scale)
-        scores[..., i - 1] = np.max(p[..., s * (i - 1) :], axis=-1)
+        p = softmax(z[:, : s * i] / scale)
+        scores[:, i - 1] = np.max(p[:, s * (i - 1) :], axis=-1)
     return scores
 
 
-def adaptive_correction(z: np.ndarray, t: int, s: int, temperature: float) -> tuple:
+def adaptive_correction(z: np.ndarray, s: int, temperature: float) -> tuple:
     """Reassign suspected misclassifications to their most plausible task.
 
-    Takes logits (s*t,) or a batch (..., s*t) and returns (chosen task,
-    corrected class, scores), with the leading shape of ``z``. The chosen
+    Takes a batch of logits (n, s*t) and returns (chosen task, corrected
+    class, scores): two (n,) arrays and the (n, t) ``tss`` scores. The chosen
     task is the argmax of the per-task scores (lowest index on ties) and the
     corrected class is the raw-logit argmax inside that task's class range.
     """
-    scores = tss(z, t, s, temperature)
-    task = np.argmax(scores, axis=-1)
-    blocks = np.asarray(z, dtype=np.float64).reshape(scores.shape[:-1] + (t, s))
-    chosen = np.take_along_axis(blocks, task[..., None, None], axis=-2)
-    cls = s * task + np.argmax(chosen[..., 0, :], axis=-1)
+    scores = tss(z, s, temperature)
+    task = np.argmax(scores, axis=1)
+    n, t = scores.shape
+    blocks = np.asarray(z, dtype=np.float64).reshape(n, t, s)
+    cls = s * task + np.argmax(blocks[np.arange(n), task], axis=1)
     return task + 1, cls, scores
 
 
@@ -214,7 +212,7 @@ def arc_evaluate(
         if x.ndim != 2 or x.shape[1] != head.dim:
             raise ValueError(f"batch {batch_index} shape {x.shape} incompatible with head")
         z = forward(head, x)
-        table = classify_sample(z, t, s, first.beta, first.gamma, first.w_mode)
+        table = classify_sample(z, s, first.beta, first.gamma, first.w_mode)
         flagged = table["decision"] == OtdDecision.PAST_CORRECT
         if first.retention and flagged.any():
             head2, repreds, ok = adaptive_retention(head, x[flagged], z[flagged], first)
@@ -235,7 +233,7 @@ def arc_evaluate(
     if union.any():
         z = np.concatenate(suspect_logits)
         suspect_logits.clear()  # the rows live on in z alone; this lowers the stage's peak
-        corrected = {temperature: adaptive_correction(z, t, s, temperature)[1]
+        corrected = {temperature: adaptive_correction(z, s, temperature)[1]
                      for temperature in dict.fromkeys(cfg.temperature for cfg in correcting)}
         for v, cfg in enumerate(cfgs):
             if cfg.correction:

@@ -257,12 +257,10 @@ class RunConfig:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
 
 
@@ -301,6 +299,7 @@ def _metadata(command: str, cfg: RunConfig) -> str:
 
 def _check_output_dir(output_dir: str) -> None:
     """Reject a bundle location that is a file or a directory with entries."""
+    output_dir = os.path.abspath(output_dir)  # "" names the working directory
     if os.path.isfile(output_dir):
         raise ConfigError(f"run.output_dir is a file: {output_dir}")
     if os.path.isdir(output_dir) and os.listdir(output_dir):

@@ -61,9 +61,6 @@ class LinearHead:
     def dim(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "LinearHead":
-        return LinearHead(self.weights.copy(), self.bias.copy())
-
 
 def new_head(dim: int, step: int) -> LinearHead:
     """Zero-initialized head seeing only the first task."""
@@ -73,7 +70,7 @@ def new_head(dim: int, step: int) -> LinearHead:
 
 
 def forward(head: LinearHead, x: np.ndarray) -> np.ndarray:
-    """Logits W @ x + b for a feature vector (D,) or a batch (n, D).
+    """Logits (n, K) = x W^T + b for a batch of feature rows x (n, D).
 
     One einsum over C-contiguous rows of x and W reduces each logit over the
     feature axis in an order that depends only on D (never on the number of
@@ -83,11 +80,10 @@ def forward(head: LinearHead, x: np.ndarray) -> np.ndarray:
     both break these invariances.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != head.dim:
+    if x.ndim != 2 or x.shape[1] != head.dim:
         raise ValueError(f"feature shape {x.shape} incompatible with head dim {head.dim}")
-    rows = np.ascontiguousarray(x.reshape(-1, head.dim))
-    out = np.einsum("nd,kd->nk", rows, np.ascontiguousarray(head.weights)) + head.bias
-    return out.reshape(x.shape[:-1] + (head.num_classes,))
+    return np.einsum("nd,kd->nk", np.ascontiguousarray(x),
+                     np.ascontiguousarray(head.weights)) + head.bias
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -117,6 +117,8 @@ class TaskStream:
         dim = self.dim
         for name, split in zip(_SPLIT_NAMES, (self.train, self.test)):
             for task_index, data in enumerate(split, start=1):
+                if not len(data):
+                    raise ValueError(f"task {task_index} has an empty {name} split")
                 if data.features.ndim != 2 or data.features.shape[1] != dim:
                     raise ValueError("feature dimensions not uniform")
                 if not np.isfinite(data.features).all():
@@ -124,9 +126,7 @@ class TaskStream:
                 if len(data.labels) != len(data):
                     raise ValueError("labels must be one per feature row")
                 ok = self.layout.class_range(task_index)
-                if len(data) and not (
-                    (data.labels >= ok.start) & (data.labels < ok.stop)
-                ).all():
+                if not ((data.labels >= ok.start) & (data.labels < ok.stop)).all():
                     raise ValueError(f"labels outside task {task_index}'s class range")
 
 
@@ -184,8 +184,6 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
     if dim < 1:
         raise ValueError("cannot write a stream with zero feature dimension")
     count = sum(len(d) for d in stream.train) + sum(len(d) for d in stream.test)
-    if count == 0:
-        raise ValueError("cannot write a stream with no examples")
     layout = stream.layout
     records = np.zeros(count, _record_dtype(dim))
     start = 0

@@ -65,13 +65,20 @@ def confidence(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, p[np.arange(len(k)), k]
 
 
-def masked_confidence(z: np.ndarray, t: int, s: int) -> np.ndarray:
-    """Max softmax probability over the first s*(t-1) logits of each row of (n, s*t)."""
+def logits_stage(z: np.ndarray, s: int) -> tuple[np.ndarray, int]:
+    """Logits (n, s*t) as float64 and the stage t their width names; any other shape raises."""
     z = np.asarray(z, dtype=np.float64)
+    t, extra = divmod(z.shape[1], s) if z.ndim == 2 else (0, 0)
+    if extra or not t:
+        raise ValueError(f"expected logits (n, s*t) for step s = {s}, got shape {z.shape}")
+    return z, t
+
+
+def masked_confidence(z: np.ndarray, s: int) -> np.ndarray:
+    """Max softmax probability over the first s*(t-1) logits of each row of (n, s*t)."""
+    z, t = logits_stage(z, s)
     if t < 2:
         raise ValueError("masked confidence is undefined at the first task")
-    if z.ndim != 2 or z.shape[1] != s * t:
-        raise ValueError(f"expected (n, {s * t}) logits, got shape {z.shape}")
     return np.max(softmax(z[:, : s * (t - 1)]), axis=-1)
 
 
@@ -89,7 +96,7 @@ def misclassified(records: np.ndarray, t: int, s: int, gamma: float,
     return (t >= 2) & (records["initial_class"] >= s * (t - 1)) & (stat <= gamma)
 
 
-def classify_sample(z: np.ndarray, t: int, s: int, beta: float, gamma: float,
+def classify_sample(z: np.ndarray, s: int, beta: float, gamma: float,
                     w_mode: str = "ratio") -> np.recarray:
     """Sort a batch of test samples, logits (n, s*t), into detection branches.
 
@@ -100,9 +107,7 @@ def classify_sample(z: np.ndarray, t: int, s: int, beta: float, gamma: float,
     current, so every sample passes through.
     """
     check_thresholds(beta, gamma)
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != s * t:
-        raise ValueError(f"expected (n, {s * t}) logits, got shape {z.shape}")
+    z, t = logits_stage(z, s)
     records = np.zeros(len(z), RECORD_DTYPE)
     records["decision"] = OtdDecision.PASSTHROUGH
     records["masked_confidence"] = records["ratio"] = np.nan
@@ -110,7 +115,7 @@ def classify_sample(z: np.ndarray, t: int, s: int, beta: float, gamma: float,
         records["initial_class"], records["confidence"] = confidence(z)
         records["final_class"] = records["initial_class"]
         if t >= 2:
-            records["masked_confidence"] = masked_confidence(z, t, s)
+            records["masked_confidence"] = masked_confidence(z, s)
             records["ratio"] = records["confidence"] / records["masked_confidence"]
     correct = (records["initial_class"] < s * (t - 1)) & (records["confidence"] >= beta)
     wrong = misclassified(records, t, s, gamma, w_mode)

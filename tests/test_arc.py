@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from arcbench.core import (
     sgd_step,
     softmax,
 )
-from arcbench.otd import OtdDecision, confidence
+from arcbench.otd import OtdDecision, classify_sample, confidence, masked_confidence
 
 from oracles import cross_entropy, entropy, mp_tss
 
@@ -25,13 +27,13 @@ class TestTss:
         rng = np.random.default_rng(2)
         for _ in range(20):
             z = rng.standard_normal(5)
-            scores = tss(z, t=1, s=5, temperature=2.0)
+            (scores,) = tss(z[None], s=5, temperature=2.0)
             _, (c,) = confidence(z[None])
             assert scores.shape == (1,)
             assert scores[0] == c  # bitwise: same softmax, exponent zero
 
     def test_uniform_logits(self):
-        scores = tss(np.zeros(4), t=2, s=2, temperature=3.0)
+        (scores,) = tss(np.zeros((1, 4)), s=2, temperature=3.0)
         assert np.allclose(scores, [0.5, 0.25], atol=1e-15)
         assert int(np.argmax(scores)) == 0
 
@@ -39,14 +41,14 @@ class TestTss:
         rng = np.random.default_rng(13)
         z = rng.standard_normal(12)  # t=3, s=4
         for temperature in (1.5, 2.0, 4.0):
-            got = tss(z, t=3, s=4, temperature=temperature)
+            (got,) = tss(z[None], s=4, temperature=temperature)
             want = mp_tss(z, t=3, s=4, temperature=temperature)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_temperature_one_is_plain_prefix_softmax(self):
         rng = np.random.default_rng(14)
         z = rng.standard_normal(8)
-        scores = tss(z, t=4, s=2, temperature=1.0)
+        (scores,) = tss(z[None], s=2, temperature=1.0)
         for i in range(1, 5):
             plain = float(np.max(softmax(z[: 2 * i])[2 * (i - 1) : 2 * i]))
             assert scores[i - 1] == plain
@@ -54,34 +56,53 @@ class TestTss:
     def test_prefix_locality_is_exact(self):
         rng = np.random.default_rng(15)
         z = rng.standard_normal(12)
-        base = tss(z, t=3, s=4, temperature=2.0)
+        (base,) = tss(z[None], s=4, temperature=2.0)
         z2 = z.copy()
         z2[8:] += rng.standard_normal(4) * 100
-        bumped = tss(z2, t=3, s=4, temperature=2.0)
+        (bumped,) = tss(z2[None], s=4, temperature=2.0)
         assert np.array_equal(base[:2], bumped[:2])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tss(np.zeros(5), t=2, s=3, temperature=2.0)
+            tss(np.zeros((1, 5)), s=3, temperature=2.0)
+
+
+# each function that takes logits reads the stage t from a batch's width s*t
+LOGITS_FUNCTIONS = {
+    "classify_sample": lambda z, s: classify_sample(z, s, 0.8, 0.8),
+    "masked_confidence": masked_confidence,
+    "tss": lambda z, s: tss(z, s, 2.0),
+    "adaptive_correction": lambda z, s: adaptive_correction(z, s, 2.0),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (2, 0), (6,), (1, 2, 6)])
+@pytest.mark.parametrize("name", LOGITS_FUNCTIONS)
+def test_logits_width_must_be_whole_tasks(name, shape):
+    # not a multiple of s, no task at all, a single row, extra leading axes
+    with pytest.raises(ValueError, match=rf"^expected logits \(n, s\*t\) for step s = 3, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        LOGITS_FUNCTIONS[name](np.zeros(shape), 3)
 
 
 class TestAdaptiveCorrection:
     def test_two_task_example(self):
-        task, cls, scores = adaptive_correction(np.array([0.0, 0.1]), t=2, s=1, temperature=2.0)
+        (task,), (cls,), (scores,) = adaptive_correction(np.array([[0.0, 0.1]]), s=1,
+                                                         temperature=2.0)
         assert task == 1
         assert cls == 0
         assert scores[0] == 1.0
         assert scores[1] == pytest.approx(1 / (1 + np.exp(-0.1)), abs=1e-15)
 
     def test_uniform_logits_tie_break(self):
-        task, cls, scores = adaptive_correction(np.zeros(6), t=3, s=2, temperature=5.0)
+        (task,), (cls,), (scores,) = adaptive_correction(np.zeros((1, 6)), s=2, temperature=5.0)
         assert np.allclose(scores, [1 / 2, 1 / 4, 1 / 6], atol=1e-15)
         assert task == 1
         assert cls == 0
 
     def test_current_task_winner_is_noop_relabel(self):
         z = np.array([0.0, 0.0, 9.0, 8.0])
-        task, cls, _ = adaptive_correction(z, t=2, s=2, temperature=2.0)
+        (task,), (cls,), _ = adaptive_correction(z[None], s=2, temperature=2.0)
         assert task == 2
         assert cls == int(np.argmax(z))
 
@@ -90,7 +111,7 @@ class TestAdaptiveCorrection:
         for _ in range(200):
             t, s = int(rng.integers(2, 5)), int(rng.integers(1, 4))
             z = 3.0 * rng.standard_normal(s * t)
-            task, cls, _ = adaptive_correction(z, t, s, temperature=2.0)
+            (task,), (cls,), _ = adaptive_correction(z[None], s, temperature=2.0)
             assert s * (task - 1) <= cls < s * task
 
 
@@ -110,7 +131,7 @@ class TestAdaptiveRetention:
         rng = np.random.default_rng(21)
         head = LinearHead(rng.standard_normal((4, 3)), rng.standard_normal(4))
         x = rng.standard_normal(3)
-        label = int(forward(head, x).argmax())
+        label = int(forward(head, x[None]).argmax())
         cfg = ArcConfig(lr=0.05)
         rows = x[None, :]
         updated, repreds, ok = adaptive_retention(head, rows, forward(head, rows), cfg)
@@ -119,7 +140,7 @@ class TestAdaptiveRetention:
         assert ok
         assert np.array_equal(updated.weights, manual.weights)
         assert np.array_equal(updated.bias, manual.bias)
-        assert repreds[0] == int(forward(manual, x).argmax())
+        assert repreds[0] == int(forward(manual, x[None]).argmax())
 
     def test_biased_head_loss_strictly_decreases(self):
         rng = np.random.default_rng(31)
@@ -136,7 +157,7 @@ class TestAdaptiveRetention:
         def mean_loss(h):
             total = 0.0
             for xi, yi in zip(x, y):
-                p = softmax(forward(h, xi))
+                p = softmax(forward(h, xi[None])[0])
                 total += cross_entropy(p, int(yi)) + entropy(p)
             return total / len(x)
 
@@ -176,6 +197,10 @@ def toy_eval_setup(rng, t=2, s=2, d=4, n=40):
     x = means[labels] + 0.5 * rng.standard_normal((n, d))
     batches = [x[i : i + 16] for i in range(0, n, 16)]
     return head, batches, x, labels
+
+
+def copy_head(head):
+    return LinearHead(head.weights.copy(), head.bias.copy())
 
 
 def replayed_head(head, batches, result, cfg):
@@ -220,8 +245,8 @@ class TestArcEvaluate:
         rng = np.random.default_rng(47)
         head, batches, _, _ = toy_eval_setup(rng)
         cfg = ArcConfig(beta=0.5, gamma=0.9)
-        a = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, [cfg])
-        b = arc_evaluate(head.copy(), [b.copy() for b in batches], 2, [cfg])
+        a = arc_evaluate(copy_head(head), [b.copy() for b in batches], 2, [cfg])
+        b = arc_evaluate(copy_head(head), [b.copy() for b in batches], 2, [cfg])
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb

@@ -4,6 +4,7 @@ import itertools
 import os
 import platform
 import re
+import struct
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -172,6 +173,19 @@ class TestCmdRun:
         assert f"error: {message}: {out}\n" in capsys.readouterr().err
         assert (out / "keep.txt" if occupant == "dir" else out).read_text() == "do not clobber"
 
+    def test_empty_output_dir_named_before_training(self, tmp_path, capsys, monkeypatch):
+        # "" names the working directory, as the bundle writer resolves it
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before run.output_dir was checked")
+
+        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_text("do not clobber")
+        assert run_cli(["probe", *TINY, "--run.output_dir", ""]) == 1
+        message = f"error: run.output_dir already exists and is not empty: {os.getcwd()}\n"
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "keep.txt").read_text() == "do not clobber"
+
     def test_output_filled_mid_run_not_clobbered(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "late"
         probe = cli.linear_probe_experiment
@@ -256,10 +270,12 @@ class TestCmdRun:
     def test_embeddings_with_empty_test_split_named(self, tmp_path, capsys):
         stream = generate_synthetic(SyntheticSpec(num_tasks=2, step=2, dim=8, train_per_class=10,
                                                   test_per_class=8, seed=4))
-        stream.test[1].features = stream.test[1].features[:0]
-        stream.test[1].labels = stream.test[1].labels[:0]
         path = tmp_path / "no-test.emb1"
         write_embeddings(stream, str(path))
+        # the file less task 2's test split: its 16 records come last, and the header counts them
+        blob = path.read_bytes()
+        count = struct.unpack_from("<Q", blob, 18)[0] - 16
+        path.write_bytes(blob[:18] + struct.pack("<Q", count) + blob[26:26 + count * (7 + 4 * 8)])
         code = run_cli(["run", "--data.source", "embeddings", "--data.path", str(path),
                         "--run.output_dir", str(tmp_path / "bundle")])
         assert code == 1
@@ -838,7 +854,7 @@ class TestRecordText:
                 undefined = [None if np.isnan(v) else v for v in (rec.masked_confidence, rec.ratio)]
                 rows.append([*lead, trace.stage, position, trace.true_tasks[position],
                              trace.true_labels[position], rec.initial_class, rec.final_class,
-                             rec.decision.value, rec.retention_applied, rec.confidence,
+                             rec.decision.value, bool(rec.retention_applied), rec.confidence,
                              *undefined])
         header = [*(["seed"] if beta is None else ["seed", "beta"]), *RECORD_COLUMNS]
         rendered = render_csv(header, rows)

@@ -27,23 +27,28 @@ def random_head(rng, k, d):
 class TestForward:
     def test_identity_weights(self):
         head = LinearHead(np.eye(2), np.zeros(2))
-        assert np.array_equal(forward(head, np.array([3.0, -1.0])), [3.0, -1.0])
+        assert np.array_equal(forward(head, np.array([[3.0, -1.0]]))[0], [3.0, -1.0])
 
     def test_zero_weights_return_bias(self):
         head = LinearHead(np.zeros((2, 3)), np.array([1.0, 2.0]))
-        assert np.array_equal(forward(head, np.array([4.0, 5.0, 6.0])), [1.0, 2.0])
+        assert np.array_equal(forward(head, np.array([[4.0, 5.0, 6.0]]))[0], [1.0, 2.0])
 
     def test_matches_high_precision_matvec(self):
         rng = np.random.default_rng(7)
         head = random_head(rng, k=6, d=4)
         x = rng.standard_normal(4)
         expected = mp_matvec(head.weights, head.bias, x)
-        assert np.allclose(forward(head, x), expected, rtol=0, atol=1e-13)
+        assert np.allclose(forward(head, x[None])[0], expected, rtol=0, atol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         head = new_head(dim=4, step=2)
         with pytest.raises(ValueError):
-            forward(head, np.zeros(3))
+            forward(head, np.zeros((1, 3)))
+
+    def test_single_vector_rejected(self):
+        head = new_head(dim=4, step=2)
+        with pytest.raises(ValueError, match=r"^feature shape \(4,\) incompatible"):
+            forward(head, np.zeros(4))
 
 
 class TestSoftmax:
@@ -120,7 +125,7 @@ class TestRetentionGradient:
 
         def loss(w, b):
             probe = LinearHead(w, b)
-            p = softmax(forward(probe, x))
+            p = softmax(forward(probe, x[None])[0])
             return cross_entropy(p, 4) + entropy(p)
 
         dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([4]), True, True)
@@ -136,7 +141,7 @@ class TestRetentionGradient:
 
             def loss(w, b):
                 probe = LinearHead(w, b)
-                p = softmax(forward(probe, x))
+                p = softmax(forward(probe, x[None])[0])
                 total = 0.0
                 if include_ce:
                     total += cross_entropy(p, 1)
@@ -163,7 +168,7 @@ class TestRetentionGradient:
             probe = LinearHead(w, b)
             total = 0.0
             for xi, yi in zip(x, labels):
-                p = softmax(forward(probe, xi))
+                p = softmax(forward(probe, xi[None])[0])
                 if include_ce:
                     total += cross_entropy(p, int(yi))
                 if include_em:
@@ -233,7 +238,7 @@ class TestExpandHead:
         layout = TaskLayout(num_tasks=2, step=3)
         head = LinearHead(rng.standard_normal((3, 6)), rng.standard_normal(3))
         grown = expand_head(head, layout)
-        z = forward(grown, rng.standard_normal(6))
+        z = forward(grown, rng.standard_normal((1, 6)))[0]
         assert np.all(z[3:] == 0.0)
 
 

@@ -220,11 +220,9 @@ class TestEmbeddingRoundTrip:
         spec = SyntheticSpec(num_tasks=1, step=1, dim=3, train_per_class=1,
                              test_per_class=1, seed=0)
         stream = generate_synthetic(spec)
-        stream.test[0].features = stream.test[0].features[:0]
-        stream.test[0].labels = stream.test[0].labels[:0]
-        path = tmp_path / "one.emb1"
+        path = tmp_path / "two.emb1"
         write_embeddings(stream, str(path))
-        assert path.stat().st_size == 26 + (7 + 4 * 3)  # header + one record
+        assert path.stat().st_size == 26 + 2 * (7 + 4 * 3)  # header + two records
 
     def test_zero_dim_rejected_before_write(self, tmp_path):
         stream = generate_synthetic(SMALL)
@@ -279,11 +277,12 @@ class TestEmbeddingValidation:
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_empty_split(self, tmp_path, split):
-        stream = generate_synthetic(SMALL)
-        data = getattr(stream, split)[1]
-        data.features, data.labels = data.features[:0], data.labels[:0]
+        # one record in each split of each task, but none in task 2's train or test split
+        records = [(task, 3 * (task - 1), code) for task in (1, 2) for code in (0, 1)
+                   if (task, code) != (2, ("train", "test").index(split))]
+        header = struct.pack("<4sHIIIQ", b"EMB1", 1, 2, 2, 3, len(records))
         path = tmp_path / "empty-split.emb1"
-        write_embeddings(stream, str(path))
+        path.write_bytes(header + b"".join(self.record(*fields) for fields in records))
         with pytest.raises(EmbeddingFormatError, match=f"task 2 has an empty {split} split"):
             load_embeddings(str(path))
 
@@ -365,6 +364,26 @@ class TestEmbeddingValidation:
         datasets[0], datasets[1] = datasets[1], datasets[0]
         with pytest.raises(ValueError, match=r"^labels outside task 1's class range$"):
             stream.validate()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_rejected_at_the_boundary(self, tmp_path, monkeypatch, split):
+        stream = generate_synthetic(SMALL)
+        data = getattr(stream, split)[1]
+        data.features, data.labels = data.features[:0], data.labels[:0]
+        message = f"^task 2 has an empty {split} split$"
+        with pytest.raises(ValueError, match=message):
+            stream.validate()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "fit_task", no_training)
+        with pytest.raises(ValueError, match=message):
+            run_stream(stream, TrainConfig(epochs=1), ArcConfig(), seed=0)
+        path = tmp_path / "empty.emb1"
+        with pytest.raises(ValueError, match=message):
+            write_embeddings(stream, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_non_finite_stream_rejected_at_the_boundary(self, tmp_path, monkeypatch, split):

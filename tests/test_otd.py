@@ -42,33 +42,33 @@ class TestConfidence:
 
 class TestMaskedConfidence:
     def test_single_past_class(self):
-        assert masked_confidence(np.array([[0.0, 0.0]]), t=2, s=1)[0] == 1.0
+        assert masked_confidence(np.array([[0.0, 0.0]]), s=1)[0] == 1.0
 
     def test_uniform_prefix(self):
         for c in (-3.0, 0.0, 11.0):
-            assert masked_confidence(np.full((1, 4), c), t=2, s=2)[0] == pytest.approx(0.5, abs=1e-15)
+            assert masked_confidence(np.full((1, 4), c), s=2)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_equals_prefix_softmax_max(self):
         rng = np.random.default_rng(9)
         z = rng.standard_normal(12)  # t=4, s=3 -> prefix of 9
-        (got,) = masked_confidence(z[None], t=4, s=3)
+        (got,) = masked_confidence(z[None], s=3)
         assert got == pytest.approx(float(np.max(mp_softmax(z[:9]))), abs=1e-14)
         assert got == float(np.max(softmax(z[:9])))
 
     def test_first_task_rejected(self):
         with pytest.raises(ValueError):
-            masked_confidence(np.array([[0.0, 1.0]]), t=1, s=2)
+            masked_confidence(np.array([[0.0, 1.0]]), s=2)
 
 
 class TestClassifySample:
     def test_confident_past_prediction_flagged(self):
-        (rec,) = classify_sample(np.array([[5.0, 0.0]]), t=2, s=1, beta=0.8, gamma=0.8)
+        (rec,) = classify_sample(np.array([[5.0, 0.0]]), s=1, beta=0.8, gamma=0.8)
         assert rec.decision is OtdDecision.PAST_CORRECT
         assert rec.initial_class == 0
         assert rec.confidence == pytest.approx(1 / (1 + math.exp(-5)), abs=1e-15)
 
     def test_weak_current_prediction_flagged(self):
-        (rec,) = classify_sample(np.array([[0.0, 0.1]]), t=2, s=1, beta=0.8, gamma=0.8)
+        (rec,) = classify_sample(np.array([[0.0, 0.1]]), s=1, beta=0.8, gamma=0.8)
         assert rec.decision is OtdDecision.PAST_MISCLASSIFIED
         assert rec.initial_class == 1
         assert rec.masked_confidence == 1.0
@@ -78,7 +78,7 @@ class TestClassifySample:
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.standard_normal((1, 6))
-            (rec,) = classify_sample(z, t=1, s=6, beta=0.0, gamma=np.inf)
+            (rec,) = classify_sample(z, s=6, beta=0.0, gamma=np.inf)
             assert rec.decision is OtdDecision.PASSTHROUGH
             assert np.isnan(rec.masked_confidence)
             assert np.isnan(rec.ratio)
@@ -86,24 +86,24 @@ class TestClassifySample:
     def test_raw_confidence_mode_uses_c(self):
         # Near-uniform logits: c ~ 0.36 is low but w = c / c_hat ~ 0.71 is not.
         z = np.array([[0.0, 0.0, 0.1]])
-        (rec,) = classify_sample(z, t=3, s=1, beta=0.99, gamma=0.6)
+        (rec,) = classify_sample(z, s=1, beta=0.99, gamma=0.6)
         assert rec.decision is OtdDecision.PASSTHROUGH  # w > gamma
-        (rec_raw,) = classify_sample(z, t=3, s=1, beta=0.99, gamma=0.6, w_mode="raw")
+        (rec_raw,) = classify_sample(z, s=1, beta=0.99, gamma=0.6, w_mode="raw")
         assert rec_raw.decision is OtdDecision.PAST_MISCLASSIFIED  # c <= gamma
         assert rec.ratio == pytest.approx(rec.confidence / rec.masked_confidence)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            classify_sample(np.zeros((1, 5)), t=2, s=3, beta=0.8, gamma=0.8)
+            classify_sample(np.zeros((1, 5)), s=3, beta=0.8, gamma=0.8)
 
     def test_misspelled_w_mode_rejected(self):
         z = np.random.default_rng(2).standard_normal((8, 4))
-        table = classify_sample(z, t=2, s=2, beta=0.5, gamma=0.9)
+        table = classify_sample(z, s=2, beta=0.5, gamma=0.9)
         message = r"w_mode must be one of \('ratio', 'raw'\), got 'RAW'"
         with pytest.raises(ValueError, match=message):
             misclassified(table, 2, 2, 0.9, "RAW")
         with pytest.raises(ValueError, match="got 'bogus'"):
-            classify_sample(z, 2, 2, 0.5, 0.9, "bogus")
+            classify_sample(z, 2, 0.5, 0.9, "bogus")
 
 
 class TestThresholds:
@@ -112,7 +112,7 @@ class TestThresholds:
         accept and reject the same values."""
         z = np.zeros((1, 2))
         for check in (lambda beta, gamma: ArcConfig(beta=beta, gamma=gamma),
-                      lambda beta, gamma: classify_sample(z, 2, 1, beta, gamma)):
+                      lambda beta, gamma: classify_sample(z, 1, beta, gamma)):
             check(0.0, np.inf)  # diagnostic extremes allowed
             with pytest.raises(ValueError, match=r"beta must be in \[0, 1\], got 1.5"):
                 check(1.5, 0.8)
@@ -128,7 +128,7 @@ class TestBranchStructure:
         t, s = 4, 3
         for _ in range(200):
             z = 2.0 * rng.standard_normal((1, s * t))
-            (rec,) = classify_sample(z, t, s, beta=0.5, gamma=0.9)
+            (rec,) = classify_sample(z, s, beta=0.5, gamma=0.9)
             if rec.decision is OtdDecision.PAST_CORRECT:
                 assert rec.initial_class < s * (t - 1)
             if rec.decision is OtdDecision.PAST_MISCLASSIFIED:
@@ -139,7 +139,7 @@ class TestBranchStructure:
         t, s = 3, 4
         for _ in range(100):
             z = 3.0 * rng.standard_normal((1, s * t))
-            (rec,) = classify_sample(z, t, s, 0.8, 0.8)
+            (rec,) = classify_sample(z, s, 0.8, 0.8)
             assert rec.confidence >= 1.0 / (s * t)
             assert rec.masked_confidence >= 1.0 / (s * (t - 1))
             assert rec.ratio > 0

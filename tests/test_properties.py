@@ -63,7 +63,7 @@ def check_gradient_against_finite_differences(rng, k, d):
     label = int(rng.integers(0, k))
 
     def loss(w, b):
-        p = softmax(forward(LinearHead(w, b), x))
+        p = softmax(forward(LinearHead(w, b), x[None])[0])
         return cross_entropy(p, label) + entropy(p)
 
     dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
@@ -78,8 +78,8 @@ def check_expansion_preserves_logits(rng, layout, d, n=1):
     before = forward(head, x)
     grown = expand_head(head, layout)
     assert np.array_equal(forward(grown, x)[:, : layout.step], before)
-    for row, logits in zip(x, before):
-        assert np.array_equal(forward(grown, row)[: layout.step], logits)
+    for i in range(n):
+        assert np.array_equal(forward(grown, x[i:i + 1])[:, : layout.step], before[i:i + 1])
 
 
 def check_sgd_step_reversible(rng, k, d):
@@ -140,8 +140,8 @@ def test_forward_batch_size_invariance(d, k, data):
     split = np.vstack([forward(head, part) for part in np.split(x, cuts)])
     assert np.array_equal(split, full)
     assert np.array_equal(forward(head, np.asfortranarray(x)), full)
-    for row, logits in zip(x, full):
-        assert np.array_equal(forward(head, row), logits)
+    for i in range(n):
+        assert np.array_equal(forward(head, x[i:i + 1]), full[i:i + 1])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -175,13 +175,13 @@ def logit_batches(draw, max_t=4):
 @settings(deadline=None, max_examples=150)
 def test_batch_detection_equals_row_by_row(batch, thresholds, w_mode):
     t, s, z = batch
-    records = classify_sample(z, t, s, *thresholds, w_mode)
+    records = classify_sample(z, s, *thresholds, w_mode)
     assert records.dtype.names == RECORD_DTYPE.names and records.shape == (len(z),)
     # masked_confidence and ratio are NaN at t = 1 and positive and finite after
     for name in ("masked_confidence", "ratio"):
         assert np.isnan(records[name]).all() if t == 1 else (records[name] > 0).all()
     for i in range(len(z)):
-        row = classify_sample(z[i:i + 1], t, s, *thresholds, w_mode)
+        row = classify_sample(z[i:i + 1], s, *thresholds, w_mode)
         assert row.decision[0] is records.decision[i]
         for name in RECORD_DTYPE.names:
             if name != "decision":  # bit equality, NaN included
@@ -195,24 +195,24 @@ def test_batch_detection_equals_row_by_row(batch, thresholds, w_mode):
 def test_misclassified_is_the_past_misclassified_branch(batch, thresholds, w_mode):
     t, s, z = batch
     beta, gamma = thresholds
-    records = classify_sample(z, t, s, beta, gamma, w_mode)
+    records = classify_sample(z, s, beta, gamma, w_mode)
     assert np.array_equal(misclassified(records, t, s, gamma, w_mode),
                           records.decision == OtdDecision.PAST_MISCLASSIFIED)
 
 
-def _detect(z, t, s, beta, gamma):
+def _detect(z, s, beta, gamma):
     """One sample's logits (s*t,) through classify_sample as a one-row batch."""
-    (rec,) = classify_sample(z[None], t, s, beta, gamma)
+    (rec,) = classify_sample(z[None], s, beta, gamma)
     return rec
 
 
 def check_first_stage_passthrough(z):
-    rec = _detect(z, t=1, s=len(z), beta=0.0, gamma=np.inf)
+    rec = _detect(z, s=len(z), beta=0.0, gamma=np.inf)
     assert rec.decision is OtdDecision.PASSTHROUGH
 
 
 def check_branch_ranges(z, t, s, beta, gamma):
-    rec = _detect(z, t, s, beta, gamma)
+    rec = _detect(z, s, beta, gamma)
     past = rec.initial_class < s * (t - 1)
     if rec.decision is OtdDecision.PAST_CORRECT:
         assert past
@@ -220,31 +220,31 @@ def check_branch_ranges(z, t, s, beta, gamma):
         assert not past
 
 
-def check_threshold_monotonicity(z, t, s):
+def check_threshold_monotonicity(z, s):
     for lo, hi in ((0.2, 0.7), (0.5, 0.95)):
-        d_lo = _detect(z, t, s, beta=lo, gamma=0.8).decision
-        d_hi = _detect(z, t, s, beta=hi, gamma=0.8).decision
+        d_lo = _detect(z, s, beta=lo, gamma=0.8).decision
+        d_hi = _detect(z, s, beta=hi, gamma=0.8).decision
         if d_hi is OtdDecision.PAST_CORRECT:
             assert d_lo is OtdDecision.PAST_CORRECT
-        g_lo = _detect(z, t, s, beta=0.8, gamma=lo).decision
-        g_hi = _detect(z, t, s, beta=0.8, gamma=hi).decision
+        g_lo = _detect(z, s, beta=0.8, gamma=lo).decision
+        g_hi = _detect(z, s, beta=0.8, gamma=hi).decision
         if g_lo is OtdDecision.PAST_MISCLASSIFIED:
             assert g_hi is OtdDecision.PAST_MISCLASSIFIED
 
 
 def check_masked_confidence_prefix_only(z, t, s, rng):
-    base = masked_confidence(z[None], t, s)
+    base = masked_confidence(z[None], s)
     bumped = z.copy()
     bumped[s * (t - 1):] += rng.standard_normal(s) * 50
-    assert masked_confidence(bumped[None], t, s) == base
+    assert masked_confidence(bumped[None], s) == base
 
 
 def check_extreme_thresholds(z, t, s):
     predicted = int(np.argmax(z))
-    d_beta0 = _detect(z, t, s, beta=0.0, gamma=0.8).decision
+    d_beta0 = _detect(z, s, beta=0.0, gamma=0.8).decision
     if predicted < s * (t - 1):
         assert d_beta0 is OtdDecision.PAST_CORRECT
-    d_ginf = _detect(z, t, s, beta=0.8, gamma=np.inf).decision
+    d_ginf = _detect(z, s, beta=0.8, gamma=np.inf).decision
     if t >= 2 and predicted >= s * (t - 1):
         assert d_ginf is OtdDecision.PAST_MISCLASSIFIED
 
@@ -262,40 +262,40 @@ def test_branch_structure_and_monotonicity(seed):
     for _ in range(40):
         z = 2.5 * rng.standard_normal(s * t)
         check_branch_ranges(z, t, s, 0.6, 0.9)
-        check_threshold_monotonicity(z, t, s)
+        check_threshold_monotonicity(z, s)
         check_masked_confidence_prefix_only(z, t, s, rng)
         check_extreme_thresholds(z, t, s)
 
 
 # ---------------------------------------------------------------- arc
 
-def check_correction_containment(z, t, s):
-    task, cls, _ = adaptive_correction(z, t, s, temperature=2.0)
+def check_correction_containment(z, s):
+    (task,), (cls,), _ = adaptive_correction(z[None], s, temperature=2.0)
     assert s * (task - 1) <= cls < s * task
 
 
 def check_tss_prefix_locality(z, t, s, rng):
-    base = tss(z, t, s, temperature=2.0)
+    (base,) = tss(z[None], s, temperature=2.0)
     for i in range(1, t):
         bumped = z.copy()
         bumped[s * i:] += rng.standard_normal(len(z) - s * i) * 30
-        assert np.array_equal(tss(bumped, t, s, 2.0)[:i], base[:i])
+        assert np.array_equal(tss(bumped[None], s, 2.0)[0, :i], base[:i])
 
 
 def check_tss_temperature_one(z, t, s):
-    scores = tss(z, t, s, temperature=1.0)
+    (scores,) = tss(z[None], s, temperature=1.0)
     for i in range(1, t + 1):
         plain = float(np.max(softmax(z[: s * i])[s * (i - 1): s * i]))
         assert scores[i - 1] == plain
 
 
-def check_decision_shift_invariance(z, t, s, shift):
-    d0 = _detect(z, t, s, 0.8, 0.8).decision
-    d1 = _detect(z + shift, t, s, 0.8, 0.8).decision
+def check_decision_shift_invariance(z, s, shift):
+    d0 = _detect(z, s, 0.8, 0.8).decision
+    d1 = _detect(z + shift, s, 0.8, 0.8).decision
     assert d0 is d1
     if d0 is OtdDecision.PAST_MISCLASSIFIED:
-        _, cls0, _ = adaptive_correction(z, t, s, 2.0)
-        _, cls1, _ = adaptive_correction(z + shift, t, s, 2.0)
+        _, cls0, _ = adaptive_correction(z[None], s, 2.0)
+        _, cls1, _ = adaptive_correction((z + shift)[None], s, 2.0)
         assert cls0 == cls1
 
 
@@ -329,14 +329,14 @@ def check_one_update_per_batch(rng):
 @settings(deadline=None, max_examples=150)
 def test_batch_tss_and_correction_equal_row_by_row(batch, temperature):
     t, s, z = batch
-    scores = tss(z, t, s, temperature)
-    tasks, classes, correction_scores = adaptive_correction(z, t, s, temperature)
+    scores = tss(z, s, temperature)
+    tasks, classes, correction_scores = adaptive_correction(z, s, temperature)
     assert scores.shape == (len(z), t)
     assert np.array_equal(correction_scores, scores)
-    for i, row in enumerate(z):
-        assert np.array_equal(tss(row, t, s, temperature), scores[i])
-        task, cls, _ = adaptive_correction(row, t, s, temperature)
-        assert (task, cls) == (tasks[i], classes[i])
+    for i in range(len(z)):
+        assert np.array_equal(tss(z[i:i + 1], s, temperature), scores[i:i + 1])
+        task, cls, _ = adaptive_correction(z[i:i + 1], s, temperature)
+        assert (task[0], cls[0]) == (tasks[i], classes[i])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -345,10 +345,10 @@ def test_correction_and_tss_properties(seed):
     t, s = int(rng.integers(2, 6)), int(rng.integers(1, 5))
     for _ in range(25):
         z = 3.0 * rng.standard_normal(s * t)
-        check_correction_containment(z, t, s)
+        check_correction_containment(z, s)
         check_tss_prefix_locality(z, t, s, rng)
         check_tss_temperature_one(z, t, s)
-        check_decision_shift_invariance(z, t, s, float(rng.uniform(-40, 40)))
+        check_decision_shift_invariance(z, s, float(rng.uniform(-40, 40)))
 
 
 @pytest.mark.parametrize("seed", range(3))
