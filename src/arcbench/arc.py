@@ -13,11 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LinearHead, forward, loss_gradient, sgd_step, softmax
+from .core import LOSSES, LinearHead, forward, loss_gradient, sgd_step, softmax
 from .otd import (RECORD_DTYPE, W_MODES, OtdDecision, check_thresholds, classify_sample,
                   logits_stage, misclassified)
-
-RETENTION_LOSSES = ("both", "ce", "em")
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,8 @@ class ArcConfig:
             raise ValueError("batch_size must be >= 1")
         if self.w_mode not in W_MODES:
             raise ValueError(f"w_mode must be one of {W_MODES}, got {self.w_mode!r}")
-        if self.retention_loss not in RETENTION_LOSSES:
-            raise ValueError(
-                f"retention_loss must be one of {RETENTION_LOSSES}, got {self.retention_loss!r}"
-            )
+        if self.retention_loss not in LOSSES:
+            raise ValueError(f"retention_loss must be one of {LOSSES}, got {self.retention_loss!r}")
 
     def trajectory(self) -> dict:
         """The fields, by name, that decide how the head moves over a stage's stream.
@@ -137,9 +133,7 @@ def adaptive_retention(
     if x.shape[0] == 0:
         return head, pseudo_labels, False
 
-    include_ce = cfg.retention_loss in ("both", "ce")
-    include_em = cfg.retention_loss in ("both", "em")
-    dw, db = loss_gradient(z, x, pseudo_labels, include_ce, include_em)
+    dw, db = loss_gradient(z, x, pseudo_labels, cfg.retention_loss)
     try:
         with np.errstate(over="raise", invalid="raise"):
             updated = sgd_step(head, dw, db, cfg.lr)

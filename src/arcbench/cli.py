@@ -212,7 +212,7 @@ class RunConfig:
             if not v["data.path"]:
                 raise ConfigError("data.path is required when data.source=embeddings")
             if not os.path.isfile(v["data.path"]):
-                raise ConfigError(f"data.path does not exist: {v['data.path']!r}")
+                raise ConfigError(f"data.path is not a file: {v['data.path']!r}")
         elif v["data.path"]:
             raise ConfigError("data.path is set but data.source is synthetic")
         if not v["run.seeds"]:
@@ -298,12 +298,17 @@ def _metadata(command: str, cfg: RunConfig) -> str:
 
 
 def _check_output_dir(output_dir: str) -> None:
-    """Reject a bundle location that is a file or a directory with entries."""
+    """Reject a bundle location that is a file, a directory with entries, or below a file."""
     output_dir = os.path.abspath(output_dir)  # "" names the working directory
     if os.path.isfile(output_dir):
         raise ConfigError(f"run.output_dir is a file: {output_dir}")
     if os.path.isdir(output_dir) and os.listdir(output_dir):
         raise ConfigError(f"run.output_dir already exists and is not empty: {output_dir}")
+    ancestor = os.path.dirname(output_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"run.output_dir lies below a file: {ancestor}")
 
 
 class Chunks:
@@ -326,9 +331,9 @@ def write_bundle(output_dir: str, files: dict[str, str | Chunks]) -> None:
     """Write each file, whole text or chunks as they come, to a temp directory,
     then promote the directory atomically; a chunk that raises leaves nothing."""
     output_dir = os.path.abspath(output_dir)
+    _check_output_dir(output_dir)  # again: it may have appeared while the command ran
     parent = os.path.dirname(output_dir)
     os.makedirs(parent, exist_ok=True)
-    _check_output_dir(output_dir)  # again: it may have appeared while the command ran
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
         for name, content in files.items():

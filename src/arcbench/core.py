@@ -16,6 +16,7 @@ from .seeding import substream
 
 # Floor under log() so losses stay finite; far below every test tolerance.
 EPS_LOG = 1e-12
+LOSSES = ("both", "ce", "em")  # loss_gradient's objectives: CE and entropy, or one
 
 
 @dataclass(frozen=True)
@@ -101,16 +102,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def loss_gradient(
-    z: np.ndarray, x: np.ndarray, labels: np.ndarray, include_ce: bool, include_em: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the softmax loss, averaged over a batch.
+def loss_gradient(z: np.ndarray, x: np.ndarray, labels: np.ndarray,
+                  loss: str) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of the softmax loss named by ``loss``, averaged over a batch.
 
     Takes logits z (n, K) = x W^T + b for features x (n, D) and one label
-    per row. Each row's objective is cross-entropy against its label plus
-    the entropy of its predicted distribution, either term switchable: the
-    training objective is cross-entropy alone (fit_task adds weight decay
-    outside), the retention objective both terms or either (ablations).
+    per row. Each row's objective is one of LOSSES: "ce", cross-entropy
+    against its label (training's objective; fit_task adds weight decay
+    outside), "em", the entropy of its predicted distribution, or "both",
+    their sum (retention's objective; the other two are its ablations).
     With p = softmax(z) for a row:
 
         d(CE)/dz = p - onehot(label)
@@ -120,13 +120,15 @@ def loss_gradient(
     each row's dL/dz, scaled by 1/n first, dW = (dz / n)^T x and
     db = sum(dz / n).
     """
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     n = z.shape[0]
     p = softmax(z)
     dz = np.zeros_like(p)
-    if include_ce:
+    if loss != "em":
         dz += p
         dz[np.arange(n), labels] -= 1.0
-    if include_em:
+    if loss != "ce":
         logp = np.log(np.clip(p, EPS_LOG, None))
         ent = -(p * logp).sum(axis=1)
         dz += -p * (logp + ent[:, None])
@@ -227,8 +229,7 @@ def fit_task(
                     batch = x[idx]
                     # plain matmul here: training is a hot loop and nothing
                     # downstream depends on its reduction order
-                    dw, db = loss_gradient(batch @ head.weights.T + head.bias, batch, y[idx],
-                                           True, False)
+                    dw, db = loss_gradient(batch @ head.weights.T + head.bias, batch, y[idx], "ce")
                     if cfg.weight_decay:
                         dw += cfg.weight_decay * head.weights
                     head = sgd_step(head, dw, db, cfg.lr)

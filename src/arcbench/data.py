@@ -109,9 +109,9 @@ class TaskStream:
         return self.train[0].features.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError on a stream the package cannot use; generating,
-        writing and training each call this. The loader does not: its own
-        checks on the file cover each of these, each feature checked once."""
+        """Raise ValueError on a stream the package cannot use; writing and
+        training each call this. Generating and loading do not: their own
+        checks cover each of these, each feature checked once."""
         if len(self.train) != self.layout.num_tasks or len(self.test) != self.layout.num_tasks:
             raise ValueError("stream must have one train and one test set per task")
         dim = self.dim
@@ -172,9 +172,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TaskStream:
                                  f"{spec.noise_sigma:g} give features beyond float32 range")
             labels = np.repeat(np.array(classes, dtype=np.int64), per_class)
             bucket.append(TaskData(feats, labels))
-    stream = TaskStream(layout, train, test)
-    stream.validate()
-    return stream
+    return TaskStream(layout, train, test)
 
 
 def write_embeddings(stream: TaskStream, path: str) -> None:

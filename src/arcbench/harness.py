@@ -366,24 +366,26 @@ def run_stream(
 ) -> RunResult:
     """Full protocol: sequential training plus paired plain / pipeline evaluation.
 
-    Each stage's plain accuracies and pipeline trace come from its own head
+    Each stage's plain predictions and pipeline trace come from its own head
     (see map_stages), so pipeline-side head updates never leak across stages.
-    Returns both accuracy matrices, every head and trace, and the final head's
-    plain predictions on task 1, which bias_histogram buckets.
+    Returns both accuracy matrices, every head and trace, and the final
+    stage's plain predictions on task 1, which bias_histogram buckets.
     """
 
-    def evaluate(t: int, head: LinearHead) -> tuple[StageTrace, list[float]]:
+    def evaluate(t: int, head: LinearHead) -> tuple[StageTrace, list[np.ndarray]]:
+        narrow = np.min_scalar_type(head.num_classes)  # every stage's predictions are held at once
         return (_stage_traces(stream, head, t, [arc_cfg], seed)[0],
-                [_plain_accuracy(head, test) for test in stream.test[:t]])
+                [forward(head, test.features).argmax(axis=1).astype(narrow)
+                 for test in stream.test[:t]])
 
     heads, stages = map_stages(stream, train_cfg, seed, evaluate)
     traces, plain = zip(*stages)
     r_arc = RMatrix.from_rows(_task_accuracies(trace.records.final_class, trace.true_labels,
                                                trace.true_tasks, trace.stage) for trace in traces)
-    task1_preds = None
-    if stream.layout.num_tasks >= 2:
-        task1_preds = forward(heads[-1], stream.test[0].features).argmax(axis=1)
-    return RunResult(r_arc, RMatrix.from_rows(plain), heads, list(traces), task1_preds)
+    r_plain = RMatrix.from_rows([np.mean(p == test.labels) for p, test in zip(row, stream.test)]
+                                for row in plain)
+    task1_preds = plain[-1][0] if stream.layout.num_tasks >= 2 else None
+    return RunResult(r_arc, r_plain, heads, list(traces), task1_preds)
 
 
 def pipeline_traces(

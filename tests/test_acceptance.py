@@ -88,7 +88,7 @@ def test_criterion_1_gradient_oracle():
             p = softmax(forward(LinearHead(w, b), x[None])[0])
             return cross_entropy(p, label) + entropy(p)
 
-        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
+        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), "both")
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
         worst = max(worst, relative_error(dw, fd_dw), relative_error(db, fd_db))
     report(1, "gradient oracle", worst <= 1e-5, f"max relative error {worst:.3g} <= 1e-5")

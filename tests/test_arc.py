@@ -135,7 +135,7 @@ class TestAdaptiveRetention:
         cfg = ArcConfig(lr=0.05)
         rows = x[None, :]
         updated, repreds, ok = adaptive_retention(head, rows, forward(head, rows), cfg)
-        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
+        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), "both")
         manual = sgd_step(head, dw, db, cfg.lr)
         assert ok
         assert np.array_equal(updated.weights, manual.weights)

@@ -48,6 +48,15 @@ def run_cli(args, capsys=None):
     return code
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the command if it reaches training."""
+    def train(*args, **kwargs):
+        raise AssertionError("trained before run.output_dir was checked")
+
+    monkeypatch.setattr("arcbench.harness.map_stages", train)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -156,29 +165,34 @@ class TestCmdRun:
     @pytest.mark.parametrize("occupant, message", [
         ("dir", "run.output_dir already exists and is not empty"),
         ("file", "run.output_dir is a file"),
+        ("below", "run.output_dir lies below a file"),
     ])
-    def test_occupied_output_named_before_training(self, tmp_path, capsys, monkeypatch,
+    def test_occupied_output_named_before_training(self, tmp_path, capsys, no_training,
                                                    command, occupant, message):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before run.output_dir was checked")
-
-        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
         out = tmp_path / "occupied"
         if occupant == "dir":
             out.mkdir()
             (out / "keep.txt").write_text("do not clobber")
         else:
             out.write_text("do not clobber")
-        assert run_cli([command, *TINY, "--run.output_dir", str(out)]) == 1
+        # a path below the file: the message names the file
+        target = out / "sub" / "bundle" if occupant == "below" else out
+        assert run_cli([command, *TINY, "--run.output_dir", str(target)]) == 1
         assert f"error: {message}: {out}\n" in capsys.readouterr().err
         assert (out / "keep.txt" if occupant == "dir" else out).read_text() == "do not clobber"
 
-    def test_empty_output_dir_named_before_training(self, tmp_path, capsys, monkeypatch):
-        # "" names the working directory, as the bundle writer resolves it
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before run.output_dir was checked")
+    def test_env_output_below_a_file_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                          no_training):
+        occupant = tmp_path / "occupied"
+        occupant.write_text("do not clobber")
+        monkeypatch.setenv("ARCBENCH_OUTPUT_DIR", str(occupant / "bundle"))
+        assert run_cli(["run", *TINY]) == 1
+        assert f"error: run.output_dir lies below a file: {occupant}\n" in capsys.readouterr().err
+        assert occupant.read_text() == "do not clobber"
 
-        monkeypatch.setattr("arcbench.harness.map_stages", no_training)
+    def test_empty_output_dir_named_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    no_training):
+        # "" names the working directory, as the bundle writer resolves it
         monkeypatch.chdir(tmp_path)
         (tmp_path / "keep.txt").write_text("do not clobber")
         assert run_cli(["probe", *TINY, "--run.output_dir", ""]) == 1
@@ -743,6 +757,9 @@ class TestConfigBoundary:
         ({"run.seeds": " , "}, "run.seeds must list at least one seed"),
         ({"run.seeds": "0,-1"}, "run.seeds must be nonnegative"),
         ({"data.path": "/nonexistent"}, "data.path is set but data.source is synthetic"),
+        ({"data.source": "embeddings", "data.path": "/nonexistent"},
+         "data.path is not a file: '/nonexistent'"),
+        ({"data.source": "embeddings", "data.path": "."}, "data.path is not a file: '.'"),
     ])
     def test_run_config_errors(self, flags, message):
         with pytest.raises(ConfigError, match=message):

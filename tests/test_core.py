@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arcbench.core import (
+    LOSSES,
     LinearHead,
     TaskLayout,
     TrainConfig,
@@ -103,18 +104,18 @@ class TestRetentionGradient:
         head = LinearHead(np.zeros((5, 3)), np.zeros(5))
         x = np.array([0.3, -1.2, 2.0])
         z, rows, label = forward(head, x[None]), x[None], np.array([2])
-        dw, db = loss_gradient(z, rows, label, True, True)
-        dw_ce, db_ce = loss_gradient(z, rows, label, True, False)
+        dw, db = loss_gradient(z, rows, label, "both")
+        dw_ce, db_ce = loss_gradient(z, rows, label, "ce")
         assert np.allclose(dw, dw_ce, rtol=0, atol=1e-14)
         assert np.allclose(db, db_ce, rtol=0, atol=1e-14)
-        dw_em, db_em = loss_gradient(z, rows, label, False, True)
+        dw_em, db_em = loss_gradient(z, rows, label, "em")
         assert np.max(np.abs(dw_em)) < 1e-14
         assert np.max(np.abs(db_em)) < 1e-14
 
     def test_one_hot_prediction_has_vanishing_gradient(self):
         head = LinearHead(np.zeros((4, 2)), np.array([60.0, 0.0, 0.0, 0.0]))
         x = np.array([[0.5, 0.5]])
-        dw, db = loss_gradient(forward(head, x), x, np.array([0]), True, True)
+        dw, db = loss_gradient(forward(head, x), x, np.array([0]), "both")
         assert np.max(np.abs(dw)) < 1e-12
         assert np.max(np.abs(db)) < 1e-12
 
@@ -128,7 +129,7 @@ class TestRetentionGradient:
             p = softmax(forward(probe, x[None])[0])
             return cross_entropy(p, 4) + entropy(p)
 
-        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([4]), True, True)
+        dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([4]), "both")
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
@@ -137,20 +138,14 @@ class TestRetentionGradient:
         rng = np.random.default_rng(23)
         head = random_head(rng, k=4, d=3)
         x = rng.standard_normal(3)
-        for include_ce, include_em in ((True, False), (False, True)):
+        for terms in ("ce", "em"):
 
             def loss(w, b):
                 probe = LinearHead(w, b)
                 p = softmax(forward(probe, x[None])[0])
-                total = 0.0
-                if include_ce:
-                    total += cross_entropy(p, 1)
-                if include_em:
-                    total += entropy(p)
-                return total
+                return cross_entropy(p, 1) if terms == "ce" else entropy(p)
 
-            dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([1]),
-                                   include_ce, include_em)
+            dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([1]), terms)
             fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
             assert relative_error(dw, fd_dw) <= 1e-5
             assert relative_error(db, fd_db) <= 1e-5
@@ -162,23 +157,29 @@ class TestRetentionGradient:
         head = random_head(rng, k=4, d=3)
         x = rng.standard_normal((n, 3))
         labels = rng.integers(0, 4, n)
-        include_ce, include_em = terms in ("both", "ce"), terms in ("both", "em")
 
         def loss(w, b):
             probe = LinearHead(w, b)
             total = 0.0
             for xi, yi in zip(x, labels):
                 p = softmax(forward(probe, xi[None])[0])
-                if include_ce:
+                if terms in ("both", "ce"):
                     total += cross_entropy(p, int(yi))
-                if include_em:
+                if terms in ("both", "em"):
                     total += entropy(p)
             return total / n
 
-        dw, db = loss_gradient(forward(head, x), x, labels, include_ce, include_em)
+        dw, db = loss_gradient(forward(head, x), x, labels, terms)
         fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias)
         assert relative_error(dw, fd_dw) <= 1e-5
         assert relative_error(db, fd_db) <= 1e-5
+
+    @pytest.mark.parametrize("loss", ["none", "", "CE", None])
+    def test_unknown_loss_rejected(self, loss):
+        x = np.ones((1, 2))
+        with pytest.raises(ValueError) as err:
+            loss_gradient(forward(new_head(2, 3), x), x, np.array([0]), loss)
+        assert str(err.value) == f"loss must be one of {LOSSES}, got {loss!r}"
 
 
 class TestSgdStep:
@@ -283,7 +284,7 @@ class TestFitTask:
         cfg = TrainConfig(epochs=1, batch_size=64, lr=0.3, weight_decay=1e-2)
         order = substream(9).permutation(40)
         rows = x[order]
-        dw, db = loss_gradient(rows @ head.weights.T + head.bias, rows, y[order], True, False)
+        dw, db = loss_gradient(rows @ head.weights.T + head.bias, rows, y[order], "ce")
         dw += cfg.weight_decay * head.weights
         expected = sgd_step(head, dw, db, cfg.lr)
         out = fit_task(head, x, y, cfg, seed=9)

@@ -184,6 +184,16 @@ class TestRunStream:
         counts = bias_histogram(small_run.task1_predictions, labels, small_stream.layout)
         assert counts.sum() == wrong
 
+    def test_plain_matrix_and_task1_predictions_from_each_stage_head(self, small_stream,
+                                                                    small_run):
+        for t, head in enumerate(small_run.stage_heads, start=1):
+            for i, test in enumerate(small_stream.test[:t], start=1):
+                predicted = forward(head, test.features).argmax(axis=1)
+                assert small_run.r_without_arc.entry(t, i) == np.mean(predicted == test.labels)
+        # task 1's row of the last stage: the predictions R[N][1] was scored from
+        expected = forward(small_run.stage_heads[-1], small_stream.test[0].features).argmax(axis=1)
+        assert np.array_equal(small_run.task1_predictions, expected)
+
     def test_arc_last_only_adapts_final_stage(self, small_stream):
         cfg = ArcConfig(arc_last=True, batch_size=8, beta=0.0, gamma=10.0)
         res = run_stream(small_stream, FAST_TRAIN, cfg, seed=5)

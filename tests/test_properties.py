@@ -66,7 +66,7 @@ def check_gradient_against_finite_differences(rng, k, d):
         p = softmax(forward(LinearHead(w, b), x[None])[0])
         return cross_entropy(p, label) + entropy(p)
 
-    dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), True, True)
+    dw, db = loss_gradient(forward(head, x[None]), x[None], np.array([label]), "both")
     fd_dw, fd_db = fd_gradient(loss, head.weights, head.bias, step=1e-4)
     assert relative_error(dw, fd_dw) <= 1e-5
     assert relative_error(db, fd_db) <= 1e-5
