@@ -1,106 +1,13 @@
 """Class-incremental learning benchmark with test-time classifier retention
-and correction over frozen feature vectors."""
+and correction over frozen feature vectors. The package root binds what README
+and the demos import; every other name imports from its module."""
 
 __version__ = "0.1.0"
 
-from .arc import (
-    ArcConfig,
-    ArcEvalResult,
-    adaptive_correction,
-    adaptive_retention,
-    arc_evaluate,
-    tss,
-)
-from .core import (
-    EPS_LOG,
-    LinearHead,
-    TaskLayout,
-    TrainConfig,
-    expand_head,
-    fit_task,
-    forward,
-    loss_gradient,
-    new_head,
-    sgd_step,
-    softmax,
-)
-from .data import (
-    EmbeddingFormatError,
-    SyntheticSpec,
-    TaskData,
-    TaskStream,
-    generate_synthetic,
-    load_embeddings,
-    streams_equal,
-    write_embeddings,
-)
-from .harness import (
-    OtdValidationReport,
-    ProbeRow,
-    RMatrix,
-    RunResult,
-    StageTrace,
-    ablation_grid,
-    average_accuracy,
-    bias_histogram,
-    forgetting,
-    linear_probe_experiment,
-    map_stages,
-    otd_validation,
-    pipeline_traces,
-    run_stream,
-    train_sequence,
-)
-from .otd import (
-    OtdDecision,
-    classify_sample,
-    confidence,
-    masked_confidence,
-)
-
-__all__ = [
-    "ArcConfig",
-    "ArcEvalResult",
-    "EPS_LOG",
-    "EmbeddingFormatError",
-    "LinearHead",
-    "OtdDecision",
-    "OtdValidationReport",
-    "ProbeRow",
-    "RMatrix",
-    "RunResult",
-    "StageTrace",
-    "SyntheticSpec",
-    "TaskData",
-    "TaskLayout",
-    "TaskStream",
-    "TrainConfig",
-    "ablation_grid",
-    "adaptive_correction",
-    "adaptive_retention",
-    "arc_evaluate",
-    "average_accuracy",
-    "bias_histogram",
-    "classify_sample",
-    "confidence",
-    "expand_head",
-    "fit_task",
-    "forgetting",
-    "forward",
-    "generate_synthetic",
-    "linear_probe_experiment",
-    "load_embeddings",
-    "loss_gradient",
-    "map_stages",
-    "masked_confidence",
-    "new_head",
-    "otd_validation",
-    "pipeline_traces",
-    "run_stream",
-    "sgd_step",
-    "softmax",
-    "streams_equal",
-    "train_sequence",
-    "tss",
-    "write_embeddings",
-]
+from .arc import ArcConfig, adaptive_correction, tss
+from .core import TrainConfig, forward
+from .data import (EmbeddingFormatError, SyntheticSpec, generate_synthetic, load_embeddings,
+                   streams_equal, write_embeddings)
+from .harness import (ablation_grid, average_accuracy, bias_histogram, forgetting,
+                      linear_probe_experiment, run_stream, train_sequence)
+from .otd import OtdDecision, classify_sample

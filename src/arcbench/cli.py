@@ -11,6 +11,8 @@ failures never leave a partial bundle.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import io
 import os
 import platform
@@ -62,9 +64,11 @@ def _parse_bool(text: str) -> bool:
 
 def _list_of(item: type):
     """Parser for a comma-separated list. A list value names each item once:
-    a repeat would duplicate output rows."""
+    a repeat would duplicate output rows, and no item would leave none."""
     def parse(text: str) -> list:
         values = [item(part) for part in map(str.strip, text.split(",")) if part]
+        if not values:
+            raise ValueError("must list at least one value")
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"repeated value {value!r}")
@@ -216,8 +220,6 @@ class RunConfig:
                 raise ConfigError(f"data.path is not a file: {v['data.path']!r}")
         elif v["data.path"]:
             raise ConfigError("data.path is set but data.source is synthetic")
-        if not v["run.seeds"]:
-            raise ConfigError("run.seeds must list at least one seed")
         if any(seed < 0 for seed in v["run.seeds"]):
             raise ConfigError("run.seeds must be nonnegative")
         _check_output_dir(v["run.output_dir"])
@@ -277,12 +279,41 @@ def _columns(cls) -> list[str]:
     return [f.name for f in fields(cls)]
 
 
+def blas_name() -> str:
+    """numpy's BLAS as "name version", or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return "unknown"
+
+
+def blas_core() -> str:
+    """The kernel family OpenBLAS runs on this CPU (its core type), read from the
+    scipy-openblas library numpy loaded, or "unknown" for a BLAS that does not say."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in libs:
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _metadata(command: str, cfg: RunConfig) -> str:
-    """Provenance and the effective config; called once the command's work is done."""
+    """Provenance and the effective config; called once the command's work is done.
+    The BLAS and its thread settings can move a result's last bits."""
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
     lines = [f"arcbench version = {__version__}", f"command = {command}",
              f"numpy version = {np.__version__}",
              f"python version = {platform.python_version()}",
-             f"platform = {platform.platform()}"]
+             f"platform = {platform.platform()}",
+             f"blas = {blas_name()}, core {blas_core()}",
+             f"blas threads = {threads}"]
     if cfg.values["data.source"] == "embeddings":
         stream = cfg._embeddings  # the data.* generator keys below do not apply to it
         lines.append(f"data.path sha256 = {stream.sha256}")  # hashed as it loaded

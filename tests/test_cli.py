@@ -22,6 +22,8 @@ from arcbench.cli import (
     RunConfig,
     _effective_config,
     _record_text,
+    blas_core,
+    blas_name,
     main,
     read_config_file,
     render_csv,
@@ -289,13 +291,20 @@ class TestCmdRun:
         assert csvs["embeddings"]
         assert csvs["embeddings"] == csvs["synthetic"]
 
-    def test_metadata_provenance(self, tmp_path):
+    def test_metadata_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
         out = tmp_path / "bundle"
         assert run_cli(["run", *TINY, "--run.seeds", "0", "--run.output_dir", str(out)]) == 0
         lines = (out / "metadata.txt").read_text().splitlines()
         assert f"numpy version = {np.__version__}" in lines
         assert f"python version = {platform.python_version()}" in lines
         assert f"platform = {platform.platform()}" in lines
+        # the golden manifest's key reads the same two functions
+        assert f"blas = {blas_name()}, core {blas_core()}" in lines
+        assert ("blas threads = OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset, "
+                "MKL_NUM_THREADS=") in lines
         assert not any("sha256" in line for line in lines)  # synthetic data has no input file
 
     def test_embeddings_with_empty_test_split_named(self, tmp_path, capsys):
@@ -417,14 +426,15 @@ class TestCmdAblate:
         assert variant_row[6] == arc_row[2]  # identical 17-digit text
         assert variant_row[7] == arc_row[3]
 
-    def test_empty_variant_set(self, tmp_path):
+    def test_empty_variant_set(self, tmp_path, capsys):
+        """An empty axis would leave a report with a header and no rows."""
+        path = tmp_path / "empty.cfg"
+        path.write_text("ablate.losses =\n")
         out = tmp_path / "bundle"
-        code = run_cli(["ablate", *TINY, "--ablate.losses", "", "--run.output_dir", str(out)])
-        assert code == 0
-        assert read_rows(out / "ablation.csv") == [
-            ["seed", "loss", "temperature", "w_mode", "beta", "gamma",
-             "average_accuracy", "forgetting"]
-        ]
+        assert run_cli(["ablate", *TINY, "--config", str(path), "--run.output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: bad value for 'ablate.losses' (from config "
+                                           "file): must list at least one value\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "probe", "ablate", "validate-otd"])
     @pytest.mark.parametrize("key, value, message", [
@@ -536,16 +546,17 @@ class TestCmdValidateOtd:
         assert "otd.betas" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_no_betas_writes_headers_without_training(self, tmp_path, monkeypatch):
+    def test_no_betas_rejected_without_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("trained with no beta to evaluate")
 
         monkeypatch.setattr("arcbench.harness.map_stages", no_training)
         out = tmp_path / "bundle"
         assert run_cli(["validate-otd", *TINY, "--otd.betas", "",
-                        "--run.output_dir", str(out)]) == 0
-        for name in ("otd_validation.csv", "arc_records.csv"):
-            assert len(read_rows(out / name)) == 1  # the header alone
+                        "--run.output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: bad value for 'otd.betas' (from flag): "
+                                           "must list at least one value\n")
+        assert not out.exists()
 
 
 class TestTrainingErrors:
@@ -773,13 +784,15 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("flags, message", [
         ({"data.source": "images"}, "data.source must be synthetic or embeddings"),
         ({"data.source": "embeddings"}, "data.path is required when data.source=embeddings"),
-        ({"run.seeds": ""}, "run.seeds must list at least one seed"),
-        ({"run.seeds": " , "}, "run.seeds must list at least one seed"),
+        ({"run.seeds": ""}, r"'run.seeds' \(from flag\): must list at least one value"),
+        ({"run.seeds": " , "}, r"'run.seeds' \(from flag\): must list at least one value"),
         ({"run.seeds": "0,-1"}, "run.seeds must be nonnegative"),
         ({"data.path": "/nonexistent"}, "data.path is set but data.source is synthetic"),
         ({"data.source": "embeddings", "data.path": "/nonexistent"},
          "data.path is not a file: '/nonexistent'"),
         ({"data.source": "embeddings", "data.path": "."}, "data.path is not a file: '.'"),
+        ({"ablate.betas": ""}, r"'ablate.betas' \(from flag\): must list at least one value"),
+        ({"otd.betas": " "}, r"'otd.betas' \(from flag\): must list at least one value"),
     ])
     def test_run_config_errors(self, flags, message):
         with pytest.raises(ConfigError, match=message):

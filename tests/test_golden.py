@@ -19,25 +19,28 @@ A change meant to move the numbers regenerates the manifest with --write
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
-import ctypes
-import glob
+import ast
 import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
 
-from arcbench.cli import main
+import arcbench
+from arcbench.cli import blas_core, blas_name, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST = os.path.join(HERE, "golden_hashes.json")
 SRC = os.path.join(HERE, os.pardir, "src")
 DEMOS = os.path.join(HERE, os.pardir, "demos")
+README = os.path.join(HERE, os.pardir, "README.md")
 CONFIGS = os.path.abspath(os.path.join(HERE, os.pardir, "configs"))
 
 COMMANDS = {
@@ -53,30 +56,6 @@ COMMANDS = {
     "validate-otd": ["validate-otd"],
     "probe": ["probe"],
 }
-
-
-def blas_name() -> str:
-    """numpy's BLAS as "name version", or "unknown"."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
-        return "unknown"
-
-
-def blas_core() -> str:
-    """The kernel family OpenBLAS runs on this CPU (its core type), read from the
-    scipy-openblas library numpy loaded, or "unknown" for a BLAS that does not say."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for path in libs:
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def platform_key() -> dict:
@@ -154,6 +133,25 @@ def test_demo_output_matches_golden_hashes():
     assert sorted(got) == sorted(manifest["demos"])
     for name, digest in manifest["demos"].items():
         assert got[name] == digest, f"{name}: stdout differs from the golden manifest"
+
+
+def test_package_root_binds_what_readme_and_demos_import():
+    """Read, not run, so it holds on any platform: every name that README's
+    python blocks and the demos import from arcbench is bound at the package
+    root, and the root binds no other public name but EmbeddingFormatError,
+    which a library caller catches."""
+    with open(README, encoding="utf-8") as fh:
+        sources = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    for name in sorted(os.listdir(DEMOS)):
+        if name.endswith(".py"):
+            with open(os.path.join(DEMOS, name), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    imported = {alias.name for source in sources for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "arcbench"
+                for alias in node.names}
+    bound = {name for name, value in vars(arcbench).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == imported | {"EmbeddingFormatError"}
 
 
 def _leaves(tree: dict, prefix: str = "") -> dict:
