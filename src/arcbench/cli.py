@@ -207,6 +207,8 @@ class RunConfig:
     train: TrainConfig = field(init=False)
     arc: ArcConfig = field(init=False)
     otd_arcs: list[ArcConfig] = field(init=False)  # cfg.arc at each otd.betas value
+    # (one value per ablate.* axis, in ABLATE_COLUMNS order; its arc config) per ablation.csv row
+    ablate_cells: list[tuple[tuple, ArcConfig]] = field(init=False)
     spec: SyntheticSpec | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -231,11 +233,14 @@ class RunConfig:
             self.arc = _by_field(ArcConfig, v, "arc")
         with _named("otd.betas: "):
             self.otd_arcs = [replace(self.arc, beta=beta) for beta in v["otd.betas"]]
-        # each value of an ablate axis once, on the arc config
+        cells = [((), self.arc)]
         for key, set_axis in ABLATE_AXES.items():
             with _named(f"{key}: "):
-                for value in v[key]:
-                    set_axis(self.arc, value)
+                cells = [((*cell, value), set_axis(arc, value))
+                         for cell, arc in cells for value in v[key]]
+        # sorted as text by row_key, so gamma 10 comes before gamma 2
+        row_key = "loss={},temp={},w={},beta={:g},gamma={:g}".format
+        self.ablate_cells = sorted(cells, key=lambda pair: row_key(*pair[0]))
         if v["data.source"] == "synthetic":
             with _named("data."):
                 self.spec = _by_field(SyntheticSpec, v, "data", seed=0)
@@ -492,20 +497,8 @@ def cmd_probe(cfg: RunConfig) -> tuple[dict[str, str], str]:
             f"probe rows: {len(rows)}")
 
 
-def _ablation_cells(cfg: RunConfig) -> list[tuple[tuple, ArcConfig]]:
-    """Each cell of the ablate.* grid (one value per axis, in ABLATE_COLUMNS
-    order) with its arc config, in ablation.csv's row order: sorted as text
-    by row_key, so gamma 10 comes before gamma 2."""
-    cells = [((), cfg.arc)]
-    for key, set_axis in ABLATE_AXES.items():
-        cells = [((*cell, value), set_axis(arc, value))
-                 for cell, arc in cells for value in cfg.values[key]]
-    row_key = "loss={},temp={},w={},beta={:g},gamma={:g}".format
-    return sorted(cells, key=lambda pair: row_key(*pair[0]))
-
-
 def cmd_ablate(cfg: RunConfig) -> tuple[dict[str, str], str]:
-    cells = _ablation_cells(cfg)
+    cells = cfg.ablate_cells
     rows = []
     for seed in cfg.seeds:
         stream = cfg.stream_for_seed(seed)

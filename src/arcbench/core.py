@@ -98,7 +98,10 @@ def forward(head: LinearHead, x: np.ndarray) -> np.ndarray:
     classes, the batch size or the memory order of ``x``), so expanding the
     head preserves old classes' logits bit for bit and any split of a batch
     gives the same logits. ``x @ W.T`` and einsum on non-contiguous input
-    both break these invariances.
+    both break these invariances. The whole input is widened to float64
+    first: einsum casts a float32 operand in 8192-element buffers, which
+    splits the reduction over D, so above D = 8192 a float32 batch would
+    not give the logits of its float64 widening.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != head.dim:

@@ -31,8 +31,7 @@ import numpy as np
 from .core import TaskLayout, substream
 
 _MEANS_CODE = 2
-_SPLIT_CODES = {"train": 0, "test": 1}
-_SPLIT_NAMES = tuple(_SPLIT_CODES)
+_SPLIT_NAMES = ("train", "test")  # by split code, in EMB1 records and substream keys
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sHIIIQ")
@@ -112,19 +111,29 @@ class TaskStream:
         checks cover each of these, each feature checked once."""
         if len(self.train) != self.layout.num_tasks or len(self.test) != self.layout.num_tasks:
             raise ValueError("stream must have one train and one test set per task")
-        dim = self.dim
         for name, split in zip(_SPLIT_NAMES, (self.train, self.test)):
             for task_index, data in enumerate(split, start=1):
+                # task 1's train split comes first, so self.dim is read once it is 2-D
+                shape = data.features.shape
+                if len(shape) != 2 or shape[1] < 1:
+                    raise ValueError(f"task {task_index} {name} split's features must be 2-D "
+                                     f"with at least one column, got shape {shape}")
+                if shape[1] != self.dim:
+                    raise ValueError(f"task {task_index} {name} split has {shape[1]} features "
+                                     f"per row, task 1's train split {self.dim}")
                 if not len(data):
                     raise ValueError(f"task {task_index} has an empty {name} split")
-                if data.features.ndim != 2 or data.features.shape[1] != dim:
-                    raise ValueError("feature dimensions not uniform")
                 if not np.isfinite(data.features).all():
                     raise ValueError(f"task {task_index} {name} split has non-finite features")
-                if len(data.labels) != len(data):
+                labels = data.labels
+                if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                        and labels.dtype.kind in "iu"):
+                    raise ValueError(f"task {task_index} {name} split's labels must be a 1-D "
+                                     "integer array")
+                if len(labels) != len(data):
                     raise ValueError("labels must be one per feature row")
                 ok = self.layout.class_range(task_index)
-                if not ((data.labels >= ok.start) & (data.labels < ok.stop)).all():
+                if not ((labels >= ok.start) & (labels < ok.stop)).all():
                     raise ValueError(f"labels outside task {task_index}'s class range")
 
 
@@ -144,27 +153,28 @@ def streams_equal(a: TaskStream, b: TaskStream) -> bool:
     return True
 
 
-def _draw_class(spec: SyntheticSpec, task: int, cls: int, split: str, count: int) -> np.ndarray:
+def _draw_class(spec: SyntheticSpec, task: int, cls: int, counts: tuple) -> list[np.ndarray]:
+    """One class's features, counts[code] rows for each split code, around one
+    mean drawn once; float32, the on-disk precision, so write/load is bit-exact
+    (entry points widen)."""
     mean = spec.mean_scale * substream(spec.seed, task, cls, _MEANS_CODE).standard_normal(spec.dim)
-    rng = substream(spec.seed, task, cls, _SPLIT_CODES[split])
-    x = mean + spec.noise_sigma * rng.standard_normal((count, spec.dim))
-    # float32, the on-disk precision: write/load is bit-exact; entry points widen
-    return x.astype(np.float32)
+    noise = (substream(spec.seed, task, cls, code).standard_normal((count, spec.dim))
+             for code, count in enumerate(counts))
+    return [(mean + spec.noise_sigma * z).astype(np.float32) for z in noise]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TaskStream:
     """Deterministic task stream: a pure function of the spec (seed included)."""
     layout = spec.layout
+    counts = (spec.train_per_class, spec.test_per_class)  # per class, by split code
     train: list[TaskData] = []
     test: list[TaskData] = []
     for task in range(1, spec.num_tasks + 1):
         classes = list(layout.class_range(task))
-        for split, per_class, bucket in (
-            ("train", spec.train_per_class, train),
-            ("test", spec.test_per_class, test),
-        ):
-            with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
-                feats = np.vstack([_draw_class(spec, task, c, split, per_class) for c in classes])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            draws = [_draw_class(spec, task, c, counts) for c in classes]
+        for split_draws, per_class, bucket in zip(zip(*draws), counts, (train, test)):
+            feats = np.vstack(split_draws)
             if not np.isfinite(feats).all():
                 raise ValueError(f"mean_scale {spec.mean_scale:g} and noise_sigma "
                                  f"{spec.noise_sigma:g} give features beyond float32 range")
@@ -177,8 +187,6 @@ def write_embeddings(stream: TaskStream, path: str) -> None:
     """Serialize a stream to an EMB1 file (canonical order: task, train-then-test)."""
     stream.validate()
     dim = stream.dim
-    if dim < 1:
-        raise ValueError("cannot write a stream with zero feature dimension")
     count = sum(len(d) for d in stream.train) + sum(len(d) for d in stream.test)
     layout = stream.layout
     records = np.zeros(count, _record_dtype(dim))

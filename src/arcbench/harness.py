@@ -371,20 +371,19 @@ def run_stream(
     stage's plain predictions on task 1, which bias_histogram buckets.
     """
 
-    def evaluate(t: int, head: LinearHead) -> tuple[StageTrace, list[np.ndarray]]:
-        narrow = np.min_scalar_type(head.num_classes)  # every stage's predictions are held at once
-        return (_stage_traces(stream, head, t, [arc_cfg], seed)[0],
-                [forward(head, test.features).argmax(axis=1).astype(narrow)
-                 for test in stream.test[:t]])
+    def evaluate(t: int, head: LinearHead) -> tuple:
+        # the trace, both rows and, at the final stage, the plain task-1 predictions
+        trace = _stage_traces(stream, head, t, [arc_cfg], seed)[0]
+        plain = [forward(head, test.features).argmax(axis=1) for test in stream.test[:t]]
+        return (trace,
+                _task_accuracies(trace.records.final_class, trace.true_labels, trace.true_tasks, t),
+                [np.mean(p == test.labels) for p, test in zip(plain, stream.test)],
+                plain[0] if t == stream.layout.num_tasks > 1 else None)
 
     heads, stages = map_stages(stream, train_cfg, seed, evaluate)
-    traces, plain = zip(*stages)
-    r_arc = RMatrix.from_rows(_task_accuracies(trace.records.final_class, trace.true_labels,
-                                               trace.true_tasks, trace.stage) for trace in traces)
-    r_plain = RMatrix.from_rows([np.mean(p == test.labels) for p, test in zip(row, stream.test)]
-                                for row in plain)
-    task1_preds = plain[-1][0] if stream.layout.num_tasks >= 2 else None
-    return RunResult(r_arc, r_plain, heads, list(traces), task1_preds)
+    traces, arc_rows, plain_rows, task1_preds = zip(*stages)
+    return RunResult(RMatrix.from_rows(arc_rows), RMatrix.from_rows(plain_rows), heads,
+                     list(traces), task1_preds[-1])
 
 
 def pipeline_traces(

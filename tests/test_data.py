@@ -402,6 +402,38 @@ class TestEmbeddingValidation:
             write_embeddings(stream, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda s: setattr(s.train[0], "features", np.zeros(4, np.float32)),
+         r"task 1 train split's features must be 2-D with at least one column, got shape \(4,\)"),
+        (lambda s: [setattr(d, "features", d.features[:, :0]) for d in s.train + s.test],
+         r"task 1 train split's features must be 2-D with at least one column, "
+         r"got shape \(15, 0\)"),
+        (lambda s: setattr(s.test[1], "features", s.test[1].features[:, :3]),
+         r"task 2 test split has 3 features per row, task 1's train split 4"),
+        (lambda s: setattr(s.test[1], "labels", s.test[1].labels + 0.5),
+         r"task 2 test split's labels must be a 1-D integer array"),
+        (lambda s: setattr(s.train[0], "labels", s.train[0].labels > 0),
+         r"task 1 train split's labels must be a 1-D integer array"),
+    ], ids=["1d-features", "zero-width", "other-width", "float-labels", "bool-labels"])
+    def test_bad_shape_or_label_type_rejected_at_the_boundary(self, tmp_path, monkeypatch,
+                                                              corrupt, message):
+        stream = generate_synthetic(SMALL)
+        corrupt(stream)
+        message = f"^{message}$"
+        with pytest.raises(ValueError, match=message):
+            stream.validate()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "fit_task", no_training)
+        with pytest.raises(ValueError, match=message):
+            run_stream(stream, TrainConfig(epochs=1), ArcConfig(), seed=0)
+        path = tmp_path / "bad.emb1"
+        with pytest.raises(ValueError, match=message):
+            write_embeddings(stream, str(path))
+        assert not path.exists()
+
     def test_float64_beyond_float32_range_not_written(self, tmp_path):
         stream = generate_synthetic(SMALL)
         wide = stream.test[0].features.astype(np.float64)

@@ -127,10 +127,12 @@ def test_expansion_preserves_old_logits_default_step(seed, d):
                                      n=int(rng.integers(2, 100)))
 
 
-@pytest.mark.parametrize("d, k", [(768, 20), (3, 7)])
+@pytest.mark.parametrize("d, k", [(768, 20), (3, 7), (9000, 3)])
 @given(data=st.data())
 @settings(deadline=None, max_examples=25)
 def test_forward_batch_size_invariance(d, k, data):
+    # D = 9000 is past einsum's 8192-element cast buffer: a float32 operand
+    # would split the reduction over D, so forward widens its whole input
     n = data.draw(st.integers(1, 60), label="n")
     cuts = data.draw(st.lists(st.integers(0, n), max_size=5).map(sorted), label="cuts")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -142,6 +144,8 @@ def test_forward_batch_size_invariance(d, k, data):
     assert np.array_equal(forward(head, np.asfortranarray(x)), full)
     for i in range(n):
         assert np.array_equal(forward(head, x[i:i + 1]), full[i:i + 1])
+    x32 = x.astype(np.float32)
+    assert np.array_equal(forward(head, x32), forward(head, x32.astype(np.float64)))
 
 
 @pytest.mark.parametrize("seed", range(5))
