@@ -32,9 +32,14 @@ def substream(*key: int) -> np.random.Generator:
         substream(seed, 0, PROBE_TAG, task)  -> a task's probe fit (stage 0 is
                                                 no stage, so no other key shares it)
 
-    Tasks and stages count from 1; the tags live in harness. Keys of up to
-    four parts that differ only by trailing zeros seed the same stream: at the
-    default layout (seed, 2, TRAIN_TAG) is also class 11's train-draw key.
+    Tasks and stages count from 1; the tags live in harness. Two kinds of
+    harness key seed the same stream as a data key (ROADMAP item 4 makes them
+    disjoint). Padding: keys of up to four parts that differ only by trailing
+    zeros are one key, so (seed, t, TRAIN_TAG) is class 11's train-draw key
+    when task t owns class 11, and (seed, t, EVAL_TAG) is class 12's when it
+    owns class 12. Exact: at step >= 14, the stage-1 replay keys
+    (seed, 1, REPLAY_TAG, c) for c = 0, 1, 2 are class 13's train, test and
+    mean keys.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 

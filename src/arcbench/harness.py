@@ -6,9 +6,12 @@ stage: plain argmax and the full test-time pipeline. Stage t is evaluated
 from head t alone, so every experiment is one map_stages call (which on
 Linux with a second CPU trains in a forked child and shares the stages
 between the two processes) and then assembles the per-stage results; probe
-t is fitted in stage t's work. Each lower-triangular accuracy matrix is
-built in one call from the stages' rows, and the matrices are the only scores
-an experiment returns: average accuracy and forgetting are functions of one.
+t is fitted in stage t's work. The three pipeline experiments share one
+stage function, _stage_traces: stage t's test sets shuffled once, then one
+arc_evaluate call per group of configs. Each lower-triangular accuracy
+matrix is built in one call from the stages' rows, and the matrices are the
+only scores an experiment returns: average accuracy and forgetting are
+functions of one.
 Its substream keys carry the tags below (see core.substream).
 """
 
@@ -21,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .arc import ArcConfig, ArcEvalResult, arc_evaluate
+from .arc import ArcConfig, arc_evaluate
 from .core import (LinearHead, TaskLayout, TrainConfig, expand_head, fit_task, forward,
                    new_head, substream)
 from .data import TaskData, TaskStream
@@ -105,9 +108,10 @@ def bias_histogram(predicted: np.ndarray, labels: np.ndarray, layout: TaskLayout
 
 @dataclass
 class StageTrace:
-    """One config's pipeline records for one stage's shuffled test stream, with
-    ground truth: ``records`` is arc_evaluate's table (otd.RECORD_DTYPE),
-    aligned with ``true_labels`` and ``true_tasks``."""
+    """One stage's pipeline records for its shuffled test stream, with ground
+    truth: ``records`` is arc_evaluate's table (otd.RECORD_DTYPE) for the
+    first config of the evaluated group, aligned with ``true_labels`` and
+    ``true_tasks``."""
 
     stage: int
     records: np.recarray
@@ -318,43 +322,28 @@ def map_stages(stream: TaskStream, train_cfg: TrainConfig, seed: int,
     return heads, [done[t] for t in range(1, n + 1)]
 
 
-def _stage_stream(stream: TaskStream, t: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Tasks 1..t's test sets as one shuffled online stream: (features,
-    labels, tasks), one row per sample. Every config of the stage reads it."""
+def _stage_traces(stream: TaskStream, head: LinearHead, t: int, groups: list[list[ArcConfig]],
+                  seed: int) -> Iterator[tuple[StageTrace, np.ndarray]]:
+    """Stage t's pipeline for each group of configs sharing one head trajectory,
+    in group order: one arc_evaluate call per group from head t, whose updates
+    die with it, over tasks 1..t's test sets shuffled once into one stream.
+    Yields (trace, rows): the trace holds the group's first config's records,
+    every trace shares the stream's ground-truth arrays, and row c is
+    group[c]'s accuracy on tasks 1..t."""
     tests = stream.test[:t]
-    x = np.vstack([data.features for data in tests])
     y = np.concatenate([data.labels for data in tests])
-    tasks = np.repeat(np.arange(1, t + 1), [len(data) for data in tests])
     perm = substream(seed, t, EVAL_TAG).permutation(len(y))
-    return x[perm], y[perm], tasks[perm]
-
-
-def _run_pipeline(stream: TaskStream, head: LinearHead, t: int, x: np.ndarray,
-                  cfgs: list[ArcConfig]) -> ArcEvalResult:
-    """arc_evaluate over a stage's stream for a group of configs sharing one
-    head trajectory. The evaluation starts from head t and its updates are
-    discarded with it, so they never leak across stages."""
-    cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in cfgs]
-    size = cfgs[0].batch_size
-    batches = [x[i : i + size] for i in range(0, len(x), size)]
-    return arc_evaluate(head, batches, stream.layout.step, cfgs)
-
-
-def _stage_traces(stream: TaskStream, head: LinearHead, t: int, cfgs: list[ArcConfig],
-                  seed: int) -> list[StageTrace]:
-    """Stage t's trace for each config, each evaluated on its own over the
-    stage's one stream; the traces share its ground-truth arrays."""
-    x, y, tasks = _stage_stream(stream, t, seed)
-    return [StageTrace(t, result.records, y, tasks, result.retention_updates)
-            for result in (_run_pipeline(stream, head, t, x, [cfg]) for cfg in cfgs)]
-
-
-def _task_accuracies(final: np.ndarray, labels: np.ndarray, tasks: np.ndarray,
-                     t: int) -> np.ndarray:
-    """Pipeline accuracies of final classes (..., samples) against the ground
-    truth, one entry per task 1..t on the last axis."""
-    correct = final == labels
-    return np.stack([correct[..., tasks == i].mean(axis=-1) for i in range(1, t + 1)], axis=-1)
+    x = np.vstack([data.features for data in tests])[perm]
+    tasks = np.repeat(np.arange(1, t + 1), [len(data) for data in tests])[perm]
+    y = y[perm]
+    for group in groups:
+        cfgs = [cfg.for_stage(is_final_stage=(t == stream.layout.num_tasks)) for cfg in group]
+        size = cfgs[0].batch_size
+        result = arc_evaluate(head, [x[i : i + size] for i in range(0, len(x), size)],
+                              stream.layout.step, cfgs)
+        correct = result.final_classes == y
+        rows = np.stack([correct[:, tasks == i].mean(axis=1) for i in range(1, t + 1)], axis=1)
+        yield StageTrace(t, result.records, y, tasks, result.retention_updates), rows
 
 
 def run_stream(
@@ -373,10 +362,9 @@ def run_stream(
 
     def evaluate(t: int, head: LinearHead) -> tuple:
         # the trace, both rows and, at the final stage, the plain task-1 predictions
-        trace = _stage_traces(stream, head, t, [arc_cfg], seed)[0]
+        [(trace, rows)] = _stage_traces(stream, head, t, [[arc_cfg]], seed)
         plain = [forward(head, test.features).argmax(axis=1) for test in stream.test[:t]]
-        return (trace,
-                _task_accuracies(trace.records.final_class, trace.true_labels, trace.true_tasks, t),
+        return (trace, rows[0],
                 [np.mean(p == test.labels) for p, test in zip(plain, stream.test)],
                 plain[0] if t == stream.layout.num_tasks > 1 else None)
 
@@ -396,7 +384,7 @@ def pipeline_traces(
         return []
 
     def evaluate(t: int, head: LinearHead) -> list[StageTrace]:
-        return _stage_traces(stream, head, t, cfgs, seed)
+        return [trace for trace, _ in _stage_traces(stream, head, t, [[cfg] for cfg in cfgs], seed)]
 
     _, per_stage = map_stages(stream, train_cfg, seed, evaluate)
     return [list(traces) for traces in zip(*per_stage)]
@@ -476,14 +464,14 @@ def ablation_grid(
     groups: dict[tuple, list[int]] = {}
     for index, cfg in enumerate(cfgs):
         groups.setdefault(tuple(cfg.trajectory().values()), []).append(index)
+    members = [[cfgs[i] for i in group] for group in groups.values()]
 
     def evaluate(t: int, head: LinearHead) -> np.ndarray:
         """Stage t's row of each config's matrix, one per config in input order."""
-        x, y, tasks = _stage_stream(stream, t, seed)
         rows = np.empty((len(cfgs), t))
-        for group in groups.values():
-            result = _run_pipeline(stream, head, t, x, [cfgs[i] for i in group])
-            rows[group] = _task_accuracies(result.final_classes, y, tasks, t)
+        for group, (_, group_rows) in zip(groups.values(),
+                                          _stage_traces(stream, head, t, members, seed)):
+            rows[group] = group_rows
         return rows
 
     _, stages = map_stages(stream, train_cfg, seed, evaluate)

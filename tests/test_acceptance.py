@@ -69,7 +69,7 @@ def beta_zero_traces(benchmark_runs):
     traces = {}
     for seed, run in benchmark_runs.items():
         stream = generate_synthetic(SyntheticSpec(seed=seed))
-        traces[seed] = [_stage_traces(stream, head, t, [cfg], seed)[0]
+        traces[seed] = [next(_stage_traces(stream, head, t, [[cfg]], seed))[0]
                         for t, head in enumerate(run.stage_heads, start=1)]
     return traces
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arcbench.arc import ArcConfig
+from arcbench.cli import RunConfig, _effective_config
 from arcbench.core import TaskLayout, TrainConfig, forward, new_head
 from arcbench.data import SyntheticSpec, generate_synthetic
 from arcbench import core, data, harness
@@ -733,3 +734,45 @@ class TestAblationGrid:
         for got, want in zip(matrices, expected):
             assert np.array_equal(got.values, want.values, equal_nan=True)
         assert len({average_accuracy(r) for r in matrices}) > 1
+
+
+class TestPipelinePasses:
+    """Each experiment shuffles a stage's test sets once and runs the pipeline
+    once per head trajectory at each stage (README: 12 passes per stage for
+    the default 240-variant ablate grid)."""
+
+    def count(self, monkeypatch, experiment):
+        """(arc_evaluate calls, EVAL_TAG keys drawn) while experiment() runs in
+        this process."""
+        calls, keys = [], []
+
+        def arc_evaluate(*args, **kwargs):
+            calls.append(1)
+            return original_evaluate(*args, **kwargs)
+
+        def substream(*key):
+            if key[2:] == (harness.EVAL_TAG,):
+                keys.append(key)
+            return original_substream(*key)
+
+        original_evaluate, original_substream = harness.arc_evaluate, harness.substream
+        with monkeypatch.context() as m:
+            m.setattr(harness, "trains_in_child", lambda: False)
+            m.setattr(harness, "arc_evaluate", arc_evaluate)
+            m.setattr(harness, "substream", substream)
+            experiment()
+        return len(calls), keys
+
+    def test_one_pass_per_stage_and_trajectory(self, small_stream, monkeypatch):
+        n, seed = SMALL_SPEC.num_tasks, 5
+        stage_keys = [(seed, t, harness.EVAL_TAG) for t in range(1, n + 1)]
+        cfg = ArcConfig(batch_size=8)
+        grid = [arc for _, arc in RunConfig(_effective_config({}, {})).ablate_cells]
+        assert len(grid) == 240
+        assert len({tuple(arc.trajectory().values()) for arc in grid}) == 12
+        for experiment, passes in [
+            (lambda: run_stream(small_stream, FAST_TRAIN, cfg, seed), n),
+            (lambda: pipeline_traces(small_stream, FAST_TRAIN, [cfg] * 3, seed), 3 * n),
+            (lambda: ablation_grid(small_stream, FAST_TRAIN, grid, seed), 12 * n),
+        ]:
+            assert self.count(monkeypatch, experiment) == (passes, stage_keys)
